@@ -44,17 +44,16 @@ def difference_rep(A: IndicatorSet) -> RepFn:
     q = A.q
     n = A.cardinality
     if n == 0:
-        return RepFn(q, (0,) * q)
+        return RepFn(q, np.zeros(q, dtype=np.int64))
     if n * n <= _BINCOUNT_PAIR_LIMIT:
         arr = A.array()
         diffs = (arr[:, None] - arr[None, :]) % q
-        counts = np.bincount(diffs.ravel(), minlength=q)
-        return RepFn(q, tuple(int(c) for c in counts))
+        return RepFn(q, np.bincount(diffs.ravel(), minlength=q))
     ind = A.vector()
     rev = [0] * q
     for r in A.members:
         rev[(-r) % q] = 1
-    return RepFn(q, tuple(cyclic_convolve(ind, rev)))
+    return RepFn(q, cyclic_convolve(ind, rev))
 
 
 def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
@@ -63,25 +62,25 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
         raise ValueError("nu must be >= 1")
     q = A.q
     if A.cardinality == 0:
-        return RepFn(q, (0,) * q)
+        return RepFn(q, np.zeros(q, dtype=np.int64))
     if nu == 1:
-        return RepFn(q, tuple(A.vector()))
+        return RepFn(q, A.vector())
     if nu == 2:
-        return RepFn(q, tuple(_pair_sum_counts(A)))
-    half = sum_rep(A, nu // 2).counts
-    acc = cyclic_convolve(list(half), list(half))
+        return RepFn(q, _pair_sum_counts(A))
+    half = sum_rep(A, nu // 2).counts.tolist()
+    acc = cyclic_convolve(half, half)
     if nu % 2 == 1:
         acc = cyclic_convolve(acc, A.vector())
-    return RepFn(q, tuple(acc))
+    return RepFn(q, acc)
 
 
-def _pair_sum_counts(A: IndicatorSet) -> list:
+def _pair_sum_counts(A: IndicatorSet):
     q = A.q
     n = A.cardinality
     if n * n <= _BINCOUNT_PAIR_LIMIT:
         arr = A.array()
         sums = (arr[:, None] + arr[None, :]) % q
-        return [int(c) for c in np.bincount(sums.ravel(), minlength=q)]
+        return np.bincount(sums.ravel(), minlength=q)
     ind = A.vector()
     return cyclic_convolve(ind, ind)
 
@@ -103,28 +102,31 @@ def set_energy(target: IndicatorSet, k: int, q) -> int:
         raise ValueError("target modulus mismatch")
     if target.cardinality == 0:
         return 0
-    rmap = residue_map(1, k, q)
-    members = set()
-    for v in target.members:
-        members.update(rmap.table[v])
-    return energy_of(IndicatorSet(q, frozenset(members)), 2)
+    hit = np.zeros(q, dtype=bool)
+    hit[target.array()] = True
+    members = np.flatnonzero(hit[residue_map(k, q).values])
+    return energy_of(IndicatorSet(q, frozenset(members.tolist())), 2)
 
 
 def power_coset_reps(k: int, q) -> list:
-    """One representative j per coset of the k-th power subgroup of F_q^*."""
+    """The least representative j of each coset of the k-th power subgroup of F_q^*.
+
+    The k-th powers form the subgroup of index g = gcd(k, q-1), which is the
+    kernel of x -> x^((q-1)/g); so j opens a new coset exactly when its image
+    under that map is new.  Reps come in ascending order.
+    """
     q = _as_q(q)
-    if q == 2:
-        return [1]
     g = math.gcd(k, q - 1)
-    subgroup = {pow(x, k, q) for x in range(1, q)}
+    e = (q - 1) // g
     reps = []
-    covered = set()
-    for j in range(1, q):
-        if j not in covered:
+    seen = set()
+    j = 0
+    while len(reps) < g:
+        j += 1
+        c = pow(j, e, q)
+        if c not in seen:
+            seen.add(c)
             reps.append(j)
-            covered.update((j * h) % q for h in subgroup)
-            if len(reps) == g:
-                break
     return reps
 
 

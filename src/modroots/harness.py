@@ -177,6 +177,8 @@ def _check_e2k_average(params, rng, budgets):
 def _check_e2k_set_doubling(params, rng, budgets):
     q = _require_prime(params)
     k, N = params["k"], params["N"]
+    if not 2 <= N <= q // 4:
+        raise InfeasibleCellError("need 2 <= N <= q/4")
     L_target = params.get("L", 2)
     inst = doubling_instance(L_target, N, q, rng)
     e = set_energy(inst.members, k, q)

@@ -341,10 +341,6 @@ class DualLattice:
     def q(self) -> int:
         return self.primal.q
 
-    def description(self) -> str:
-        a = self.primal.coeffs
-        return f"(lambda*{a} + {self.q}*Z^{self.primal.d}) / {self.q}"
-
     def integer_basis(self) -> list:
         """Basis of q * (dual lattice) as integer rows."""
         a, q, d = self.primal.coeffs, self.q, self.primal.d

@@ -1,8 +1,11 @@
 """Prime-field arithmetic: primality, prime enumeration, k-th roots, characters, Gauss sums.
 
-Root extraction below ROOT_TABLE_CAP builds the full residue table in O(q) and
-serves as the exact oracle for everything downstream; above the cap only
-square roots are supported (Tonelli-Shanks).
+Root extraction below ROOT_TABLE_CAP goes through residue_map(k, q), one flat
+table of the power map x -> x^k on Z_q: values[x] = x^k mod q, plus the
+argsort of values and bucket starts, so the roots of v are one slice of it.
+The table is built in O(q log q) with numpy, cached per (k, q), and serves
+every dilate j: preimages of j*x^k are a mask over (j * values) mod q.  Above
+the cap only square roots are supported (Tonelli-Shanks).
 """
 
 from __future__ import annotations
@@ -95,68 +98,75 @@ class PrimeModulus:
     """A certified prime modulus."""
 
     q: int
-    certified: bool = True
 
     def __post_init__(self):
         if self.q < 2 or not is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
 
 
+@lru_cache(maxsize=4096)
 def _as_q(q) -> int:
     if isinstance(q, PrimeModulus):
         return q.q
     q = int(q)
-    if not _is_prime_cached(q):
+    if not is_prime(q):
         raise ValueError(f"{q} is not prime")
     return q
 
 
-@lru_cache(maxsize=4096)
-def _is_prime_cached(n: int) -> bool:
-    return is_prime(n)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidueMap:
-    """For each value v in Z_q, the list of x with j*x^k = v (mod q)."""
+    """The power map x -> x^k on Z_q as read-only int64 arrays.
+
+    values[x] = x^k mod q; order is 0..q-1 stably sorted by value, and
+    starts[v] is the first position of value v in it, so the solutions of
+    x^k = v are order[starts[v]:starts[v + 1]], ascending.
+    """
 
     q: int
     k: int
-    j: int
-    table: tuple
+    values: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
 
-    def roots_of(self, v: int) -> list:
-        return list(self.table[v % self.q])
+    def __post_init__(self):
+        # views of the same buffers: scalar reads and slices that skip numpy's per-call cost
+        object.__setattr__(self, "_starts", memoryview(self.starts))
+        object.__setattr__(self, "_order", memoryview(self.order))
+
+    def roots_of(self, v: int) -> np.ndarray:
+        v %= self.q
+        return self.order[self._starts[v] : self._starts[v + 1]]
+
+    def root_set(self, v: int) -> set:
+        """The roots of v as a set of Python ints, read without building an array."""
+        v %= self.q
+        return set(self._order[self._starts[v] : self._starts[v + 1]])
 
 
 @lru_cache(maxsize=128)
-def residue_map(j: int, k: int, q) -> ResidueMap:
+def residue_map(k: int, q) -> ResidueMap:
     q = _as_q(q)
-    j %= q
-    if j == 0:
-        raise ValueError("j must be nonzero mod q")
     if k < 1:
         raise ValueError("k must be >= 1")
     if q > ROOT_TABLE_CAP:
         raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
-    if q <= 2 or k == 1:
-        vals = [(j * pow(x, k, q)) % q for x in range(q)]
-    else:
-        # x^k by repeated multiplication over a vectorized exponentiation
-        xs = np.arange(q, dtype=np.int64)
-        acc = np.ones(q, dtype=np.int64)
-        base = xs.copy()
-        e = k
-        while e:
-            if e & 1:
-                acc = (acc * base) % q
-            base = (base * base) % q
-            e >>= 1
-        vals = ((acc * j) % q).tolist()
-    buckets: list = [[] for _ in range(q)]
-    for x, v in enumerate(vals):
-        buckets[v].append(x)
-    return ResidueMap(q, k, j, tuple(tuple(b) for b in buckets))
+    # q <= 2^26 keeps every product below 2^52
+    xs = np.arange(q, dtype=np.int64)
+    values = np.ones(q, dtype=np.int64)
+    base, e = xs, k
+    while e:  # x^k by square-and-multiply over the whole residue vector
+        if e & 1:
+            values = (values * base) % q
+        base = (base * base) % q
+        e >>= 1
+    # the keys values*q + x are distinct, so sorting them is a stable argsort by value
+    order = np.sort(values * q + xs) % q
+    starts = np.zeros(q + 1, dtype=np.int64)
+    np.cumsum(np.bincount(values, minlength=q), out=starts[1:])
+    for arr in (values, order, starts):
+        arr.flags.writeable = False
+    return ResidueMap(q, k, values, order, starts)
 
 
 def sqrt_mod(a: int, q) -> list:
@@ -199,15 +209,12 @@ def sqrt_mod(a: int, q) -> list:
 
 def kth_roots(a: int, k: int, q) -> set:
     """The set { x in Z_q : x^k = a (mod q) }."""
-    q = _as_q(q)
-    a %= q
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if q <= ROOT_TABLE_CAP:
-        return set(residue_map(1, k, q).roots_of(a))
-    if k == 2:
-        return set(sqrt_mod(a, q))
-    raise CapacityError("k-th roots above the table cap supported only for k = 2")
+    try:
+        return residue_map(k, q).root_set(a)
+    except CapacityError:  # above the table cap
+        if k != 2:
+            raise CapacityError("k-th roots above the table cap supported only for k = 2") from None
+    return set(sqrt_mod(a, q))
 
 
 def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
@@ -218,12 +225,10 @@ def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
         raise ValueError("j must be nonzero mod q")
     if not (1 <= N <= q):
         raise ValueError(f"N must satisfy 1 <= N <= q, got {N}")
-    rmap = residue_map(j, k, q)
-    members = set()
-    for v in range(1, N + 1):
-        members.update(rmap.table[v % q])
-    members.discard(0)
-    return IndicatorSet(q, frozenset(members))
+    dilated = residue_map(k, q).values * j  # < q^2 <= 2^52
+    dilated %= q
+    members = np.flatnonzero((dilated >= 1) & (dilated <= N))
+    return IndicatorSet(q, frozenset(members.tolist()))
 
 
 @dataclass(frozen=True)
@@ -261,17 +266,6 @@ def unit_roots(q: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(q) / q)
 
 
-def _kahan_complex(terms) -> complex:
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for t in terms:
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-    return total
-
-
 def gauss_sum(b: int, h: int, q):
     """sum_x e_q(b*x^2 + h*x): closed-form value plus a cross-checked flag.
 
@@ -286,10 +280,18 @@ def gauss_sum(b: int, h: int, q):
         raise DegenerateError("quadratic coefficient must be nonzero mod q")
     if q == 2:
         raise DegenerateError("closed form needs (4b)^{-1}, which does not exist mod 2")
+    if (q - 1) ** 2 >= WORD_CAP:
+        raise CapacityError(f"direct Gauss sum needs (q-1)^2 < 2^63, got q={q}")
     tab = character_table(q)
     roots = unit_roots(q)
     xs = np.arange(q, dtype=np.int64)
-    direct = complex(np.sum(roots[(b * xs * xs + h * xs) % q]))
+    # reduce after every product: both factors are below q, so none exceeds (q-1)^2
+    phase = (xs * xs) % q
+    phase *= b
+    phase %= q
+    phase += (h * xs) % q
+    phase %= q
+    direct = complex(np.sum(roots[phase]))
     inv4b = pow(4 * b, q - 2, q)
     closed = tab.eps_q * tab.chi[b] * math.sqrt(q) * tab.e(-h * h * inv4b)
     if abs(direct - closed) > COMPLEX_RTOL * math.sqrt(q):

@@ -59,22 +59,49 @@ class IndicatorSet:
         return IndicatorSet(self.q, frozenset((a * u) % self.q for a in self.members))
 
 
-@dataclass(frozen=True)
+_INT64_COUNT_CAP = 1 << 62
+_WORD_CAP = 1 << 63
+
+
+@dataclass(frozen=True, eq=False)
 class RepFn:
-    """Exact nonnegative-integer counts over Z_q (difference or sum representations)."""
+    """Exact nonnegative-integer counts over Z_q (difference or sum representations).
+
+    counts is a read-only numpy array: int64 when every count is below 2^62,
+    dtype object (exact Python ints) otherwise.  Sums take the int64 fast path
+    only when the a-priori bound q * max (or q * max^2) fits in a word.
+    """
 
     q: int
-    counts: tuple
+    counts: np.ndarray
 
     def __post_init__(self):
-        if len(self.counts) != self.q:
+        counts = self.counts
+        if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
+            counts = [int(c) for c in counts]
+            small = max(counts, default=0) < _INT64_COUNT_CAP
+            counts = np.array(counts, dtype=np.int64 if small else object)
+        elif counts.size and int(counts.max()) >= _INT64_COUNT_CAP:
+            counts = counts.astype(object)
+        else:
+            counts = counts.view()
+        if counts.shape != (self.q,):
             raise ValueError("counts length must equal q")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, d: int) -> int:
-        return self.counts[d % self.q]
+        return int(self.counts[d % self.q])
+
+    def _peak(self) -> int:
+        return int(self.counts.max()) if self.q else 0
 
     def total(self) -> int:
-        return sum(self.counts)
+        if self.counts.dtype == np.int64 and self._peak() * self.q < _WORD_CAP:
+            return int(self.counts.sum())
+        return sum(self.counts.tolist())
 
     def square_sum(self) -> int:
-        return sum(c * c for c in self.counts)
+        if self.counts.dtype == np.int64 and self._peak() ** 2 * self.q < _WORD_CAP:
+            return int(np.dot(self.counts, self.counts))
+        return sum(c * c for c in self.counts.tolist())

@@ -64,6 +64,20 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(rows) == 2
 
 
+def test_sweep_infeasible_doubling_cell_is_skip_row(tmp_path, capsys):
+    # N = 16 > q/4 admits no honest doubling instance: a skip row, not a crash
+    out_path = tmp_path / "r.json"
+    code = main([
+        "--format", "json", "--out", str(out_path),
+        "sweep", "--check", "e2k-set-doubling", "--grid", "q=31", "--grid", "k=3", "--grid", "N=16",
+    ])
+    capsys.readouterr()
+    assert code == 0
+    rows = json.loads(out_path.read_text())
+    assert [r["params"] for r in rows] == ["N=16;k=3;q=31;skip=InfeasibleCellError"]
+    assert rows[0]["measured"] == ""
+
+
 def test_sweep_config_error(capsys):
     code = main(["sweep", "--check", "salie-moment", "--grid", "bogus=1"])
     capsys.readouterr()

@@ -73,13 +73,13 @@ def test_kth_roots_against_exhaustive_scan():
 def test_root_table_matches_scan_to_500():
     for q in primes_in(2, 500):
         for k in (2, 3, 6):
-            table = residue_map(1, k, q).table
+            rmap = residue_map(k, q)
             xs = np.arange(q, dtype=np.int64)
             vals = np.ones(q, dtype=np.int64)
             for _ in range(k):
                 vals = (vals * xs) % q
             for x in range(q):
-                assert x in table[vals[x]]
+                assert x in rmap.roots_of(vals[x])
 
 
 @given(st.sampled_from(primes_in(3, 300)), st.integers(1, 6), st.integers(0, 10**6))
@@ -128,12 +128,13 @@ def test_preimage_examples():
 def test_preimage_table_consistency():
     # growing N adds exactly the roots of j^{-1} * v at each step
     q, k, j = 31, 3, 5
-    rmap = residue_map(j, k, q)
+    rmap = residue_map(k, q)
+    j_inv = pow(j, -1, q)
     prev = set()
     for N in range(1, q + 1):
         cur = set(preimage_set(j, k, N, q).members)
         added = cur - prev
-        assert added == set(rmap.roots_of(N % q)) - {0}
+        assert added == set(rmap.roots_of(j_inv * N % q).tolist()) - {0}
         prev = cur
     assert prev == set(range(1, q))
 
@@ -168,6 +169,22 @@ def test_gauss_sum_modulus_sampled():
             for h in [0, 1, q // 2]:
                 v, _ = gauss_sum(b, h, q)
                 assert abs(abs(v) - math.sqrt(q)) < 1e-9 * math.sqrt(q)
+
+
+def test_gauss_sum_no_int64_wrap_at_3000017():
+    # b*x*x reaches 2.7e19 here; every product must be reduced mod q first
+    q = 3000017
+    for b, h in [(q - 2, 1), (q - 1, q - 1), (1, 0)]:
+        v, flag = gauss_sum(b, h, q)
+        assert flag and abs(abs(v) - math.sqrt(q)) < 1e-9 * math.sqrt(q)
+
+
+def test_gauss_sum_capacity_above_word_square():
+    q = 3037000507  # the least prime with (q-1)^2 >= 2^63
+    assert primes_in(3037000493, q) == [3037000493, q]
+    assert (3037000493 - 1) ** 2 < 1 << 63 <= (q - 1) ** 2
+    with pytest.raises(CapacityError):
+        gauss_sum(1, 0, q)
 
 
 def test_gauss_sum_degenerate():

@@ -1,0 +1,122 @@
+"""The flat residue table and its consumers against the bucket-table oracles."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modroots.energy import max_energy_over_j, power_coset_reps, set_energy
+from modroots.modular import kth_roots, preimage_set, primes_in, residue_map
+from modroots.sets import IndicatorSet, RepFn
+
+from residue_oracles import (
+    bucket_kth_roots,
+    bucket_max_energy,
+    bucket_preimage,
+    bucket_set_energy,
+    bucket_table,
+    subgroup_coset_reps,
+)
+
+# tiny moduli (q = 2, 3 and k sharing many factors with q - 1) and, about as
+# often, moduli near 2*10^5 (a few, so the oracle's tables are reused)
+PRIMES = st.one_of(st.sampled_from(primes_in(2, 200)), st.sampled_from(primes_in(199_900, 200_000)))
+KS = st.integers(1, 12)
+
+
+def test_table_layout_matches_buckets():
+    for q in (2, 3, 7, 13, 97):
+        for k in (1, 2, 3, 4, 6):
+            rmap = residue_map(k, q)
+            assert rmap.values.dtype == rmap.order.dtype == rmap.starts.dtype == np.int64
+            assert not any(a.flags.writeable for a in (rmap.values, rmap.order, rmap.starts))
+            assert rmap.values.tolist() == [pow(x, k, q) for x in range(q)]
+            table = bucket_table(1, k, q)
+            assert [tuple(rmap.roots_of(v).tolist()) for v in range(q)] == list(table)
+
+
+@given(PRIMES, KS, st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_kth_roots_match_buckets(q, k, a):
+    assert kth_roots(a, k, q) == bucket_kth_roots(a, k, q)
+
+
+@given(PRIMES, KS, st.integers(1, 10**9), st.integers(1, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_preimage_matches_buckets(q, k, j, n):
+    j = j % (q - 1) + 1
+    N = n % q + 1
+    assert set(preimage_set(j, k, N, q).members) == bucket_preimage(j, k, N, q)
+
+
+@given(PRIMES, KS, st.integers(0, 2**62))
+@settings(max_examples=30, deadline=None)
+def test_set_energy_matches_buckets(q, k, seed):
+    rng = np.random.default_rng(seed)
+    target = rng.choice(q, size=min(q, 1 + seed % 40), replace=False).tolist()
+    got = set_energy(IndicatorSet.of(q, target), k, q)
+    assert got == bucket_set_energy(target, k, q)
+
+
+@given(PRIMES, KS)
+@settings(max_examples=40, deadline=None)
+def test_coset_reps_match_subgroup_scan(q, k):
+    reps = power_coset_reps(k, q)
+    assert reps == subgroup_coset_reps(k, q)
+    assert len(reps) == math.gcd(k, q - 1)
+
+
+@given(PRIMES, st.integers(2, 8), st.integers(1, 60))
+@settings(max_examples=25, deadline=None)
+def test_max_energy_matches_buckets(q, k, N):
+    N = min(N, q)
+    assert max_energy_over_j(k, N, q) == bucket_max_energy(k, N, q)
+
+
+# ---------------------------------------------------------------------------
+# RepFn: int64 storage and sums on both sides of the word-size guard
+
+
+def test_repfn_object_input_small_counts_become_int64():
+    counts = np.array([3, 0, 5, 1, 2], dtype=object)
+    r = RepFn(5, counts)
+    assert r.counts.dtype == np.int64 and not r.counts.flags.writeable
+    assert r.total() == 11 and r.square_sum() == 39
+    assert r[7] == 5 and type(r[7]) is int
+
+
+def test_repfn_huge_counts_stay_exact_objects():
+    big = [2**62, 2**70 + 1, 0]
+    r = RepFn(3, big)
+    assert r.counts.dtype == object
+    assert r.total() == sum(big)
+    assert r.square_sum() == sum(c * c for c in big)
+
+
+@pytest.mark.parametrize("q", [2, 7, 101])
+def test_repfn_square_sum_at_word_boundary(q):
+    c = math.isqrt((2**63 - 1) // q)  # c^2 * q just below 2^63: int64 dot
+    for count in (c, c + 1):  # (c + 1)^2 * q >= 2^63: exact Python ints
+        r = RepFn(q, np.full(q, count, dtype=np.int64))
+        assert r.counts.dtype == np.int64
+        assert r.square_sum() == q * count * count
+        assert r.total() == q * count
+    assert q * (c + 1) ** 2 >= 2**63 > q * c * c
+
+
+@given(st.lists(st.integers(0, 2**64), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_repfn_sums_match_python(counts):
+    r = RepFn(len(counts), counts)
+    assert r.total() == sum(counts)
+    assert r.square_sum() == sum(c * c for c in counts)
+    assert [r[d] for d in range(len(counts))] == counts
+
+
+@given(st.integers(1, 50), st.integers(0, 2**61))
+@settings(max_examples=40, deadline=None)
+def test_repfn_int64_sums_near_guard(q, peak):
+    r = RepFn(q, np.full(q, peak, dtype=np.int64))
+    assert r.total() == q * peak
+    assert r.square_sum() == q * peak * peak
