@@ -13,7 +13,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from modroots.harness import SweepConfig, emit, run_sweep
+from modroots import __version__
+from modroots.harness import SweepConfig, SweepResult, emit, run_sweep
 from modroots.modular import primes_in
 
 RATIO_GRIDS = [
@@ -48,19 +49,17 @@ def main():
     failures = 0
     for check, grid in RATIO_GRIDS:
         if check == "gamma-ratio":
-            rows = []
-            max_ratio = 0.0
-            for q in (101, 499, 1009, 2003, 4999):
-                P = int(q**0.8)
-                res = run_sweep(SweepConfig(check, {"q": [q], "P": [P]}, seed=args.seed))
-                rows.extend(res.rows)
-                max_ratio = max(max_ratio, res.manifest["max_ratio"] or 0.0)
-            from modroots.harness import SweepResult
-
-            res = SweepResult(rows, {"config": {"check": check}, "rows": len(rows),
-                                     "passes": 0, "failures": 0, "skips": 0,
-                                     "max_ratio": max_ratio, "wall_ms": 0,
-                                     "cell_ms_total": 0, "version": "composite"})
+            # P = q^0.8 per q: five one-cell sweeps, their manifests summed
+            subs = [
+                run_sweep(SweepConfig(check, {"q": [q], "P": [int(q**0.8)]}, seed=args.seed))
+                for q in (101, 499, 1009, 2003, 4999)
+            ]
+            rows = [row for sub in subs for row in sub.rows]
+            manifest = {"config": {"check": check}, "rows": len(rows), "version": __version__,
+                        "max_ratio": max(sub.manifest["max_ratio"] or 0.0 for sub in subs)}
+            for key in ("passes", "failures", "skips", "wall_ms", "cell_ms_total"):
+                manifest[key] = sum(sub.manifest[key] for sub in subs)
+            res = SweepResult(rows, manifest)
         else:
             res = run_sweep(SweepConfig(check, grid, seed=args.seed, parallelism=args.threads))
         emit(res, "csv", os.path.join(args.out_dir, f"{check}.csv"))

@@ -61,7 +61,7 @@ def cmd_energy(args, rng):
         print(f"total={r.total} value={r.value:.12g} primes={len(r.primes)}")
     elif args.op == "preimage":
         A = preimage_set(args.j, args.k, args.N, args.q)
-        print(",".join(str(x) for x in sorted(A.members)))
+        print(",".join(str(x) for x in A.members.tolist()))
     elif args.op == "roots":
         print(",".join(str(x) for x in sorted(kth_roots(args.j, args.k, args.q))))
     elif args.op == "primes":
@@ -82,7 +82,7 @@ def cmd_gowers(args, rng):
         return 0 if rep.all_ok else 2
     elif args.op == "shift":
         shifts = [int(x) for x in args.shifts.split(",") if x != ""]
-        print(",".join(str(x) for x in sorted(shift_intersection(A, shifts).result.members)))
+        print(",".join(str(x) for x in shift_intersection(A, shifts).result.members.tolist()))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Exact cyclic convolution of integer vectors.
 
 Two paths with identical output:
-  * naive O(q^2) summation (also the oracle) for q <= NAIVE_THRESHOLD;
-  * number-theoretic transforms modulo a pool of 31-bit primes c*2^24 + 1,
+  * naive O(q^2) np.convolve (int64, or exact object arrays once
+    max|u| * max|v| * q reaches 2^62) for q <= NAIVE_THRESHOLD;
+  * number-theoretic transforms modulo a pool of 31-bit primes c*2^20 + 1,
     recombined by CRT, with the prime count sized from an a-priori magnitude
     bound so reconstruction is always exact.
 
@@ -107,37 +108,27 @@ def _convolve_mod(u: np.ndarray, v: np.ndarray, p: int, q: int) -> np.ndarray:
     return out
 
 
-def _naive(u: list, v: list) -> list:
-    q = len(u)
-    maxu = max((abs(x) for x in u), default=0)
-    maxv = max((abs(x) for x in v), default=0)
-    if maxu * maxv * q < (1 << 62):
-        ua = np.asarray(u, dtype=np.int64)
-        va = np.asarray(v, dtype=np.int64)
-        lin = np.convolve(ua, va)
-        out = lin[:q].copy()
-        out[: q - 1] += lin[q:]
-        return out.tolist()
-    out = [0] * q
-    for i, ui in enumerate(u):
-        if ui:
-            for jj, vj in enumerate(v):
-                if vj:
-                    d = i + jj
-                    if d >= q:
-                        d -= q
-                    out[d] += ui * vj
-    return out
+def _as_array(x) -> np.ndarray:
+    """int64 or object array of the entries of x; never an inferred dtype, which
+    would be uint64 for [2**63] and float64 for [2**63, -1]."""
+    if isinstance(x, np.ndarray) and x.dtype in (np.int64, object):
+        return x
+    arr = np.array(list(x), dtype=object)
+    try:
+        return arr.astype(np.int64)
+    except OverflowError:
+        return arr
 
 
 def cyclic_convolve(u, v, method: str = "auto") -> list:
     """w(d) = sum_x u(x) * v(d - x mod q), exact.
 
-    method: "auto" picks naive for q <= NAIVE_THRESHOLD, else NTT+CRT;
+    u and v may be lists, int64 arrays or object arrays of arbitrary-precision
+    ints.  method: "auto" picks naive for q <= NAIVE_THRESHOLD, else NTT+CRT;
     "naive" / "ntt" force a path (used by oracle-equality tests).
     """
-    u = list(u)
-    v = list(v)
+    u = _as_array(u)
+    v = _as_array(v)
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     q = len(u)
@@ -145,14 +136,17 @@ def cyclic_convolve(u, v, method: str = "auto") -> list:
         return []
     if method not in ("auto", "naive", "ntt"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "naive" or (method == "auto" and q <= NAIVE_THRESHOLD):
-        return _naive(u, v)
 
-    norm1_u = sum(abs(x) for x in u)
-    max_v = max((abs(x) for x in v), default=0)
-    norm1_v = sum(abs(x) for x in v)
-    max_u = max((abs(x) for x in u), default=0)
-    bound = min(norm1_u * max_v, norm1_v * max_u)
+    abs_u = np.abs(u.astype(object))
+    abs_v = np.abs(v.astype(object))
+    max_u, max_v = abs_u.max(), abs_v.max()
+    if method == "naive" or (method == "auto" and q <= NAIVE_THRESHOLD):
+        dtype = np.int64 if max(max_u, 1) * max(max_v, 1) * q < (1 << 62) else object
+        lin = np.convolve(u.astype(dtype), v.astype(dtype))
+        lin[: q - 1] += lin[q:]
+        return lin[:q].tolist()
+
+    bound = min(abs_u.sum() * max_v, abs_v.sum() * max_u)
     if bound == 0:
         return [0] * q
 
@@ -166,25 +160,12 @@ def cyclic_convolve(u, v, method: str = "auto") -> list:
     else:
         raise ValueError("magnitude bound exceeds CRT prime pool capacity")
 
-    residues = []
+    # balanced CRT reconstruction: sum_i residue_i * basis_i mod M, lifted to (-M/2, M/2]
+    out = 0
     for p in primes:
-        up = np.asarray([x % p for x in u], dtype=np.int64)
-        vp = np.asarray([x % p for x in v], dtype=np.int64)
-        residues.append(_convolve_mod(up, vp, p, q))
-
-    # balanced CRT reconstruction
-    basis = []
-    for i, p in enumerate(primes):
         mi = modulus // p
-        basis.append(mi * pow(mi % p, p - 2, p))
-    out = []
-    half = modulus // 2
-    for d in range(q):
-        x = 0
-        for i in range(len(primes)):
-            x += int(residues[i][d]) * basis[i]
-        x %= modulus
-        if x > half:
-            x -= modulus
-        out.append(x)
-    return out
+        w = _convolve_mod((u % p).astype(np.int64), (v % p).astype(np.int64), p, q)
+        out = out + w.astype(object) * (mi * pow(mi % p, p - 2, p))
+    out %= modulus
+    out[out > modulus // 2] -= modulus
+    return out.tolist()

@@ -46,14 +46,12 @@ def difference_rep(A: IndicatorSet) -> RepFn:
     if n == 0:
         return RepFn(q, np.zeros(q, dtype=np.int64))
     if n * n <= _BINCOUNT_PAIR_LIMIT:
-        arr = A.array()
+        arr = A.members
         diffs = (arr[:, None] - arr[None, :]) % q
         return RepFn(q, np.bincount(diffs.ravel(), minlength=q))
-    ind = A.vector()
-    rev = [0] * q
-    for r in A.members:
-        rev[(-r) % q] = 1
-    return RepFn(q, cyclic_convolve(ind, rev))
+    rev = np.zeros(q, dtype=np.int64)
+    rev[(-A.members) % q] = 1
+    return RepFn(q, cyclic_convolve(A.vector(), rev))
 
 
 def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
@@ -67,7 +65,7 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
         return RepFn(q, A.vector())
     if nu == 2:
         return RepFn(q, _pair_sum_counts(A))
-    half = sum_rep(A, nu // 2).counts.tolist()
+    half = sum_rep(A, nu // 2).counts
     acc = cyclic_convolve(half, half)
     if nu % 2 == 1:
         acc = cyclic_convolve(acc, A.vector())
@@ -78,7 +76,7 @@ def _pair_sum_counts(A: IndicatorSet):
     q = A.q
     n = A.cardinality
     if n * n <= _BINCOUNT_PAIR_LIMIT:
-        arr = A.array()
+        arr = A.members
         sums = (arr[:, None] + arr[None, :]) % q
         return np.bincount(sums.ravel(), minlength=q)
     ind = A.vector()
@@ -103,9 +101,8 @@ def set_energy(target: IndicatorSet, k: int, q) -> int:
     if target.cardinality == 0:
         return 0
     hit = np.zeros(q, dtype=bool)
-    hit[target.array()] = True
-    members = np.flatnonzero(hit[residue_map(k, q).values])
-    return energy_of(IndicatorSet(q, frozenset(members.tolist())), 2)
+    hit[target.members] = True
+    return energy_of(IndicatorSet(q, np.flatnonzero(hit[residue_map(k, q).values])), 2)
 
 
 def power_coset_reps(k: int, q) -> list:

@@ -30,11 +30,11 @@ class ShiftSystem:
 def shift_intersection(A: IndicatorSet, shifts) -> ShiftSystem:
     """A intersect (A - s1) intersect ... intersect (A - sl)."""
     q = A.q
-    members = set(A.members)
+    members = set(A.members.tolist())
     for s in shifts:
         s %= q
         members = {x for x in members if (x + s) % q in members}
-    return ShiftSystem(tuple(int(s) % q for s in shifts), IndicatorSet(q, frozenset(members)))
+    return ShiftSystem(tuple(int(s) % q for s in shifts), IndicatorSet(q, members))
 
 
 def _diff_square_sum(members: np.ndarray, q: int) -> int:
@@ -104,7 +104,7 @@ def gowers_norm(
         raise BudgetExceededError(f"k={k} above cap {k_cap}")
     if _work_estimate(A, k) > budget:
         raise BudgetExceededError("work estimate exceeds budget")
-    members = set(A.members)
+    members = set(A.members.tolist())
     via_recursion = _norm_recursive(members, A.q, k)
     via_squares = _norm_square_sum(members, A.q, k)
     if via_recursion != via_squares:

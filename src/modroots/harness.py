@@ -128,7 +128,8 @@ def doubling_instance(L_target: int, N: int, q: int, rng: SplitMix64) -> Doublin
     if max(elems) * 2 >= q:
         raise ValueError("wraparound detected")
     S = IndicatorSet.of(q, elems)
-    sums = {(x + y) % q for x in S.members for y in S.members}
+    members = S.members.tolist()
+    sums = {(x + y) % q for x in members for y in members}
     return DoublingInstance(S, Fraction(len(sums), S.cardinality), len(sums))
 
 
@@ -180,7 +181,10 @@ def _check_e2k_set_doubling(params, rng, budgets):
     if not 2 <= N <= q // 4:
         raise InfeasibleCellError("need 2 <= N <= q/4")
     L_target = params.get("L", 2)
-    inst = doubling_instance(L_target, N, q, rng)
+    try:
+        inst = doubling_instance(L_target, N, q, rng)
+    except ValueError as exc:  # e.g. a 2-dimensional progression that wraps around F_q
+        raise InfeasibleCellError(str(exc)) from exc
     e = set_energy(inst.members, k, q)
     L = float(inst.doubling)
     bound = L ** float(theta_k(k)) * N ** (3 - float(rho_k(k)))

@@ -15,10 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CapacityError
 
 DEFAULT_ENUM_BUDGET = 10**7
 _CHUNK = 1 << 20
+_WORD_CAP = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -124,21 +125,29 @@ def _solve_coord(lat: CongruenceLattice, s: int):
     return [(-a * inv) % q for a in lat.coeffs]  # entry s unused
 
 
+def _enumeration_plan(lat: CongruenceLattice, bounds: list, budget: int):
+    """The solved coordinate s (the widest), the free ones, and the multipliers
+    solving the congruence for s; raises before the enumeration would exceed the
+    budget or int64."""
+    s = max(range(lat.d), key=lambda i: bounds[i])
+    free = [i for i in range(lat.d) if i != s]
+    volume = math.prod(2 * bounds[i] + 1 for i in free)
+    if volume > budget:
+        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
+    # every int64 intermediate (multiplier times free value, residue sums, solved values) is below this
+    if lat.q * (sum(bounds[i] for i in free) + 2) + bounds[s] >= _WORD_CAP:
+        raise CapacityError(f"enumeration at q={lat.q}, bounds={bounds} overflows int64")
+    return s, free, _solve_coord(lat, s)
+
+
 def count_points(lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """#(lattice ∩ box), origin included: enumerate the free coordinates and
     solve the congruence for the remaining one."""
     if box.d != lat.d:
         raise ValueError("dimension mismatch")
     bounds = [int(w) for w in box.half_widths]  # floor of nonnegative rationals
-    s = max(range(lat.d), key=lambda i: bounds[i])
-    free = [i for i in range(lat.d) if i != s]
-    volume = 1
-    for i in free:
-        volume *= 2 * bounds[i] + 1
-    if volume > budget:
-        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
+    s, free, cmul = _enumeration_plan(lat, bounds, budget)
     q = lat.q
-    cmul = _solve_coord(lat, s)
     total = 0
     if lat.d == 2:
         f = free[0]
@@ -163,15 +172,8 @@ def count_points(lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENU
 def box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """All lattice points v with |v_i| <= bounds_i, as an (n, d) int64 array."""
     bounds = [int(b) for b in bounds]
-    s = max(range(lat.d), key=lambda i: bounds[i])
-    free = [i for i in range(lat.d) if i != s]
-    volume = 1
-    for i in free:
-        volume *= 2 * bounds[i] + 1
-    if volume > budget:
-        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
+    s, free, cmul = _enumeration_plan(lat, bounds, budget)
     q = lat.q
-    cmul = _solve_coord(lat, s)
     pieces = []
     if lat.d == 2:
         f = free[0]

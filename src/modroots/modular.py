@@ -227,8 +227,7 @@ def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
         raise ValueError(f"N must satisfy 1 <= N <= q, got {N}")
     dilated = residue_map(k, q).values * j  # < q^2 <= 2^52
     dilated %= q
-    members = np.flatnonzero((dilated >= 1) & (dilated <= N))
-    return IndicatorSet(q, frozenset(members.tolist()))
+    return IndicatorSet(q, np.flatnonzero((dilated >= 1) & (dilated <= N)))
 
 
 @dataclass(frozen=True)

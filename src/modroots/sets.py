@@ -1,7 +1,9 @@
 """Subsets of Z_q and exact representation-count vectors.
 
 IndicatorSet is the universal input type for the energy and uniformity-norm
-computations; RepFn holds exact nonnegative integer counts indexed by residue.
+computations: its residues are one sorted, distinct, read-only int64 array.
+RepFn holds exact nonnegative integer counts indexed by residue, as an int64
+array (dtype object above 2^62).
 """
 
 from __future__ import annotations
@@ -11,52 +13,52 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorSet:
-    """A subset of Z_q, stored as a frozenset of residues in [0, q)."""
+    """A subset of Z_q: members is a sorted, distinct, read-only int64 array in [0, q).
+
+    A strictly increasing int64 array is adopted after one O(n) check; any
+    other iterable of integers is sorted and deduplicated.
+    """
 
     q: int
-    members: frozenset
+    members: np.ndarray
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError("modulus must be >= 1")
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
-        for r in self.members:
-            if not (0 <= r < self.q):
-                raise ValueError(f"residue {r} outside [0, {self.q})")
+        m = self.members
+        if not (
+            isinstance(m, np.ndarray) and m.dtype == np.int64 and m.ndim == 1
+            and bool(np.all(m[1:] > m[:-1]))
+        ):
+            m = sorted({int(x) for x in m})
+        if len(m) and (m[0] < 0 or m[-1] >= self.q):
+            raise ValueError(f"residues {m[0]}..{m[-1]} outside [0, {self.q})")
+        m = m.view() if isinstance(m, np.ndarray) else np.array(m, dtype=np.int64)
+        m.flags.writeable = False
+        object.__setattr__(self, "members", m)
 
     @classmethod
     def of(cls, q: int, elements) -> "IndicatorSet":
-        return cls(q, frozenset(x % q for x in elements))
+        return cls(q, {x % q for x in elements})
 
     @property
     def cardinality(self) -> int:
         return len(self.members)
 
-    def __contains__(self, r: int) -> bool:
-        return r % self.q in self.members
+    def __eq__(self, other):
+        if not isinstance(other, IndicatorSet):
+            return NotImplemented
+        return self.q == other.q and np.array_equal(self.members, other.members)
 
-    def __iter__(self):
-        return iter(sorted(self.members))
+    __hash__ = None
 
-    def vector(self) -> list:
-        """Membership vector of length q (0/1 ints)."""
-        vec = [0] * self.q
-        for r in self.members:
-            vec[r] = 1
+    def vector(self) -> np.ndarray:
+        """Membership vector of length q (int64 0/1)."""
+        vec = np.zeros(self.q, dtype=np.int64)
+        vec[self.members] = 1
         return vec
-
-    def array(self) -> np.ndarray:
-        return np.fromiter(sorted(self.members), dtype=np.int64, count=len(self.members))
-
-    def shift(self, s: int) -> "IndicatorSet":
-        """The set A - s = {a - s : a in A}."""
-        return IndicatorSet(self.q, frozenset((a - s) % self.q for a in self.members))
-
-    def dilate(self, u: int) -> "IndicatorSet":
-        return IndicatorSet(self.q, frozenset((a * u) % self.q for a in self.members))
 
 
 _INT64_COUNT_CAP = 1 << 62

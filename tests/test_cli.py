@@ -78,6 +78,21 @@ def test_sweep_infeasible_doubling_cell_is_skip_row(tmp_path, capsys):
     assert rows[0]["measured"] == ""
 
 
+def test_sweep_wraparound_doubling_cell_is_skip_row(tmp_path, capsys):
+    # L = 9 asks for a 2-dimensional progression that wraps around F_31
+    out_path = tmp_path / "r.json"
+    code = main([
+        "--format", "json", "--out", str(out_path),
+        "sweep", "--check", "e2k-set-doubling", "--grid", "q=31,10007", "--grid", "k=3",
+        "--grid", "N=4", "--grid", "L=2,9",
+    ])
+    capsys.readouterr()
+    assert code == 0
+    params = [r["params"] for r in json.loads(out_path.read_text())]
+    assert "L=9;N=4;k=3;q=31;skip=InfeasibleCellError" in params
+    assert sum("skip=" in p for p in params) == 1 and len(params) == 4
+
+
 def test_sweep_config_error(capsys):
     code = main(["sweep", "--check", "salie-moment", "--grid", "bogus=1"])
     capsys.readouterr()

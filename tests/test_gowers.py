@@ -14,7 +14,7 @@ def test_shift_intersection_examples():
     assert shift_intersection(A, [0]).result == A
     # exhaustive: x in result iff x and x+2 are both in A
     expect = {x for x in A.members if (x + 2) % 7 in A.members}
-    assert shift_intersection(A, [2]).result.members == expect == {1, 4, 6}
+    assert set(shift_intersection(A, [2]).result.members.tolist()) == expect == {1, 4, 6}
 
 
 def test_gowers_norm_anchors():

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from modroots.errors import BudgetExceededError
+from modroots.errors import BudgetExceededError, CapacityError
 from modroots.lattice import (
     BoxBody,
     CongruenceLattice,
@@ -236,3 +238,56 @@ def test_lattice_validation():
         CongruenceLattice((1,), 5)
     with pytest.raises(ValueError):
         BoxBody((-1, 2))
+
+
+def exact_count(coeffs, q, bounds):
+    """#(lattice ∩ box) in Python ints: enumerate all but the last coordinate
+    (whose coefficient must be 1) and count the solutions r + t*q of the last."""
+    *head, last = bounds
+    total = 0
+    for v in product(*(range(-b, b + 1) for b in head)):
+        r = -sum(a * x for a, x in zip(coeffs, v)) % q
+        total += max(0, (last - r) // q + (last + r) // q + 1)
+    return total
+
+
+def count_or_none(lat, bounds):
+    try:
+        got = count_points(lat, BoxBody(bounds))
+    except CapacityError:
+        got = None
+    try:
+        pts = len(box_points(lat, bounds))
+    except CapacityError:
+        pts = None
+    return got, pts
+
+
+def test_count_at_large_q_is_exact_or_capacity_error():
+    # (q - 3) * v for |v| <= 20000 exceeds 2^63: the int64 product would wrap
+    lat = CongruenceLattice((3, 1), 10**15 + 37)
+    assert exact_count((3, 1), 10**15 + 37, (20000, 40000)) == 26667
+    got, pts = count_or_none(lat, (20000, 40000))
+    assert got in (None, 26667) and pts in (None, 26667)
+
+
+@given(
+    st.integers(2, 3),
+    st.integers(0, 30),
+    st.integers(0, 10**6),
+    st.integers(300, 4000),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 2**64),
+)
+@settings(max_examples=80, deadline=None)
+def test_count_near_word_boundary(d, b0, extra, per_mille, offset, c):
+    # q spans from half to four times 2^63 / (free bound + 2)
+    q = max(2, (2**63 // (b0 + 2)) * per_mille // 1000 + offset)
+    coeffs = tuple((c * (i + 7)) % q for i in range(d - 1)) + (1,)
+    assume(all(math.gcd(a, q) == 1 for a in coeffs))
+    bounds = (b0,) * (d - 1) + (b0 + extra,)
+    got, pts = count_or_none(CongruenceLattice(coeffs, q), bounds)
+    expect = exact_count(coeffs, q, bounds)
+    assert got in (None, expect) and pts in (None, expect)
+    if q * ((d - 1) * b0 + 2) + b0 + extra < 2**63:
+        assert got == pts == expect
