@@ -56,9 +56,11 @@ def main():
             ]
             rows = [row for sub in subs for row in sub.rows]
             manifest = {"config": {"check": check}, "rows": len(rows), "version": __version__,
+                        "bound_formula": subs[0].manifest["bound_formula"],
                         "max_ratio": max(sub.manifest["max_ratio"] or 0.0 for sub in subs)}
             for key in ("passes", "failures", "skips", "wall_ms", "cell_ms_total"):
                 manifest[key] = sum(sub.manifest[key] for sub in subs)
+            manifest["cell_failures"] = [f for sub in subs for f in sub.manifest["cell_failures"]]
             res = SweepResult(rows, manifest)
         else:
             res = run_sweep(SweepConfig(check, grid, seed=args.seed, parallelism=args.threads))

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .modular import is_prime
+from .sets import _as_array
 
 NAIVE_THRESHOLD = 512
 _TWO_ADIC = 20  # transforms up to length 2^20
@@ -106,18 +107,6 @@ def _convolve_mod(u: np.ndarray, v: np.ndarray, p: int, q: int) -> np.ndarray:
     out = lin[:q].copy()
     out[: q - 1] = (out[: q - 1] + lin[q : 2 * q - 1]) % p
     return out
-
-
-def _as_array(x) -> np.ndarray:
-    """int64 or object array of the entries of x; never an inferred dtype, which
-    would be uint64 for [2**63] and float64 for [2**63, -1]."""
-    if isinstance(x, np.ndarray) and x.dtype in (np.int64, object):
-        return x
-    arr = np.array(list(x), dtype=object)
-    try:
-        return arr.astype(np.int64)
-    except OverflowError:
-        return arr
 
 
 def cyclic_convolve(u, v, method: str = "auto") -> list:

@@ -2,9 +2,12 @@
 discrepancy of modular square roots of primes.
 
 The supremum over half-open intervals [alpha, beta) is attained only in the
-limit beta -> point+, so isolated points contribute a full excess of 1; the
-pair scan below evaluates every critical configuration in exact rational
-arithmetic.
+limit beta -> point+, so isolated points contribute a full excess of 1.  The
+critical intervals are the closed clusters [v_i, v_j] (excess) and the open
+gaps (v_i, v_j), [0, v_j) and (v_i, 1) (deficit).  Scaled by the lcm D of the
+denominators, each of their discrepancies is a difference of two terms of
+two integer prefix sequences, so one linear scan with running minima and
+maxima finds the supremum exactly.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CapacityError
-from .modular import _as_q, primes_in, sqrt_mod
+from .modular import WORD_CAP, _as_q, primes_in, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -53,42 +58,41 @@ class DiscrepancyResult:
 
 
 def discrepancy(P: PointMultiset) -> DiscrepancyResult:
-    """sup over 0 <= alpha < beta <= 1 of |#{points in [alpha, beta)} - (beta-alpha)*size|."""
+    """sup over 0 <= alpha < beta <= 1 of |#{points in [alpha, beta)} - (beta-alpha)*size|.
+
+    The witness is the first maximising interval in the order: excess
+    clusters [v_i, v_j+) by (i, j), gaps (v_i, v_j) by (i, j), gaps [0, v_j)
+    by j, gaps (v_i, 1) by i.
+    """
     m = len(P.values)
-    N = P.size
     if m == 0:
         return DiscrepancyResult(Fraction(0), "empty")
     vals = P.values
-    prefix = [0]
-    for c in P.mults:
-        prefix.append(prefix[-1] + c)
-    total = prefix[-1]
-
-    best = Fraction(0)
-    witness = "trivial"
-
-    # excess over closed clusters [v_i, v_j] (beta -> v_j+)
-    for i in range(m):
-        for j in range(i, m):
-            ex = (prefix[j + 1] - prefix[i]) - N * (vals[j] - vals[i])
-            if ex > best:
-                best, witness = ex, f"excess [{vals[i]}, {vals[j]}+)"
-    # deficit over open gaps (v_i, v_j)
-    for i in range(m):
-        for j in range(i + 1, m):
-            de = N * (vals[j] - vals[i]) - (prefix[j] - prefix[i + 1])
-            if de > best:
-                best, witness = de, f"deficit ({vals[i]}, {vals[j]})"
-    # deficit against the boundaries
-    for j in range(m):
-        de = N * vals[j] - prefix[j]
-        if de > best:
-            best, witness = de, f"deficit [0, {vals[j]})"
-    for i in range(m):
-        de = N * (1 - vals[i]) - (total - prefix[i + 1])
-        if de > best:
-            best, witness = de, f"deficit ({vals[i]}, 1)"
-    return DiscrepancyResult(best, witness)
+    N = P.size
+    D = math.lcm(*(v.denominator for v in vals))
+    dtype = np.int64 if 2 * N * D < WORD_CAP else object
+    scaled = np.array([v.numerator * (D // v.denominator) for v in vals], dtype=dtype)
+    below = np.zeros(m + 1, dtype=dtype)  # below[i] = number of points < v_i
+    below[1:] = np.cumsum(np.array(P.mults, dtype=dtype))
+    # with X_i = D*below[i] - N*V_i and Y_i = X_i + D*mult_i, D times the
+    # excess of [v_i, v_j+) is Y_j - X_i (i <= j), and D times the deficit of
+    # (v_i, v_j) is Y_i - X_j (i < j), of [0, v_j) is -X_j, of (v_i, 1) is Y_i
+    X = D * below[:-1] - N * scaled
+    Y = D * below[1:] - N * scaled
+    j = int(np.argmax(Y - np.minimum.accumulate(X)))
+    i = int(np.argmin(X[: j + 1]))
+    candidates = [(Y[j] - X[i], f"excess [{vals[i]}, {vals[j]}+)")]
+    if m > 1:
+        j = int(np.argmax(np.maximum.accumulate(Y)[:-1] - X[1:])) + 1
+        i = int(np.argmax(Y[:j]))
+        candidates.append((Y[i] - X[j], f"deficit ({vals[i]}, {vals[j]})"))
+    j = int(np.argmin(X))
+    candidates.append((-X[j], f"deficit [0, {vals[j]})"))
+    i = int(np.argmax(Y))
+    candidates.append((Y[i], f"deficit ({vals[i]}, 1)"))
+    best = max(value for value, _ in candidates)
+    witness = next(w for value, w in candidates if value == best)
+    return DiscrepancyResult(Fraction(int(best), D), witness)
 
 
 @dataclass(frozen=True)

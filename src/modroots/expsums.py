@@ -2,41 +2,27 @@
 and the character/inverse moment with its diagonal-plus-square-root-cancellation
 envelope.
 
-Dyadic convention throughout: m ~ M means M/2 <= m < M.  All complex
-accumulation uses compensated summation; oracle comparisons are at relative
-tolerance 1e-9.
+Dyadic convention throughout: m ~ M means M/2 <= m < M.  Both root sums read
+one table, f(v) = sum_{x^2 = a v} e_q(h x) for every v mod q
+(root_sum_weight_table): W is alpha . f[m n mod q] . beta and V is
+alpha . f[m n mod q] . phi(n), one matrix product each.  The moment reads the
+inverse table x^(q-2) from modular.power_values.  Oracle comparisons are at
+relative tolerance 1e-9.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .modular import _as_q, character_table, kth_roots, unit_roots
-
-COMPLEX_RTOL = 1e-9
+from .modular import _as_q, character_table, power_values, unit_roots
 
 
 def dyadic_range(X: int) -> range:
     """Integers a with X/2 <= a < X."""
     return range((X + 1) // 2, X)
-
-
-class _Kahan:
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0 + 0.0j
-        self.comp = 0.0 + 0.0j
-
-    def add(self, t: complex):
-        y = t - self.comp
-        s = self.total + y
-        self.comp = (s - self.total) - y
-        self.total = s
 
 
 @dataclass(frozen=True)
@@ -61,28 +47,21 @@ class BilinearQuery:
             raise ValueError("beta length must match the dyadic n-range")
 
 
+def _root_sum_form(a: int, h: int, q, ms, ns, u, v) -> complex:
+    """u . F . v with F[m, n] = f(m n mod q), where f = root_sum_weight_table(a, h, q)."""
+    q = _as_q(q)
+    f = root_sum_weight_table(a, h, q)
+    m = np.asarray(ms, dtype=np.int64) % q
+    n = np.asarray(ns, dtype=np.int64) % q  # both below q <= 2^26: products fit in int64
+    return complex(np.asarray(u) @ f[np.outer(m, n) % q] @ np.asarray(v))
+
+
 def bilinear_root_sum(query: BilinearQuery) -> complex:
     """sum over m ~ M, n ~ N of alpha_m beta_n sum_{x^2 = a m n} e_q(h x)."""
-    q = query.q
-    roots = unit_roots(q)
-    acc = _Kahan()
-    ms = list(dyadic_range(query.M))
-    ns = list(dyadic_range(query.N))
-    for mi, m in enumerate(ms):
-        am = query.a * m % q
-        wm = query.alpha[mi]
-        if wm == 0:
-            continue
-        for ni, n in enumerate(ns):
-            wn = query.beta[ni]
-            if wn == 0:
-                continue
-            v = am * n % q
-            inner = 0.0 + 0.0j
-            for x in kth_roots(v, 2, q):
-                inner += roots[(query.h * x) % q]
-            acc.add(wm * wn * inner)
-    return acc.total
+    return _root_sum_form(
+        query.a, query.h, query.q, dyadic_range(query.M), dyadic_range(query.N),
+        query.alpha, query.beta,
+    )
 
 
 @dataclass(frozen=True)
@@ -133,35 +112,23 @@ def smoothed_root_sum(a: int, h: int, M: int, q, alpha, bump: SmoothBump) -> com
     q = _as_q(q)
     if a % q == 0:
         raise ValueError("a must be nonzero mod q")
-    ms = list(dyadic_range(M))
+    ms = dyadic_range(M)
     if len(alpha) != len(ms):
         raise ValueError("alpha length must match the dyadic m-range")
-    roots = unit_roots(q)
-    acc = _Kahan()
-    for mi, m in enumerate(ms):
-        wm = alpha[mi]
-        if wm == 0:
-            continue
-        am = a * m % q
-        for n in bump.support():
-            phi_n = bump(n)
-            if phi_n == 0.0:
-                continue
-            inner = 0.0 + 0.0j
-            for x in kth_roots(am * n % q, 2, q):
-                inner += roots[(h * x) % q]
-            acc.add(wm * phi_n * inner)
-    return acc.total
+    ns = bump.support()
+    return _root_sum_form(a, h, q, ms, ns, alpha, [bump(n) for n in ns])
 
 
 def root_sum_weight_table(a: int, h: int, q) -> np.ndarray:
     """f(v) = sum_{x^2 = a v} e_q(h x) for all v, via the root table (vectorized)."""
     q = _as_q(q)
+    a %= q
+    h %= q  # both below q <= 2^26, so every product below stays under 2^52
+    sq = power_values(2, q)  # raises CapacityError above the table cap
     roots = unit_roots(q)
     out = np.zeros(q, dtype=np.complex128)
     xs = np.arange(q, dtype=np.int64)
-    sq = (xs * xs) % q
-    inva = pow(a % q, q - 2, q) if q > 2 else a % q
+    inva = pow(a, q - 2, q) if q > 2 else a
     # x contributes e_q(hx) to v = x^2 / a
     np.add.at(out, (sq * inva) % q, roots[(h * xs) % q])
     return out
@@ -208,12 +175,10 @@ def char_inverse_moment(c: int, U0: int, r: int, q) -> MomentReport:
         raise ValueError("c must be nonzero mod q")
     if U0 == 0:
         return MomentReport(0.0, 0.0, 0.0)
+    inv = power_values(q - 2, q)  # y^(q-2) = y^{-1}, 0 at y = 0; CapacityError above the cap
     tab = character_table(q)
     roots = unit_roots(q)
-    ys = np.arange(q, dtype=np.int64)
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = np.array([pow(int(y), q - 2, q) for y in range(1, q)], dtype=np.int64)
-    w = np.asarray(tab.chi, dtype=np.float64) * roots[(c * inv) % q]
+    w = np.asarray(tab.chi, dtype=np.float64) * roots[((c % q) * inv) % q]
     w[0] = 0.0
     # inner(lambda) = sum_{u=1..U0} w[(lambda+u) mod q]: sliding circular window
     inner = np.zeros(q, dtype=np.complex128)

@@ -32,8 +32,7 @@ def shift_intersection(A: IndicatorSet, shifts) -> ShiftSystem:
     q = A.q
     members = set(A.members.tolist())
     for s in shifts:
-        s %= q
-        members = {x for x in members if (x + s) % q in members}
+        members = _intersect_shift(members, s % q, q)
     return ShiftSystem(tuple(int(s) % q for s in shifts), IndicatorSet(q, members))
 
 
@@ -77,11 +76,8 @@ def _norm_square_sum(members: set, q: int, k: int) -> int:
             return len(current) ** 2
         if not current:
             return 0
-        arr = np.fromiter(current, dtype=np.int64)
         if depth == 1:
-            diffs = (arr[:, None] - arr[None, :]) % q
-            counts = np.bincount(diffs.ravel(), minlength=q)
-            return int(np.dot(counts, counts))
+            return _diff_square_sum(np.fromiter(current, dtype=np.int64), q)
         total = 0
         for s in range(q):
             total += rec(_intersect_shift(current, s, q), depth - 1)

@@ -49,14 +49,6 @@ def theta_k(k: int) -> Fraction:
     return 2 ** (k + 2) * rho_k(k)
 
 
-@dataclass(frozen=True)
-class BoundFormula:
-    """Right-hand-side descriptor for a check (o(1) factors set to zero)."""
-
-    check: str
-    formula: str
-
-
 @dataclass
 class SweepConfig:
     check: str
@@ -85,6 +77,8 @@ class CellResult:
     ratio: object = None
     passed: object = None
     skip_reason: str = None
+    fail_reason: str = None  # exception class of a failed internal cross-check
+    fail_message: str = None
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +339,20 @@ CHECKS = {
     "gamma-ratio": (_check_gamma_ratio, {"q", "P"}),
 }
 
+# right-hand side of each ratio check's bound, o(1) factors set to zero
 BOUND_FORMULAS = {
-    "t22-bound": BoundFormula("t22-bound", "(N^(3/2)/q^(1/2) + 1) * N^2"),
-    "t42-bound": BoundFormula("t42-bound", "(N^(5/8)/q^(1/8) + N^8/q^(1/2)) * N^6 + N^5"),
-    "e2k-average": BoundFormula("e2k-average", "N^2 + N^4/Q"),
-    "e2k-set-doubling": BoundFormula(
-        "e2k-set-doubling",
+    "t22-bound": "(N^(3/2)/q^(1/2) + 1) * N^2",
+    "t42-bound": "(N^(5/8)/q^(1/8) + N^8/q^(1/2)) * N^6 + N^5",
+    "e2k-average": "N^2 + N^4/Q",
+    "e2k-set-doubling": (
         "L^theta_k * N^(3 - rho_k); rho_k = 1/(7*2^(k-1)-9), theta_4 = 48/47, "
-        "theta_k = 2^(k+2)*rho_k otherwise",
+        "theta_k = 2^(k+2)*rho_k otherwise"
     ),
-    "w-ratio": BoundFormula(
-        "w-ratio", "q^(1/8) (NM)^(3/4) (N^(3/16) q^(-1/16) + 1)(M^(3/16) q^(-1/16) + 1)"
-    ),
-    "v-ratio": BoundFormula(
-        "v-ratio", "q^(1/2-1/4r) N^(1/2r) M^(1-1/2r) (1 + (MN)^(1/2) q^(-1/2+1/4r))"
-    ),
-    "salie-moment": BoundFormula("salie-moment", "q^(1/2) U0^(2r) + q U0^r"),
-    "gamma-ratio": BoundFormula(
-        "gamma-ratio", "P^(15/16) + q^(1/8) P^(3/4) + q^(1/16) P^(69/80) + q^(13/88) P^(3/4)"
-    ),
-    "tk-growth": BoundFormula("tk-growth", "N^2"),
+    "w-ratio": "q^(1/8) (NM)^(3/4) (N^(3/16) q^(-1/16) + 1)(M^(3/16) q^(-1/16) + 1)",
+    "v-ratio": "q^(1/2-1/4r) N^(1/2r) M^(1-1/2r) (1 + (MN)^(1/2) q^(-1/2+1/4r))",
+    "salie-moment": "q^(1/2) U0^(2r) + q U0^r",
+    "gamma-ratio": "P^(15/16) + q^(1/8) P^(3/4) + q^(1/16) P^(69/80) + q^(13/88) P^(3/4)",
+    "tk-growth": "N^2",
 }
 
 
@@ -413,6 +401,8 @@ def _run_cell(args):
         res = fn(params, rng, budgets)
     except (BudgetExceededError, CapacityError, InfeasibleCellError) as exc:
         res = CellResult(skip_reason=type(exc).__name__)
+    except ArithmeticError as exc:  # an internal cross-check failed
+        res = CellResult(passed=False, fail_reason=type(exc).__name__, fail_message=str(exc))
     ms = int((time.monotonic() - start) * 1000)
     return res, ms
 
@@ -439,12 +429,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         outcomes = [_run_cell(j) for j in jobs]
 
     rows = []
+    cell_failures = []
     total_ms = 0
     for cell, (res, ms) in zip(cells, outcomes):
         total_ms += ms
         params = dict(cell)
         if res.skip_reason:
             params["skip"] = res.skip_reason
+        if res.fail_reason:
+            params["fail"] = res.fail_reason
+            cell_failures.append({"params": _fmt_params(params), "message": res.fail_message})
         rows.append(
             ReportRow(
                 check=config.check,
@@ -468,6 +462,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             "row_timing": config.row_timing,
         },
         "version": __version__,
+        "bound_formula": BOUND_FORMULAS.get(config.check),
         "rows": len(rows),
         "passes": sum(1 for r in rows if r.passed is True),
         "failures": sum(1 for r in rows if r.passed is False),
@@ -475,6 +470,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         "max_ratio": max(ratios) if ratios else None,
         "wall_ms": int((time.monotonic() - start) * 1000),
         "cell_ms_total": total_ms,
+        "cell_failures": cell_failures,
     }
     return SweepResult(rows, manifest)
 

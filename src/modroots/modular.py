@@ -1,11 +1,14 @@
 """Prime-field arithmetic: primality, prime enumeration, k-th roots, characters, Gauss sums.
 
-Root extraction below ROOT_TABLE_CAP goes through residue_map(k, q), one flat
-table of the power map x -> x^k on Z_q: values[x] = x^k mod q, plus the
-argsort of values and bucket starts, so the roots of v are one slice of it.
-The table is built in O(q log q) with numpy, cached per (k, q), and serves
-every dilate j: preimages of j*x^k are a mask over (j * values) mod q.  Above
-the cap only square roots are supported (Tonelli-Shanks).
+power_values(k, q) is the power map x -> x^k on Z_q as one int64 array,
+computed by square-and-multiply over the whole residue vector (O(q log k)
+numpy work, q <= ROOT_TABLE_CAP).  Root extraction below the cap goes through
+residue_map(k, q), which adds to those values their argsort and bucket
+starts, so the roots of v are one slice of it.  The table is cached per
+(k, q) and serves every dilate j: preimages of j*x^k are a mask over
+(j * values) mod q.  Above the cap only square roots are supported
+(Tonelli-Shanks).  Other whole-field tables read power_values directly, for
+example the inverses x^(q-2).
 """
 
 from __future__ import annotations
@@ -129,19 +132,27 @@ class ResidueMap:
     order: np.ndarray
     starts: np.ndarray
 
-    def __post_init__(self):
-        # views of the same buffers: scalar reads and slices that skip numpy's per-call cost
-        object.__setattr__(self, "_starts", memoryview(self.starts))
-        object.__setattr__(self, "_order", memoryview(self.order))
-
     def roots_of(self, v: int) -> np.ndarray:
         v %= self.q
-        return self.order[self._starts[v] : self._starts[v + 1]]
+        return self.order[self.starts[v] : self.starts[v + 1]]
 
-    def root_set(self, v: int) -> set:
-        """The roots of v as a set of Python ints, read without building an array."""
-        v %= self.q
-        return set(self._order[self._starts[v] : self._starts[v + 1]])
+
+def power_values(k: int, q) -> np.ndarray:
+    """values[x] = x^k mod q for x = 0..q-1 (int64; 0^0 = 1)."""
+    q = _as_q(q)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if q > ROOT_TABLE_CAP:
+        raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
+    # q <= 2^26 keeps every product below 2^52
+    values = np.ones(q, dtype=np.int64)
+    base, e = np.arange(q, dtype=np.int64), k
+    while e:  # square-and-multiply over the whole residue vector
+        if e & 1:
+            values = (values * base) % q
+        base = (base * base) % q
+        e >>= 1
+    return values
 
 
 @lru_cache(maxsize=128)
@@ -149,19 +160,9 @@ def residue_map(k: int, q) -> ResidueMap:
     q = _as_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if q > ROOT_TABLE_CAP:
-        raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
-    # q <= 2^26 keeps every product below 2^52
-    xs = np.arange(q, dtype=np.int64)
-    values = np.ones(q, dtype=np.int64)
-    base, e = xs, k
-    while e:  # x^k by square-and-multiply over the whole residue vector
-        if e & 1:
-            values = (values * base) % q
-        base = (base * base) % q
-        e >>= 1
+    values = power_values(k, q)
     # the keys values*q + x are distinct, so sorting them is a stable argsort by value
-    order = np.sort(values * q + xs) % q
+    order = np.sort(values * q + np.arange(q, dtype=np.int64)) % q
     starts = np.zeros(q + 1, dtype=np.int64)
     np.cumsum(np.bincount(values, minlength=q), out=starts[1:])
     for arr in (values, order, starts):
@@ -210,7 +211,7 @@ def sqrt_mod(a: int, q) -> list:
 def kth_roots(a: int, k: int, q) -> set:
     """The set { x in Z_q : x^k = a (mod q) }."""
     try:
-        return residue_map(k, q).root_set(a)
+        return set(residue_map(k, q).roots_of(a).tolist())
     except CapacityError:  # above the table cap
         if k != 2:
             raise CapacityError("k-th roots above the table cap supported only for k = 2") from None

@@ -116,30 +116,6 @@ def _reduced_x(k: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class CycInt:
-    """An element of Z[w]/Phi_k in the power basis."""
-
-    k: int
-    coeffs: tuple
-
-    def __add__(self, other):
-        return CycInt(self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other):
-        phi, rows = _cyc_context(self.k)
-        return CycInt(self.k, _cyc_mul(self.coeffs, other.coeffs, phi, rows))
-
-    @property
-    def is_rational_integer(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational_integer:
-            raise ArithmeticError(f"not a rational integer: {self.coeffs}")
-        return self.coeffs[0]
-
-
-@dataclass(frozen=True)
 class IntPoly:
     """Sparse integer polynomial in four variables."""
 

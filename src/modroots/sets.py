@@ -65,6 +65,18 @@ _INT64_COUNT_CAP = 1 << 62
 _WORD_CAP = 1 << 63
 
 
+def _as_array(x) -> np.ndarray:
+    """int64 or object array of the entries of x; never an inferred dtype, which
+    would be uint64 for [2**63] and float64 for [2**63, -1]."""
+    if isinstance(x, np.ndarray) and x.dtype in (np.int64, object):
+        return x
+    arr = np.array(list(x), dtype=object)
+    try:
+        return arr.astype(np.int64)
+    except OverflowError:
+        return arr
+
+
 @dataclass(frozen=True, eq=False)
 class RepFn:
     """Exact nonnegative-integer counts over Z_q (difference or sum representations).
@@ -78,15 +90,9 @@ class RepFn:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = self.counts
-        if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64):
-            counts = [int(c) for c in counts]
-            small = max(counts, default=0) < _INT64_COUNT_CAP
-            counts = np.array(counts, dtype=np.int64 if small else object)
-        elif counts.size and int(counts.max()) >= _INT64_COUNT_CAP:
-            counts = counts.astype(object)
-        else:
-            counts = counts.view()
+        counts = _as_array(self.counts)
+        small = not counts.size or counts.max() < _INT64_COUNT_CAP
+        counts = counts.astype(np.int64 if small else object, copy=False).view()
         if counts.shape != (self.q,):
             raise ValueError("counts length must equal q")
         counts.flags.writeable = False

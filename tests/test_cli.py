@@ -109,3 +109,17 @@ def test_sweep_exit_two_on_hard_assertion_failure(capsys, monkeypatch):
     code = main(["sweep", "--check", "trichotomy", "--grid", "trial=1,2"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_sweep_exit_two_on_cross_check_failure(tmp_path, capsys, monkeypatch):
+    import modroots.gowers as gowers
+
+    monkeypatch.setattr(gowers, "_norm_square_sum", lambda members, q, k: -1)
+    out_path = tmp_path / "r.csv"
+    code = main(["--out", str(out_path), "sweep", "--check", "gowers-lemmas", "--grid", "q=31"])
+    capsys.readouterr()
+    assert code == 2
+    assert "fail=ArithmeticError;q=31" in out_path.read_text()
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert manifest["failures"] == 1
+    assert "norm route mismatch" in manifest["cell_failures"][0]["message"]

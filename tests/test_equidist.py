@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modroots.equidist import (
+    DiscrepancyResult,
     PointMultiset,
     discrepancy,
     prime_roots_discrepancy,
@@ -12,6 +13,40 @@ from modroots.equidist import (
     prime_roots_ratio,
 )
 from modroots.rng import SplitMix64
+
+
+def pair_scan(P: PointMultiset) -> DiscrepancyResult:
+    """The O(m^2) Fraction scan over every critical interval, in witness order."""
+    m = len(P.values)
+    N = P.size
+    if m == 0:
+        return DiscrepancyResult(Fraction(0), "empty")
+    vals = P.values
+    prefix = [0]
+    for c in P.mults:
+        prefix.append(prefix[-1] + c)
+    total = prefix[-1]
+    best = Fraction(0)
+    witness = "trivial"
+    for i in range(m):
+        for j in range(i, m):
+            ex = (prefix[j + 1] - prefix[i]) - N * (vals[j] - vals[i])
+            if ex > best:
+                best, witness = ex, f"excess [{vals[i]}, {vals[j]}+)"
+    for i in range(m):
+        for j in range(i + 1, m):
+            de = N * (vals[j] - vals[i]) - (prefix[j] - prefix[i + 1])
+            if de > best:
+                best, witness = de, f"deficit ({vals[i]}, {vals[j]})"
+    for j in range(m):
+        de = N * vals[j] - prefix[j]
+        if de > best:
+            best, witness = de, f"deficit [0, {vals[j]})"
+    for i in range(m):
+        de = N * (1 - vals[i]) - (total - prefix[i + 1])
+        if de > best:
+            best, witness = de, f"deficit ({vals[i]}, 1)"
+    return DiscrepancyResult(best, witness)
 
 
 def grid_oracle(ms: PointMultiset, refine=Fraction(1, 10**6)) -> Fraction:
@@ -128,3 +163,52 @@ def test_permutation_invariance(seed):
     pts = [Fraction(rng.randint(0, 28), 29) for _ in range(n)]
     shuffled = sorted(pts, key=lambda _: rng.next64())
     assert discrepancy(PointMultiset.of(pts)).value == discrepancy(PointMultiset.of(shuffled)).value
+
+
+def _points(denominators):
+    """Points num/den with den drawn from `denominators`, num anywhere in [0, den)."""
+    return st.lists(
+        st.sampled_from(denominators).flatmap(
+            lambda d: st.builds(Fraction, st.sampled_from([0, 1, d // 2, d - 1]) | st.integers(0, d - 1),
+                                st.just(d))
+        ),
+        max_size=24,
+    )
+
+
+@given(_points([2, 3, 4, 5, 6]))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_pair_scan_small_denominators(pts):
+    # few distinct values: repeated points and tied maxima in every category
+    ms = PointMultiset.of(pts)
+    assert discrepancy(ms) == pair_scan(ms)
+
+
+@given(_points([7, 12, 97, 101, 1024]))
+@settings(max_examples=200, deadline=None)
+def test_scan_matches_pair_scan_mixed_denominators(pts):
+    ms = PointMultiset.of(pts + pts[: len(pts) // 3])
+    assert discrepancy(ms) == pair_scan(ms)
+
+
+@given(_points([2**61 - 1, 2**62 + 1, 3**40]))
+@settings(max_examples=60, deadline=None)
+def test_scan_matches_pair_scan_beyond_int64(pts):
+    # 2 * size * lcm(denominators) passes 2^63: the scan runs on exact Python ints
+    ms = PointMultiset.of(pts)
+    assert discrepancy(ms) == pair_scan(ms)
+
+
+def test_witness_order_on_ties():
+    # {1/4, 3/4}: the excess of either single point and the deficit of the
+    # middle gap all equal 1; the first cluster in (i, j) order is reported
+    ms = PointMultiset.of([Fraction(1, 4), Fraction(3, 4)])
+    assert discrepancy(ms) == pair_scan(ms) == DiscrepancyResult(Fraction(1), "excess [1/4, 1/4+)")
+    ms = PointMultiset.of([Fraction(0), Fraction(0), Fraction(1, 2)])
+    assert discrepancy(ms) == pair_scan(ms)
+
+
+def test_prime_roots_scan_matches_pair_scan():
+    for q, P in ((101, 40), (1009, 251), (4999, 912)):
+        ms = prime_roots_discrepancy(q, P).points
+        assert discrepancy(ms) == pair_scan(ms)

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from modroots.errors import CapacityError
 from modroots.expsums import (
     BilinearQuery,
     SmoothBump,
@@ -12,13 +15,64 @@ from modroots.expsums import (
     char_inverse_moment,
     dyadic_range,
     fourier_vs_gauss_residual,
+    root_sum_weight_table,
     smoothed_bound_ratio,
     smoothed_root_sum,
 )
-from modroots.modular import character_table, kth_roots, unit_roots
+from modroots.harness import SweepConfig, run_sweep
+from modroots.modular import ROOT_TABLE_CAP, character_table, is_prime, kth_roots, unit_roots
 from modroots.rng import SplitMix64
 
 TOL = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-pair root loops and the pow-loop inverse table
+
+
+def _root_sum(a, h, v, q) -> complex:
+    """sum over x^2 = a v (mod q) of e_q(h x), from kth_roots with exact phases."""
+    roots = unit_roots(q)
+    return sum((roots[h * x % q] for x in kth_roots(a * v % q, 2, q)), 0j)
+
+
+def w_pair_loop(query: BilinearQuery) -> complex:
+    q = query.q
+    total = 0j
+    for wm, m in zip(query.alpha, dyadic_range(query.M)):
+        for wn, n in zip(query.beta, dyadic_range(query.N)):
+            total += wm * wn * _root_sum(query.a, query.h, m * n, q)
+    return total
+
+
+def v_pair_loop(a, h, M, q, alpha, bump) -> complex:
+    total = 0j
+    for wm, m in zip(alpha, dyadic_range(M)):
+        for n in bump.support():
+            total += wm * bump(n) * _root_sum(a, h, m * n, q)
+    return total
+
+
+def moment_pow_loop(c, U0, r, q) -> float:
+    tab = character_table(q)
+    roots = unit_roots(q)
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = [pow(y, q - 2, q) for y in range(1, q)]
+    w = np.asarray(tab.chi, dtype=np.float64) * roots[(c * inv) % q]
+    w[0] = 0.0
+    inner = np.zeros(q, dtype=np.complex128)
+    for u in range(1, U0 + 1):
+        inner += np.roll(w, -u)
+    return float(np.sum(np.abs(inner) ** (2 * r)))
+
+
+def _close(got, want, scale):
+    """Agreement to TOL relative to the l1 mass of the summed terms (2 roots each)."""
+    return abs(got - want) <= TOL * max(1.0, 2 * scale)
+
+
+SMALL_PRIMES = st.sampled_from([2, 3, 5, 7, 11, 13, 31, 97, 101, 499])
+SIGNS = st.sampled_from([-1.0, 0.0, 1.0])
 
 
 def test_dyadic_convention():
@@ -176,3 +230,69 @@ def test_weight_length_validation():
         BilinearQuery(1, 0, 8, 8, 31, (1.0,), (1.0,) * 4)
     with pytest.raises(ValueError):
         BilinearQuery(31, 0, 4, 4, 31, (1.0,) * 2, (1.0,) * 2)
+
+
+# ---------------------------------------------------------------------------
+# the table paths against the oracles
+
+
+@given(SMALL_PRIMES, st.integers(1, 2**62), st.integers(0, 2**62), st.integers(2, 40),
+       st.integers(2, 40), st.data())
+@settings(max_examples=80, deadline=None)
+def test_w_matches_pair_loop(q, a, h, M, N, data):
+    a = a if a % q else a + 1
+    alpha = tuple(data.draw(st.lists(SIGNS, min_size=len(dyadic_range(M)), max_size=len(dyadic_range(M)))))
+    beta = tuple(data.draw(st.lists(SIGNS, min_size=len(dyadic_range(N)), max_size=len(dyadic_range(N)))))
+    query = BilinearQuery(a, h, M, N, q, alpha, beta)
+    scale = sum(map(abs, alpha)) * sum(map(abs, beta))
+    assert _close(bilinear_root_sum(query), w_pair_loop(query), scale)
+
+
+@given(SMALL_PRIMES, st.integers(1, 2**62), st.integers(0, 2**62), st.integers(2, 24),
+       st.integers(1, 30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_v_matches_pair_loop(q, a, h, M, N, data):
+    a = a if a % q else a + 1
+    alpha = tuple(data.draw(st.lists(SIGNS, min_size=len(dyadic_range(M)), max_size=len(dyadic_range(M)))))
+    bump = SmoothBump(N)
+    got = smoothed_root_sum(a, h, M, q, alpha, bump)
+    scale = sum(map(abs, alpha)) * sum(bump(n) for n in bump.support())
+    assert _close(got, v_pair_loop(a, h, M, q, alpha, bump), scale)
+
+
+@given(st.sampled_from([3, 5, 7, 13, 31, 97, 101, 499]), st.integers(1, 10**6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_moment_matches_pow_loop_exactly(q, c, data):
+    c = c if c % q else c + 1
+    U0 = data.draw(st.integers(1, q))
+    r = data.draw(st.integers(1, 3))
+    assert char_inverse_moment(c, U0, r, q).moment == moment_pow_loop(c % q, U0, r, q)
+
+
+def test_large_h_and_a_are_reduced_mod_q():
+    # h * x used to be formed on int64 before reduction and wrapped for h near 2^50
+    q, a = 100003, 5
+    h = 2**50 + 5
+    assert np.array_equal(root_sum_weight_table(a, h, q), root_sum_weight_table(a, h % q, q))
+    assert np.array_equal(root_sum_weight_table(a + 2**50 * q, 3, q), root_sum_weight_table(a, 3, q))
+    M, N = 64, 64
+    rng = SplitMix64(5)
+    al = tuple(float(rng.choice([-1, 1])) for _ in dyadic_range(M))
+    be = tuple(float(rng.choice([-1, 1])) for _ in dyadic_range(N))
+    big = BilinearQuery(a, h, M, N, q, al, be)
+    assert bilinear_root_sum(big) == bilinear_root_sum(BilinearQuery(a, h % q, M, N, q, al, be))
+    assert _close(bilinear_root_sum(big), w_pair_loop(big), len(al) * len(be))
+    c = 2**62 + 3
+    assert char_inverse_moment(c, 8, 2, 101).moment == char_inverse_moment(c % 101, 8, 2, 101).moment
+
+
+def test_tables_above_cap_raise_capacity_error():
+    q = ROOT_TABLE_CAP + 1
+    while not is_prime(q):
+        q += 1
+    with pytest.raises(CapacityError):
+        char_inverse_moment(1, 4, 2, q)
+    with pytest.raises(CapacityError):
+        bilinear_root_sum(BilinearQuery(1, 1, 4, 4, q, (1.0, 1.0), (1.0, 1.0)))
+    res = run_sweep(SweepConfig("salie-moment", {"q": [q], "U0": [4]}))
+    assert [r.params.get("skip") for r in res.rows] == ["CapacityError"]

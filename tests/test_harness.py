@@ -5,6 +5,7 @@ import pytest
 
 from modroots.errors import ConfigError
 from modroots.harness import (
+    BOUND_FORMULAS,
     CHECKS,
     SweepConfig,
     doubling_instance,
@@ -101,6 +102,32 @@ def test_budget_exhaustion_becomes_skip_row():
     assert len(res.rows) == 1
     assert res.rows[0].params.get("skip") == "BudgetExceededError"
     assert res.manifest["skips"] == 1
+
+
+def test_cross_check_failure_becomes_failed_row(monkeypatch):
+    import modroots.gowers as gowers
+
+    # a wrong second norm route makes gowers_norm's own cross-check raise
+    monkeypatch.setattr(gowers, "_norm_square_sum", lambda members, q, k: -1)
+    res = run_sweep(SweepConfig("gowers-lemmas", {"q": [31], "trial": "1:2"}))
+    assert [r.passed for r in res.rows] == [False, False]
+    assert all(r.params["fail"] == "ArithmeticError" and "skip" not in r.params for r in res.rows)
+    assert res.manifest["failures"] == 2 and res.manifest["skips"] == 0
+    failures = res.manifest["cell_failures"]
+    assert [f["params"] for f in failures] == ["fail=ArithmeticError;q=31;trial=1",
+                                               "fail=ArithmeticError;q=31;trial=2"]
+    assert all(f["message"].startswith("norm route mismatch") for f in failures)
+    assert "fail=ArithmeticError" in render_csv(res.rows)
+
+
+def test_manifest_records_bound_formula():
+    assert all(isinstance(BOUND_FORMULAS[c], str) for c in BOUND_FORMULAS)
+    assert set(BOUND_FORMULAS) <= set(CHECKS)
+    res = run_sweep(SweepConfig("t22-bound", {"q": [31], "N": [4]}))
+    assert res.manifest["bound_formula"] == "(N^(3/2)/q^(1/2) + 1) * N^2"
+    assert res.manifest["cell_failures"] == []
+    res = run_sweep(SweepConfig("trichotomy", {"trial": "1:1"}))
+    assert res.manifest["bound_formula"] is None
 
 
 def test_determinism_across_worker_counts():

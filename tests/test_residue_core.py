@@ -94,6 +94,14 @@ def test_repfn_huge_counts_stay_exact_objects():
     assert r.square_sum() == sum(c * c for c in big)
 
 
+def test_repfn_int64_object_split_at_2_62():
+    for counts in ([2**62 - 1, 0], np.array([2**62 - 1, 0], dtype=object)):
+        assert RepFn(2, counts).counts.dtype == np.int64
+    for counts in ([2**62, 0], np.array([2**62, 0], dtype=np.int64)):
+        r = RepFn(2, counts)
+        assert r.counts.dtype == object and r[0] == 2**62 and type(r[0]) is int
+
+
 @pytest.mark.parametrize("q", [2, 7, 101])
 def test_repfn_square_sum_at_word_boundary(q):
     c = math.isqrt((2**63 - 1) // q)  # c^2 * q just below 2^63: int64 dot
