@@ -3,7 +3,7 @@
 Subcommands mirror the module operations: energy, gowers, lattice, poly,
 expsum, discrepancy, sweep.  Sweeps read JSON configs (--config) with flags
 taking precedence; exit codes: 0 all hard assertions passed, 2 at least one
-failed, 3 config error.
+failed, 3 config or input error.
 """
 
 from __future__ import annotations
@@ -317,6 +317,9 @@ def main(argv=None) -> int:
         return _HANDLERS[args.command](args, rng)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # malformed input, e.g. a coefficient sharing a factor with q
+        print(f"input error: {exc}", file=sys.stderr)
         return 3
 
 

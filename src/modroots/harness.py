@@ -77,7 +77,7 @@ class CellResult:
     ratio: object = None
     passed: object = None
     skip_reason: str = None
-    fail_reason: str = None  # exception class of a failed internal cross-check
+    fail_reason: str = None  # the failed sub-check, or the exception class of a failed cross-check
     fail_message: str = None
 
 
@@ -194,18 +194,28 @@ def _check_gowers_lemmas(params, rng, budgets):
     budget = budgets.get("gowers", 10**9)
 
     u2 = gowers_norm(A, 2, budget=budget)  # internally checks both routes
-    if u2 != energy_of(A, 2):
-        return CellResult(measured=u2, passed=False)
+    energy = energy_of(A, 2)
+    if u2 != energy:
+        return _failed(u2, "u2-energy", f"||1_A||_U2^4 = {u2} but E(A) = {energy}")
     total = sum(
         shift_intersection(A, [s]).result.cardinality for s in range(q)
     )
     if total != A.cardinality**2:
-        return CellResult(measured=total, passed=False)
+        return _failed(
+            total, "shift-identity", f"sum_s |A ∩ (A - s)| = {total} but |A|^2 = {A.cardinality**2}"
+        )
     for k in range(2, kmax + 1):
         rep = character_lemma_report(A, k, budget=budget)
         if not rep.all_ok:
-            return CellResult(measured=u2, passed=False)
+            return _failed(
+                u2, "character-lemma", f"k={k}: growth_ok={rep.growth_ok} energy_ok={rep.energy_ok}"
+            )
     return CellResult(measured=u2, passed=True)
+
+
+def _failed(measured, reason, message):
+    """A hard assertion that failed: the row names the sub-check, the manifest holds the message."""
+    return CellResult(measured=measured, passed=False, fail_reason=reason, fail_message=message)
 
 
 def _check_lattice_geometry(params, rng, budgets):
@@ -218,12 +228,26 @@ def _check_lattice_geometry(params, rng, budgets):
     rep = verify_geometry(
         CongruenceLattice(coeffs, q), BoxBody(ws), budget=budgets.get("lattice", 10**7)
     )
-    return CellResult(
+    res = CellResult(
         measured=rep.point_count,
         bound=rep.count_bound,
         ratio=float(Fraction(rep.point_count) / rep.count_bound),
         passed=rep.all_ok,
     )
+    if not rep.all_ok:
+        failed = [
+            (name, message)
+            for name, ok, message in (
+                ("minkowski", rep.minkowski_ok, f"minkowski_slack={rep.minkowski_slack}"),
+                ("counting", rep.counting_ok, f"K={rep.point_count} > bound {rep.count_bound}"),
+                ("transference", rep.transference_ok,
+                 "slacks=" + ",".join(map(str, rep.transference_slacks))),
+            )
+            if not ok
+        ]
+        res.fail_reason = "+".join(name for name, _ in failed)
+        res.fail_message = "; ".join(message for _, message in failed)
+    return res
 
 
 def _check_trichotomy(params, rng, budgets):

@@ -4,7 +4,12 @@ bound, Mahler transference) plus the short-dual-point trichotomy.
 
 All minima are exact rationals.  Enumeration radii are certified by the
 max box-norm of an LLL-reduced basis (d independent vectors), so the greedy
-extraction below sees every candidate vector.
+extraction below sees every candidate vector.  LLL is integral (Cohen, GTM 138,
+§2.6): integer Gram determinants in place of a rational Gram-Schmidt.  Norms
+are compared as integers scaled by an lcm of the widths, in int64 arrays while
+they stay below 2^63 and in object arrays above.  The dual enumeration visits
+O(min(q, box)) residue classes in bounded chunks, plus its output, never all
+of [0, q).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .errors import BudgetExceededError, CapacityError
 
 DEFAULT_ENUM_BUDGET = 10**7
-_CHUNK = 1 << 20
+_CHUNK = 1 << 13  # elements per enumeration chunk (64 KiB as int64)
 _WORD_CAP = 1 << 63
 
 
@@ -111,10 +116,18 @@ def _expand_classes(free_cols: list, res: np.ndarray, bound: int, q: int):
     if total == 0:
         return None
     rep = np.repeat(np.arange(len(res)), counts)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    t = np.arange(total) - np.repeat(starts, counts) + np.repeat(tmin, counts)
-    solved = res[rep] + q * t
+    solved = np.arange(total, dtype=np.int64)  # becomes res + q*t, in place
+    solved -= (np.cumsum(counts) - counts - tmin)[rep]
+    solved *= q
+    solved += res[rep]
     return [col[rep] for col in free_cols], solved
+
+
+def _mulmod(c: int, r: np.ndarray, q: int) -> np.ndarray:
+    """(c * r) % q for 0 <= c, r < q, through Python ints once (q-1)^2 reaches 2^63."""
+    if (q - 1) ** 2 < _WORD_CAP:
+        return (c * r) % q
+    return ((c * r.astype(object)) % q).astype(np.int64)
 
 
 def _solve_coord(lat: CongruenceLattice, s: int):
@@ -213,32 +226,41 @@ def box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET
 
 
 # ---------------------------------------------------------------------------
-# weighted LLL (exact rational arithmetic)
+# weighted LLL (exact integer arithmetic)
 
 
 def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
-    """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 rational)."""
+    """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 rational).
 
-    def ip(u, v):
-        return sum(w * a * b for w, a, b in zip(weights, u, v))
-
+    Integral LLL (Cohen, GTM 138, §2.6): the weights are scaled to integers, and
+    the Gram-Schmidt data are kept as the integers d[i+1] (the Gram determinant
+    of rows 0..i) and lam[k][j] = d[j+1] * mu[k][j].  mu is rounded half to even,
+    as round(Fraction) does, so the steps are those of the rational algorithm.
+    """
+    scale = math.lcm(*(Fraction(w).denominator for w in weights))
+    wts = [int(w * scale) for w in weights]
+    dn, dd = delta.numerator, delta.denominator
     basis = [list(r) for r in rows]
     n = len(basis)
 
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        star: list = []
-        norms: list = []
-        for i in range(n):
-            vi = [Fraction(x) for x in basis[i]]
-            for j in range(i):
-                mu[i][j] = ip(basis[i], star[j]) / norms[j]
-                vi = [a - mu[i][j] * b for a, b in zip(vi, star[j])]
-            star.append(vi)
-            norms.append(ip(vi, vi))
-        return mu, norms
+    def ip(u, v):
+        return sum(w * a * b for w, a, b in zip(wts, u, v))
 
-    mu, norms = gso()
+    def gso():
+        d = [1] + [0] * n
+        lam = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                u = ip(basis[i], basis[j])
+                for h in range(j):
+                    u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]  # exact
+                if j < i:
+                    lam[i][j] = u
+                else:
+                    d[i + 1] = u
+        return d, lam
+
+    d, lam = gso()
     k = 1
     guard = 0
     while k < n:
@@ -246,37 +268,72 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
         if guard > 10000:
             raise ArithmeticError("LLL failed to terminate")
         for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
+            fl, rem = divmod(lam[k][j], d[j + 1])
+            r = fl + (2 * rem > d[j + 1] or (2 * rem == d[j + 1] and fl % 2 == 1))
             if r:
                 basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
-                mu, norms = gso()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lam[k][j] -= r * d[j + 1]
+                for h in range(j):
+                    lam[k][h] -= r * lam[j][h]
+        # Lovasz: |b*_k|^2 >= (delta - mu^2) |b*_{k-1}|^2, times d[k] * d[k-1] * dd
+        if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lam[k][k - 1] ** 2:
             k += 1
         else:
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            mu, norms = gso()
+            d, lam = gso()
             k = max(k - 1, 1)
     return basis
 
 
-def _independent(chosen: list, cand) -> bool:
+def _independent_rows(chosen: list, pts: np.ndarray) -> np.ndarray:
+    """Mask of the rows of pts outside the span of the chosen integer vectors."""
     if not chosen:
-        return any(cand)
-    if len(chosen) == 1:
+        return pts.any(axis=1)
+    d = pts.shape[1]
+    if len(chosen) == 1:  # not parallel to u: some minor u_i x_j - u_j x_i is nonzero
         u = chosen[0]
-        # parallel test via all 2x2 minors
-        for i in range(len(u)):
-            for j in range(i + 1, len(u)):
-                if u[i] * cand[j] - u[j] * cand[i] != 0:
-                    return True
-        return False
-    u, v = chosen[0], chosen[1]
-    det = (
-        u[0] * (v[1] * cand[2] - v[2] * cand[1])
-        - u[1] * (v[0] * cand[2] - v[2] * cand[0])
-        + u[2] * (v[0] * cand[1] - v[1] * cand[0])
-    )
-    return det != 0
+        normals = []
+        for i in range(d):
+            for j in range(i + 1, d):
+                n = [0] * d
+                n[i], n[j] = -u[j], u[i]
+                normals.append(n)
+    else:  # off the plane of u and v: x . (u x v) is nonzero
+        u, v = chosen
+        normals = [
+            [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+        ]
+    if max(sum(map(abs, n)) for n in normals) * int(np.abs(pts).max()) >= _WORD_CAP:
+        pts = pts.astype(object)
+    mask = np.zeros(len(pts), dtype=bool)
+    for n in normals:
+        mask |= pts @ np.array(n, dtype=pts.dtype) != 0
+    return mask
+
+
+def _greedy_minima(scaled: np.ndarray, pts: np.ndarray, picks: list) -> list:
+    """The first rows in (scaled, row) order, each outside the span of those
+    before it, at most d of them: the witnesses of the successive minima.
+
+    picks are the (scaled, row) pairs chosen from earlier chunks; the greedy
+    choice over all chunks equals the greedy choice over the earlier picks and
+    the new chunk (a matroid's lexicographically first basis)."""
+    d = pts.shape[1]
+    if picks:
+        scaled = np.concatenate((np.array([s for s, _ in picks], dtype=scaled.dtype), scaled))
+        pts = np.concatenate((np.array([v for _, v in picks], dtype=pts.dtype), pts))
+    order = np.lexsort(tuple(pts[:, i] for i in reversed(range(d))) + (scaled,))
+    scaled, pts = scaled[order], pts[order]
+    chosen: list = []
+    start = 0
+    while len(chosen) < d and start < len(pts):
+        hits = np.flatnonzero(_independent_rows([v for _, v in chosen], pts[start:]))
+        if not len(hits):
+            break
+        start += int(hits[0])
+        chosen.append((int(scaled[start]), tuple(pts[start].tolist())))
+        start += 1
+    return chosen
 
 
 @dataclass(frozen=True)
@@ -296,34 +353,24 @@ def successive_minima(
         return MinimaResult((), (), degenerate=True)
     d = lat.d
     w = box.half_widths
-    weights = [1 / (wi * wi) for wi in w]
-    reduced = _lll(lat.basis(), weights)
-    radius = max(box.norm(row) for row in reduced)
-    bounds = [math.floor(radius * wi) for wi in w]
-    pts = box_points(lat, bounds, budget=budget)
-
     # scaled integer norms: |v_i| * r_i * (P / p_i), lambda = scaled / P
     P = math.lcm(*(wi.numerator for wi in w))
     mult = [wi.denominator * (P // wi.numerator) for wi in w]
-    scored = []
-    for row in pts.tolist():
-        if not any(row):
-            continue
-        scaled = max(abs(x) * m for x, m in zip(row, mult))
-        scored.append((scaled, row))
-    scored.sort(key=lambda t: (t[0], t[1]))
+    reduced = _lll(lat.basis(), [1 / (wi * wi) for wi in w])
+    radius = max(max(abs(x) * m for x, m in zip(row, mult)) for row in reduced)  # scaled
+    pts = box_points(lat, [radius // m for m in mult], budget=budget)
+    if radius >= _WORD_CAP:
+        pts = pts.astype(object)
+    scaled = (np.abs(pts) * np.array(mult, dtype=pts.dtype)).max(axis=1)
+    nonzero = scaled > 0
+    picks = _greedy_minima(scaled[nonzero], pts[nonzero], [])
+    return _minima_result(picks, d, P, "enumeration radius")
 
-    lambdas: list = []
-    witnesses: list = []
-    for scaled, row in scored:
-        if _independent(witnesses, row):
-            witnesses.append(row)
-            lambdas.append(Fraction(scaled, P))
-            if len(witnesses) == d:
-                break
-    if len(witnesses) < d:
-        raise ArithmeticError("enumeration radius failed to produce d independent vectors")
-    return MinimaResult(tuple(lambdas), tuple(tuple(r) for r in witnesses))
+
+def _minima_result(picks: list, d: int, denom: int, route: str) -> MinimaResult:
+    if len(picks) < d:
+        raise ArithmeticError(f"{route} failed to produce d independent vectors")
+    return MinimaResult(tuple(Fraction(s, denom) for s, _ in picks), tuple(v for _, v in picks))
 
 
 # ---------------------------------------------------------------------------
@@ -381,66 +428,67 @@ def dual_lattice(lat: CongruenceLattice) -> DualLattice:
 def dual_minima(
     lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
 ) -> MinimaResult:
-    """Successive minima of the dual body {sum w_i|x_i| <= 1} w.r.t. the dual lattice."""
+    """Successive minima of the dual body {sum w_i|x_i| <= 1} w.r.t. the dual lattice.
+
+    The candidates q*x = m with m_i = a_i*lambda (mod q) inside the certified
+    box are enumerated in chunks, indexed by the residue r = a_f*lambda of the
+    narrowest coordinate f: only the min(q, 2*b_f + 1) residues that [-b_f, b_f]
+    meets are visited.
+    """
+    if box.d != lat.d:
+        raise ValueError("dimension mismatch")
     if box.degenerate:
         return MinimaResult((), (), degenerate=True)
     d, q, w = lat.d, lat.q, box.half_widths
-    dual = DualLattice(lat)
-    rows = dual.integer_basis()
-    weights = [wi * wi for wi in w]
-    reduced = _lll(rows, weights)
-    radius = max(box.dual_norm(row) / q for row in reduced)  # dual norm of m/q
-
-    bounds = [math.floor(radius * q / wi) for wi in w]
+    # scaled integer norms: sum |m_i| * w_i * R, the dual norm of m/q is scaled / (q*R)
     R = math.lcm(*(wi.denominator for wi in w))
     mult = [wi.numerator * (R // wi.denominator) for wi in w]
-    scaled_radius = radius * q * R  # compare sum |m_i|*mult_i <= this
-    a = lat.coeffs
+    reduced = _lll(DualLattice(lat).integer_basis(), [wi * wi for wi in w])
+    limit = max(sum(abs(x) * m for x, m in zip(row, mult)) for row in reduced)  # scaled radius
+    bounds = [limit // m for m in mult]
+    if max(bounds) + q >= _WORD_CAP:
+        raise CapacityError(f"dual enumeration at q={q}, bounds={bounds} overflows int64")
+    score_dtype = np.int64 if sum(b * m for b, m in zip(bounds, mult)) < _WORD_CAP else object
 
-    scored = []
-    if q == 1:
-        lam_classes = np.zeros(1, dtype=np.int64)
-    else:
-        lam_classes = np.arange(q, dtype=np.int64)
-    res = [(ai * lam_classes) % q for ai in a]
-    count_prod = np.ones(len(lam_classes), dtype=np.int64)
-    tmins = []
-    for i in range(d):
-        tmin, counts = _class_counts(res[i], bounds[i], q)
-        count_prod *= counts
-        tmins.append((tmin, counts))
-    survivors = np.nonzero(count_prod > 0)[0]
-    if int(count_prod[survivors].sum()) > budget:
-        raise BudgetExceededError("dual enumeration exceeds budget")
-    for lam in survivors.tolist():
-        coord_options = []
-        for i in range(d):
-            r = int(res[i][lam])
-            tmin = int(tmins[i][0][lam])
-            cnt = int(tmins[i][1][lam])
-            coord_options.append([r + q * (tmin + t) for t in range(cnt)])
-        stack = [[]]
-        for opts in coord_options:
-            stack = [pref + [o] for pref in stack for o in opts]
-        for m in stack:
-            if not any(m):
-                continue
-            scaled = sum(abs(x) * mu for x, mu in zip(m, mult))
-            if scaled <= scaled_radius:
-                scored.append((scaled, m))
-    scored.sort(key=lambda t: (t[0], t[1]))
+    f = min(range(d), key=bounds.__getitem__)
+    inv = pow(lat.coeffs[f], -1, q)
+    cmul = [(a * inv) % q for a in lat.coeffs]  # residue of m_i is cmul[i] * r
+    b = bounds[f]
+    spans = [(0, q)] if 2 * b + 1 >= q else [(0, b + 1), (q - b, q)]
+    per_class = math.prod(2 * bi // q + 1 for bi in bounds)  # candidates per residue, at most
 
-    lambdas: list = []
-    witnesses: list = []
-    for scaled, m in scored:
-        if _independent(witnesses, m):
-            witnesses.append(m)
-            lambdas.append(Fraction(scaled, q * R))
-            if len(witnesses) == d:
+    def residues(step):
+        for lo, hi in spans:
+            for start in range(lo, hi, step):
+                r = np.arange(start, min(start + step, hi), dtype=np.int64)
+                yield [_mulmod(c, r, q) for c in cmul]
+
+    if sum(hi - lo for lo, hi in spans) * per_class > budget:  # else the count cannot exceed it
+        total = 0
+        for res in residues(_CHUNK):
+            counts = [_class_counts(ri, bi, q)[1] for ri, bi in zip(res, bounds)]
+            if per_class * _CHUNK >= _WORD_CAP:  # the products of counts could wrap int64
+                counts[0] = counts[0].astype(object)
+            total += int(math.prod(counts).sum())
+            if total > budget:
+                raise BudgetExceededError("dual enumeration exceeds budget")
+
+    picks: list = []
+    for cols in residues(max(1, _CHUNK // per_class)):
+        for i in range(d):  # replace residue column i by its lifts
+            expanded = _expand_classes(cols[:i] + cols[i + 1:], cols[i], bounds[i], q)
+            if expanded is None:
                 break
-    if len(witnesses) < d:
-        raise ArithmeticError("dual enumeration radius failed to produce d independent vectors")
-    return MinimaResult(tuple(lambdas), tuple(tuple(m) for m in witnesses))
+            rest, lifts = expanded
+            cols = rest[:i] + [lifts] + rest[i:]
+        else:
+            scaled = np.zeros(len(cols[0]), dtype=score_dtype)
+            for col, m in zip(cols, mult):
+                scaled += np.abs(col).astype(score_dtype, copy=False) * m
+            keep = (scaled <= limit) & (scaled > 0)
+            pts = np.stack([col[keep] for col in cols], axis=1)
+            picks = _greedy_minima(scaled[keep], pts, picks)
+    return _minima_result(picks, d, q * R, "dual enumeration radius")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,171 @@
+"""Pure-Python oracles for the lattice layer.
+
+These are the routes the integer lattice code replaced: LLL with the full
+rational Gram-Schmidt recomputed after every step, a scoring loop over Python
+tuples, and a dual enumeration that walks every lambda in [0, q) with a Python
+stack.  They are slow but share no arithmetic with modroots.lattice's LLL and
+minima, so the property tests compare the production routes against them.
+"""
+
+import math
+from fractions import Fraction
+
+from modroots.errors import BudgetExceededError
+from modroots.lattice import (
+    DEFAULT_ENUM_BUDGET,
+    BoxBody,
+    CongruenceLattice,
+    DualLattice,
+    MinimaResult,
+    box_points,
+)
+
+
+def rational_lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
+    """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 rational)."""
+
+    def ip(u, v):
+        return sum(w * a * b for w, a, b in zip(weights, u, v))
+
+    basis = [list(r) for r in rows]
+    n = len(basis)
+
+    def gso():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        star: list = []
+        norms: list = []
+        for i in range(n):
+            vi = [Fraction(x) for x in basis[i]]
+            for j in range(i):
+                mu[i][j] = ip(basis[i], star[j]) / norms[j]
+                vi = [a - mu[i][j] * b for a, b in zip(vi, star[j])]
+            star.append(vi)
+            norms.append(ip(vi, vi))
+        return mu, norms
+
+    mu, norms = gso()
+    k = 1
+    guard = 0
+    while k < n:
+        guard += 1
+        if guard > 10000:
+            raise ArithmeticError("LLL failed to terminate")
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k][j])
+            if r:
+                basis[k] = [a - r * b for a, b in zip(basis[k], basis[j])]
+                mu, norms = gso()
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            mu, norms = gso()
+            k = max(k - 1, 1)
+    return basis
+
+
+def independent(chosen: list, cand) -> bool:
+    """Is cand outside the span of the chosen integer vectors (d <= 3)?"""
+    if not chosen:
+        return any(cand)
+    if len(chosen) == 1:
+        u = chosen[0]
+        # parallel test via all 2x2 minors
+        for i in range(len(u)):
+            for j in range(i + 1, len(u)):
+                if u[i] * cand[j] - u[j] * cand[i] != 0:
+                    return True
+        return False
+    u, v = chosen[0], chosen[1]
+    det = (
+        u[0] * (v[1] * cand[2] - v[2] * cand[1])
+        - u[1] * (v[0] * cand[2] - v[2] * cand[0])
+        + u[2] * (v[0] * cand[1] - v[1] * cand[0])
+    )
+    return det != 0
+
+
+def _greedy(scored: list, d: int, denom: int) -> MinimaResult:
+    scored.sort(key=lambda t: (t[0], t[1]))
+    lambdas: list = []
+    witnesses: list = []
+    for scaled, v in scored:
+        if independent(witnesses, v):
+            witnesses.append(v)
+            lambdas.append(Fraction(scaled, denom))
+            if len(witnesses) == d:
+                break
+    if len(witnesses) < d:
+        raise ArithmeticError("enumeration radius failed to produce d independent vectors")
+    return MinimaResult(tuple(lambdas), tuple(tuple(v) for v in witnesses))
+
+
+def oracle_successive_minima(
+    lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
+) -> MinimaResult:
+    """Successive minima: rational LLL radius, then a Python scoring loop."""
+    if box.degenerate:
+        return MinimaResult((), (), degenerate=True)
+    w = box.half_widths
+    reduced = rational_lll(lat.basis(), [1 / (wi * wi) for wi in w])
+    radius = max(box.norm(row) for row in reduced)
+    bounds = [math.floor(radius * wi) for wi in w]
+    pts = box_points(lat, bounds, budget=budget)
+    P = math.lcm(*(wi.numerator for wi in w))
+    mult = [wi.denominator * (P // wi.numerator) for wi in w]
+    scored = [
+        (max(abs(x) * m for x, m in zip(row, mult)), row) for row in pts.tolist() if any(row)
+    ]
+    return _greedy(scored, lat.d, P)
+
+
+def _dual_lifts(lat: CongruenceLattice, box: BoxBody):
+    """The dual enumeration's box and norm scale from a rational-LLL radius, and
+    lifts(lam): per coordinate, the m_i = a_i*lam (mod q) with |m_i| <= bounds[i]."""
+    q, w = lat.q, box.half_widths
+    reduced = rational_lll(DualLattice(lat).integer_basis(), [wi * wi for wi in w])
+    radius = max(box.dual_norm(row) / q for row in reduced)
+    bounds = [math.floor(radius * q / wi) for wi in w]
+
+    def lifts(lam):
+        coord = []
+        for ai, b in zip(lat.coeffs, bounds):
+            r = (ai * lam) % q
+            coord.append([r + q * t for t in range(-((b + r) // q), (b - r) // q + 1)])
+        return coord
+
+    return radius, lifts
+
+
+def dual_candidate_count(lat: CongruenceLattice, box: BoxBody) -> int:
+    """The number of candidates the dual enumeration charges against its budget."""
+    _, lifts = _dual_lifts(lat, box)
+    return sum(math.prod(len(c) for c in lifts(lam)) for lam in range(lat.q))
+
+
+def oracle_dual_minima(
+    lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
+) -> MinimaResult:
+    """Dual minima: rational LLL radius, then every lambda in [0, q) with the
+    cartesian product of its lifts built as a Python stack."""
+    if box.degenerate:
+        return MinimaResult((), (), degenerate=True)
+    q, w = lat.q, box.half_widths
+    radius, lifts = _dual_lifts(lat, box)
+    R = math.lcm(*(wi.denominator for wi in w))
+    mult = [wi.numerator * (R // wi.denominator) for wi in w]
+    scaled_radius = radius * q * R
+    if dual_candidate_count(lat, box) > budget:
+        raise BudgetExceededError("dual enumeration exceeds budget")
+    scored = []
+    for lam in range(q):
+        stack = [[]]
+        for opts in lifts(lam):
+            stack = [pref + [o] for pref in stack for o in opts]
+        for m in stack:
+            if not any(m):
+                continue
+            scaled = sum(abs(x) * mu for x, mu in zip(m, mult))
+            if scaled <= scaled_radius:
+                scored.append((scaled, m))
+    return _greedy(scored, lat.d, q * R)

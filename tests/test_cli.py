@@ -32,6 +32,18 @@ def test_lattice_subcommand(capsys):
     assert code == 0 and "minkowski_ok=True" in out
 
 
+def test_lattice_input_errors_exit_three(capsys):
+    for argv, message in (
+        (("--op", "geometry", "--q", "5", "--coeffs", "1,3", "--widths", "2,2,2"), "dimension mismatch"),
+        (("--op", "minima", "--q", "5", "--coeffs", "1,5", "--widths", "2,2"), "not coprime"),
+    ):
+        code = main(["lattice", *argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("input error: ") and message in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_poly_subcommand(capsys):
     code, out = run(capsys, "poly", "--op", "eval", "--k", "3", "--point", "1,8,1,8")
     assert code == 0 and out == "0"

@@ -120,6 +120,58 @@ def test_cross_check_failure_becomes_failed_row(monkeypatch):
     assert "fail=ArithmeticError" in render_csv(res.rows)
 
 
+def test_gowers_lemmas_failed_row_names_the_sub_check(monkeypatch):
+    import types
+
+    import modroots.harness as harness
+
+    grid = {"q": [31], "trial": "1:1"}
+    passing = run_sweep(SweepConfig("gowers-lemmas", grid))
+    assert passing.rows[0].passed is True and "fail" not in passing.rows[0].params
+    assert passing.manifest["cell_failures"] == []
+    failing_lemma = types.SimpleNamespace(all_ok=False, growth_ok=False, energy_ok=True)
+    empty_intersection = types.SimpleNamespace(result=types.SimpleNamespace(cardinality=0))
+    for name, value, reason, message in (
+        ("energy_of", lambda A, k: -1, "u2-energy", "but E(A) = -1"),
+        ("shift_intersection", lambda A, shifts: empty_intersection, "shift-identity", "= 0 but |A|^2"),
+        ("character_lemma_report", lambda A, k, budget: failing_lemma, "character-lemma",
+         "k=2: growth_ok=False energy_ok=True"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(harness, name, value)
+            res = run_sweep(SweepConfig("gowers-lemmas", grid))
+        row = res.rows[0]
+        assert row.passed is False and row.params["fail"] == reason, name
+        failure = res.manifest["cell_failures"]
+        assert [f["params"] for f in failure] == [f"fail={reason};q=31;trial=1"]
+        assert message in failure[0]["message"], failure
+
+
+def test_lattice_geometry_failed_row_names_the_sub_checks(monkeypatch):
+    import dataclasses
+
+    import modroots.harness as harness
+
+    grid = {"d": [2], "wmax": [20], "trial": "1:1"}
+    passing = run_sweep(SweepConfig("lattice-geometry", grid))
+    assert passing.rows[0].passed is True and "fail" not in passing.rows[0].params
+    real = harness.verify_geometry
+    for broken, reason in (
+        ({"counting_ok": False}, "counting"),
+        ({"minkowski_ok": False, "transference_ok": False}, "minkowski+transference"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "verify_geometry",
+                      lambda *a, **k: dataclasses.replace(real(*a, **k), **broken))
+            res = run_sweep(SweepConfig("lattice-geometry", grid))
+        row = res.rows[0]
+        assert row.passed is False and row.params["fail"] == reason
+        assert row.measured == passing.rows[0].measured
+        message = res.manifest["cell_failures"][0]["message"]
+        assert message.count(";") == reason.count("+")
+        assert ("minkowski_slack=" in message) == ("minkowski" in reason)
+
+
 def test_manifest_records_bound_formula():
     assert all(isinstance(BOUND_FORMULAS[c], str) for c in BOUND_FORMULAS)
     assert set(BOUND_FORMULAS) <= set(CHECKS)

@@ -20,6 +20,8 @@ from modroots.lattice import (
 from modroots.modular import primes_in
 from modroots.rng import SplitMix64
 
+from lattice_oracles import independent
+
 
 def L_x_eq_cy(c, q):
     """The lattice x = c*y (mod q) as a congruence lattice."""
@@ -96,12 +98,10 @@ def test_minima_ordering_and_independence():
 
 
 def _greedy_from_scored(scored, d):
-    from modroots.lattice import _independent
-
     scored.sort(key=lambda t: (t[0], t[1]))
     lams, wits = [], []
     for norm, v in scored:
-        if _independent(wits, list(v)):
+        if independent(wits, list(v)):
             wits.append(list(v))
             lams.append(norm)
             if len(wits) == d:
