@@ -77,13 +77,48 @@ def _as_array(x) -> np.ndarray:
         return arr
 
 
+_LIMB_CHUNK = 1 << 16  # entries per limb split: four 16-bit limb rows of 512 KiB each
+
+
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """Rows r_0..r_3 with x = sum_k r_k * 2^(16k): three 16-bit limbs and a signed top limb."""
+    return np.stack([(x >> s) & 0xFFFF for s in (0, 16, 32)] + [x >> 48])
+
+
+def _exact_dot(x: np.ndarray, y: np.ndarray, term_bound: int) -> int:
+    """sum x_i * y_i of int64 arrays, exactly, given every |x_i * y_i| <= term_bound.
+
+    One int64 dot when len(x) * term_bound fits in a word.  Otherwise x and y are
+    split into 16-bit limbs, chunk by chunk: every limb product is below 2^32 in
+    magnitude, so the 4 x 4 limb dots of a chunk stay below 2^48, and they are
+    combined as Python ints.
+    """
+    if len(x) * term_bound < _WORD_CAP:
+        return int(np.dot(x, y))
+    total = 0
+    for i in range(0, len(x), _LIMB_CHUNK):
+        xs = _limbs(x[i : i + _LIMB_CHUNK])
+        gram = xs @ (xs if y is x else _limbs(y[i : i + _LIMB_CHUNK])).T
+        total += sum(int(gram[a, b]) << (16 * (a + b)) for a in range(4) for b in range(4))
+    return total
+
+
+def _exact_sum(x: np.ndarray, bound: int) -> int:
+    """sum x_i of an int64 array shorter than 2^31, exactly, given every |x_i| <= bound."""
+    if len(x) * bound < _WORD_CAP:
+        return int(x.sum())
+    # |x >> 31| <= 2^32 and 0 <= x & (2^31 - 1) < 2^31: neither sum can wrap
+    return (int((x >> 31).sum()) << 31) + int((x & ((1 << 31) - 1)).sum())
+
+
 @dataclass(frozen=True, eq=False)
 class RepFn:
     """Exact nonnegative-integer counts over Z_q (difference or sum representations).
 
     counts is a read-only numpy array: int64 when every count is below 2^62,
-    dtype object (exact Python ints) otherwise.  Sums take the int64 fast path
-    only when the a-priori bound q * max (or q * max^2) fits in a word.
+    dtype object (exact Python ints) otherwise.  Sums of int64 counts are exact
+    int64 reductions: one pass when the a-priori bound q * max (or q * max^2)
+    fits in a word, split into limbs that cannot wrap otherwise.
     """
 
     q: int
@@ -105,11 +140,11 @@ class RepFn:
         return int(self.counts.max()) if self.q else 0
 
     def total(self) -> int:
-        if self.counts.dtype == np.int64 and self._peak() * self.q < _WORD_CAP:
-            return int(self.counts.sum())
+        if self.counts.dtype == np.int64:
+            return _exact_sum(self.counts, self._peak())
         return sum(self.counts.tolist())
 
     def square_sum(self) -> int:
-        if self.counts.dtype == np.int64 and self._peak() ** 2 * self.q < _WORD_CAP:
-            return int(np.dot(self.counts, self.counts))
+        if self.counts.dtype == np.int64:
+            return _exact_dot(self.counts, self.counts, self._peak() ** 2)
         return sum(c * c for c in self.counts.tolist())

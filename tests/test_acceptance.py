@@ -81,7 +81,7 @@ def test_criterion_02_convolution_engine():
         for _ in range(100):
             u = [rng.randint(0, q) for _ in range(q)]
             v = [rng.randint(0, q) for _ in range(q)]
-            if cyclic_convolve(u, v, method="ntt") != cyclic_convolve(u, v, method="naive"):
+            if cyclic_convolve(u, v, method="ntt").tolist() != cyclic_convolve(u, v, method="naive").tolist():
                 bad += 1
     _report(2, bad == 0, f"NTT+CRT equals naive convolution on 300 instances ({bad} mismatches)")
 

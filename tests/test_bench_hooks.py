@@ -1,0 +1,43 @@
+"""The benchmark's tracer still finds every call site it wraps.
+
+perfbench/tracing.py wraps functions by name (energy.cyclic_convolve,
+harness.tuple_energy, ...) and reads convolve.NAIVE_THRESHOLD; a boundary it
+cannot find is skipped silently and its layer reads zero.  This test loads the
+tracer from its file, installs it for one t42-bound cell and checks that no
+boundary is missing beyond those already absent from the code.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from modroots import convolve
+from modroots.harness import SweepConfig, run_sweep
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ALREADY_ABSENT = {"modroots.expsums.kth_roots"}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_boundary(monkeypatch):
+    tracing = load_tracing()
+    for owner, name, *_ in tracing._boundaries():
+        if hasattr(owner, name):
+            monkeypatch.setattr(owner, name, getattr(owner, name))  # restored after the test
+    tracer = tracing.Tracer()
+    tracer.install()
+    assert set(tracer.missing) <= ALREADY_ABSENT
+    assert isinstance(convolve.NAIVE_THRESHOLD, int)
+
+    res = run_sweep(SweepConfig("t42-bound", {"q": [1009], "N": [60]}, seed=1))
+    (row,) = res.rows
+    assert "skip" not in row.params and row.measured > 0
+    metrics = tracer.layer_metrics()
+    assert metrics["energy.calls"] >= 1 and metrics["modular.calls"] >= 1
+    # q = 1009 is above NAIVE_THRESHOLD: the convolve layer sees a transform
+    assert metrics["convolve.calls"] >= 1 and metrics["convolve.ntt_calls"] >= 1

@@ -171,3 +171,16 @@ def test_query_validation():
         EnergyQuery(2, 2, 3, 7, 7)
     with pytest.raises(ValueError):
         EnergyQuery(0, 2, 3, 1, 7)
+
+
+def test_t42_at_a_modulus_past_the_ntt_cap():
+    # q = 1000003 needs 2^21-point transforms; the pair-sum counts are squared by
+    # the float path.  Oracle: bincount of every sum of two pair sums.
+    q = 1000003
+    for j in (1, 5):
+        A = preimage_set(j, 2, 60, q)
+        sums, mult = np.unique((A.members[:, None] + A.members[None, :]).ravel() % q, return_counts=True)
+        r4 = np.bincount(((sums[:, None] + sums[None, :]) % q).ravel(),
+                         weights=(mult[:, None] * mult[None, :]).ravel(), minlength=q)
+        expect = int((r4.astype(np.int64) ** 2).sum())
+        assert tuple_energy(EnergyQuery(4, 2, 60, j, q)) == expect

@@ -18,6 +18,7 @@ from modroots.harness import (
     run_sweep,
     theta_k,
 )
+from modroots.modular import residue_map
 from modroots.rng import SplitMix64
 
 
@@ -240,3 +241,30 @@ def test_random_set_doubling_exact():
     members = rng.subset(q, 10)
     sums = {(a + b) % q for a in members for b in members}
     assert 2 * 10 - 1 <= len(sums) <= min(q, 10 * 11 // 2 + 10)
+
+
+@pytest.fixture
+def drop_residue_tables():
+    yield
+    residue_map.cache_clear()  # a q = 4194301 table holds about 100 MiB
+
+
+@pytest.mark.parametrize(
+    "check, q, N",
+    [("t42-bound", 1000003, 40), ("t42-bound", 4194301, 40), ("t22-bound", 1000003, 200000)],
+)
+def test_large_modulus_cells_give_rows(drop_residue_tables, check, q, N):
+    # convolutions of length q > 2^19, past the NTT cap, that the float path certifies
+    res = run_sweep(SweepConfig(check, {"q": [q], "N": [N]}, seed=1))
+    (row,) = res.rows
+    assert "skip" not in row.params and "fail" not in row.params
+    assert row.measured > 0 and row.ratio is not None
+    assert res.manifest["skips"] == 0
+
+
+def test_past_float_guard_and_ntt_cap_is_a_skip_row(drop_residue_tables):
+    # |A| ~ 10^5: the t42 count vectors fail Percival's bound, and the NTT needs 2^21 points
+    res = run_sweep(SweepConfig("t42-bound", {"q": [1000003], "N": [100000]}, seed=1))
+    (row,) = res.rows
+    assert row.params["skip"] == "CapacityError" and row.measured is None
+    assert res.manifest["skips"] == 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from modroots.energy import max_energy_over_j, power_coset_reps, set_energy
 from modroots.modular import kth_roots, preimage_set, primes_in, residue_map
-from modroots.sets import IndicatorSet, RepFn
+from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sum
 
 from residue_oracles import (
     bucket_kth_roots,
@@ -104,13 +104,60 @@ def test_repfn_int64_object_split_at_2_62():
 
 @pytest.mark.parametrize("q", [2, 7, 101])
 def test_repfn_square_sum_at_word_boundary(q):
-    c = math.isqrt((2**63 - 1) // q)  # c^2 * q just below 2^63: int64 dot
-    for count in (c, c + 1):  # (c + 1)^2 * q >= 2^63: exact Python ints
+    c = math.isqrt((2**63 - 1) // q)  # c^2 * q just below 2^63: one int64 dot
+    for count in (c, c + 1):  # (c + 1)^2 * q >= 2^63: int64 dots of 16-bit limbs
         r = RepFn(q, np.full(q, count, dtype=np.int64))
         assert r.counts.dtype == np.int64
         assert r.square_sum() == q * count * count
         assert r.total() == q * count
     assert q * (c + 1) ** 2 >= 2**63 > q * c * c
+
+
+def object_oracle(counts):
+    arr = np.array([int(c) for c in counts], dtype=object)
+    return int(arr.sum()), int((arr * arr).sum())
+
+
+PEAK_SQ_CAP = math.isqrt(2**63 - 1)  # the largest peak with peak^2 < 2^63
+
+
+@pytest.mark.parametrize("q", [1, 2, 7, _LIMB_CHUNK, _LIMB_CHUNK + 1])
+@pytest.mark.parametrize("peak", [2**30, PEAK_SQ_CAP, PEAK_SQ_CAP + 1, 2**62 - 1, 2**62])
+def test_repfn_sums_on_both_sides_of_the_word(peak, q):
+    # q * peak^2 (and q * peak) on either side of 2^63, limb chunks of one and two,
+    # and 2^62, the first count stored as dtype object
+    counts = [peak - (i % 3) for i in range(q)]
+    r = RepFn(q, counts)
+    assert r.counts.dtype == (np.int64 if peak < 2**62 else object)
+    assert (r.total(), r.square_sum()) == object_oracle(counts)
+
+
+@given(
+    st.integers(1, 200),
+    st.sampled_from([1, 2**20, 2**31, 2**42, 2**62, 2**63]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_exact_dot_and_sum_of_signed_int64(n, bound, square, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-bound, bound, size=n, dtype=np.int64)
+    y = x if square else rng.integers(-bound, bound, size=n, dtype=np.int64)
+    x[rng.integers(n)] = -bound if bound < 2**63 else -(2**63)
+    ox, oy = x.astype(object), y.astype(object)
+    peak = max(abs(int(c)) for c in x.tolist() + y.tolist())
+    assert _exact_dot(x, y, peak * peak) == int(np.dot(ox, oy))
+    assert _exact_sum(x, peak) == int(ox.sum())
+
+
+@given(st.integers(1, 3 * 10**9), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_repfn_chunked_sums_property(peak, q, seed):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, peak, size=q, endpoint=True, dtype=np.int64)
+    counts[rng.integers(q)] = peak
+    r = RepFn(q, counts)
+    assert (r.total(), r.square_sum()) == object_oracle(counts.tolist())
 
 
 @given(st.lists(st.integers(0, 2**64), min_size=1, max_size=40))
