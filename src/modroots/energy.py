@@ -12,13 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import cyclic_convolve
+from .convolve import NAIVE_THRESHOLD, cyclic_convolve
 from .errors import CapacityError
 from .modular import _as_q, preimage_set, primes_in, residue_map
 from .sets import IndicatorSet, RepFn
 
-# below this many pairs, representation counts come from direct pair counting
+# Representation counts of n elements mod q come from a bincount of the n^2
+# pairs or from cyclic_convolve, whichever the measured costs favour (2-vCPU
+# VM): the bincount takes about 8 ns a pair; the naive convolution (q <=
+# NAIVE_THRESHOLD) overtakes it near n^2 = q^2 / 8, and the float FFT near
+# n^2 = 7q..16q for q = 10^3..4*10^5.  The pair array itself is capped at
+# _BINCOUNT_PAIR_LIMIT entries (32 MiB).
+_PAIRS_PER_RESIDUE = 16
 _BINCOUNT_PAIR_LIMIT = 1 << 22
+
+
+def _by_pairs(n: int, q: int) -> bool:
+    limit = q * q // 8 if q <= NAIVE_THRESHOLD else _PAIRS_PER_RESIDUE * q
+    return n * n <= min(limit, _BINCOUNT_PAIR_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -45,7 +56,7 @@ def difference_rep(A: IndicatorSet) -> RepFn:
     n = A.cardinality
     if n == 0:
         return RepFn(q, np.zeros(q, dtype=np.int64))
-    if n * n <= _BINCOUNT_PAIR_LIMIT:
+    if _by_pairs(n, q):
         arr = A.members
         diffs = (arr[:, None] - arr[None, :]) % q
         return RepFn(q, np.bincount(diffs.ravel(), minlength=q))
@@ -75,7 +86,7 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
 def _pair_sum_counts(A: IndicatorSet):
     q = A.q
     n = A.cardinality
-    if n * n <= _BINCOUNT_PAIR_LIMIT:
+    if _by_pairs(n, q):
         arr = A.members
         sums = (arr[:, None] + arr[None, :]) % q
         return np.bincount(sums.ravel(), minlength=q)

@@ -148,7 +148,7 @@ def fourier_vs_gauss_residual(a: int, h: int, m: int, n: int, q) -> float:
     lam = np.arange(q, dtype=np.int64)
     direct = np.sum(f * roots[(lam * n) % q]) / math.sqrt(q)
     inv4n = pow(4 * n % q, q - 2, q)
-    closed = tab.eps_q * tab.chi[(a * m * n) % q] * tab.e((-a * m * inv4n * h * h) % q)
+    closed = tab.eps_q * int(tab.chi[(a * m * n) % q]) * tab.e((-a * m * inv4n * h * h) % q)
     return abs(direct - closed)
 
 

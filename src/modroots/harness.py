@@ -31,7 +31,7 @@ from .expsums import (
     dyadic_range,
     smoothed_bound_ratio,
 )
-from .gowers import character_lemma_report, gowers_norm, shift_intersection
+from .gowers import character_lemma_report, gowers_norm, shift_counts
 from .lattice import BoxBody, CongruenceLattice, trichotomy_check, verify_geometry
 from .modular import is_prime, preimage_set, primes_in
 from .prodpoly import count_box_zeros, product_poly
@@ -197,9 +197,7 @@ def _check_gowers_lemmas(params, rng, budgets):
     energy = energy_of(A, 2)
     if u2 != energy:
         return _failed(u2, "u2-energy", f"||1_A||_U2^4 = {u2} but E(A) = {energy}")
-    total = sum(
-        shift_intersection(A, [s]).result.cardinality for s in range(q)
-    )
+    total = int(shift_counts(A).sum())
     if total != A.cardinality**2:
         return _failed(
             total, "shift-identity", f"sum_s |A ∩ (A - s)| = {total} but |A|^2 = {A.cardinality**2}"
@@ -271,14 +269,14 @@ def _check_prodpoly_vanishing(params, rng, budgets):
         x4 = 1
     tup = tuple(x**k for x in (x1, x2, x3, x4))
     if F.evaluate(tup) != 0:
-        return CellResult(measured=1, passed=False)
+        return _failed(1, "exact-vanishing", f"F{tup} != 0 although {x1} + {x2} = {x3} + {x4}")
     m = rng.randint(2, 10**6)
     if F.evaluate(tup, mod=m) != 0:
-        return CellResult(measured=1, passed=False)
+        return _failed(1, "mod-m", f"F{tup} = 0 but F{tup} mod {m} != 0")
     j = rng.randint(2, 50)
     scaled = tuple(j * t for t in tup)
     if F.evaluate(scaled) != j ** (k * k) * F.evaluate(tup):
-        return CellResult(measured=1, passed=False)
+        return _failed(1, "homogeneity", f"F({j} * {tup}) != {j}^{k * k} * F{tup}")
     return CellResult(measured=0, passed=True)
 
 

@@ -8,7 +8,8 @@ starts, so the roots of v are one slice of it.  The table is cached per
 (k, q) and serves every dilate j: preimages of j*x^k are a mask over
 (j * values) mod q.  Above the cap only square roots are supported
 (Tonelli-Shanks).  Other whole-field tables read power_values directly, for
-example the inverses x^(q-2).
+example the inverses x^(q-2) and the quadratic character, whose table marks
+the squares x^2.
 """
 
 from __future__ import annotations
@@ -231,12 +232,17 @@ def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
     return IndicatorSet(q, np.flatnonzero((dilated >= 1) & (dilated <= N)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
-    """Quadratic character chi mod q, the unit eps_q, and the additive character e_q."""
+    """Quadratic character chi mod q, the unit eps_q, and the additive character e_q.
+
+    chi is a read-only int64 array: chi[0] = 0, chi[x^2 mod q] = 1 for x != 0,
+    and -1 elsewhere, read off the square map power_values(2, q) (so above
+    ROOT_TABLE_CAP, build raises CapacityError).
+    """
 
     q: int
-    chi: tuple
+    chi: np.ndarray
     eps_q: complex
 
     @classmethod
@@ -244,12 +250,12 @@ class CharacterTable:
         q = _as_q(q)
         if q == 2:
             raise DegenerateError("quadratic character table requires odd q")
-        chi = [-1] * q
+        chi = np.full(q, -1, dtype=np.int64)
+        chi[power_values(2, q)[1:]] = 1
         chi[0] = 0
-        for x in range(1, q):
-            chi[x * x % q] = 1
+        chi.flags.writeable = False
         eps = 1.0 + 0.0j if q % 4 == 1 else 1.0j
-        return cls(q, tuple(chi), eps)
+        return cls(q, chi, eps)
 
     def e(self, x: int) -> complex:
         return cmath.exp(2j * math.pi * (x % self.q) / self.q)
@@ -293,7 +299,7 @@ def gauss_sum(b: int, h: int, q):
     phase %= q
     direct = complex(np.sum(roots[phase]))
     inv4b = pow(4 * b, q - 2, q)
-    closed = tab.eps_q * tab.chi[b] * math.sqrt(q) * tab.e(-h * h * inv4b)
+    closed = tab.eps_q * int(tab.chi[b]) * math.sqrt(q) * tab.e(-h * h * inv4b)
     if abs(direct - closed) > COMPLEX_RTOL * math.sqrt(q):
         raise ArithmeticError(
             f"gauss sum cross-check failed at (b={b}, h={h}, q={q}): "

@@ -2,15 +2,28 @@
 
 For each k the grouped product over k-th roots of unity
 
-    (-1)^k * prod_{w2, w3} ((X1 + w2*X2 - w3*X3)^k - X4^k)
+    prod_{w2, w3} ((X1 + w2*X2 - w3*X3)^k - X4^k)
 
 expands, over Z[w]/Phi_k, to a polynomial whose coefficients are rational
 integers and whose exponents are all divisible by k; dividing the exponents
 by k yields an integer polynomial F of homogeneous degree k^2 with
 F(u^k, v^k, x^k, y^k) = 0 whenever u + v = x + y, over any commutative ring.
-The expansion asserts integrality and exponent divisibility; for k <= 3 the
-grouped product is cross-checked against the full product of k^3 linear
-factors.
+
+The expansion is dense int64 array arithmetic modulo a few pool primes.  It
+is dehomogenised by X1 = 1 (the X1 exponent is k^3 minus the others), keeps
+the X4 axis in powers of X4^k, and works in Z[x]/(x^k - 1), where
+multiplying by w^j rolls the coordinate axis; Phi_k divides x^k - 1, so
+reducing mod Phi_k at the end gives the Z[w]/Phi_k expansion.  The prime
+count comes from an a-priori bound on every coordinate (the product of the
+factors' l1 norms), so the CRT rebuild is exact.  The expansion asserts that
+every non-constant w-coordinate rebuilds to 0 (integrality), that exponents
+are divisible by k and that the X1 exponent is never negative (homogeneity);
+for k <= 3 the grouped product is cross-checked against the full product of
+k^3 linear factors.
+
+count_box_zeros_upto adds the 2n^2 - n diagonal zeros in closed form and
+screens the rest of the box by one exact float64 tensor contraction modulo a
+prime; every screened primitive zero is confirmed by exact evaluation.
 """
 
 from __future__ import annotations
@@ -23,10 +36,13 @@ import numpy as np
 
 from .convolve import _prime_pool
 from .errors import BudgetExceededError, CapacityError
+from .modular import is_prime
 
 DEFAULT_K_CAP = 5
 DEFAULT_ZERO_BUDGET = 2 * 10**7  # grid tuples per count_box_zeros call
 _FULL_CROSS_CHECK_CAP = 3
+_FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
+_SCREEN_CHUNK = 1 << 20  # grid values per screening temporary
 
 
 @lru_cache(maxsize=32)
@@ -61,58 +77,131 @@ def _poly_divexact(num: list, den: list) -> list:
 
 
 @lru_cache(maxsize=32)
-def _cyc_context(k: int):
-    """phi(k), and reduction rows: x^m mod Phi_k for m in [0, 2*phi-2]."""
+def _reduction_rows(k: int) -> np.ndarray:
+    """[m, u] = coefficient of x^u in x^m mod Phi_k, for m = 0..k-1."""
     phi_poly = cyclotomic_poly(k)
     phi = len(phi_poly) - 1
     rows = []
-    cur = [0] * phi
-    if phi > 0:
-        cur[0] = 1
-    for m in range(2 * phi - 1):
-        rows.append(tuple(cur))
-        # multiply by x, reduce by x^phi = -(low coeffs of Phi_k)
-        top = cur[phi - 1]
-        cur = [0] + cur[: phi - 1]
-        if top:
-            for t in range(phi):
-                cur[t] -= top * phi_poly[t]
-    return phi, tuple(rows)
-
-
-def _cyc_mul(a, b, phi, rows):
-    prod = [0] * (2 * phi - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] += ai * bj
-    out = list(prod[:phi])
-    for m in range(phi, 2 * phi - 1):
-        c = prod[m]
-        if c:
-            row = rows[m]
-            for t in range(phi):
-                out[t] += c * row[t]
-    return tuple(out)
-
-
-@lru_cache(maxsize=32)
-def _omega_powers(k: int) -> tuple:
-    """w^t mod Phi_k for t = 0..k-1, as coefficient tuples."""
-    phi, rows = _cyc_context(k)
-    pows = []
-    cur = tuple([1] + [0] * (phi - 1))
-    x = tuple([0, 1] + [0] * (phi - 2)) if phi >= 2 else _reduced_x(k)
+    cur = [1] + [0] * (phi - 1)
     for _ in range(k):
-        pows.append(cur)
-        cur = _cyc_mul(cur, x, phi, rows)
-    return tuple(pows)
+        rows.append(cur)
+        top = cur[-1]  # x * cur, with x^phi = -(low coefficients of Phi_k)
+        cur = [0] + cur[:-1]
+        cur = [c - top * t for c, t in zip(cur, phi_poly)]
+    return np.array(rows, dtype=np.int64)
 
 
-def _reduced_x(k: int) -> tuple:
-    # phi(k) = 1 only for k in {1, 2}: x = 1 resp. x = -1
-    return (1,) if k == 1 else (-1,)
+def _shift_sum(parts) -> np.ndarray:
+    """sum of sign * x^j * X2^o2 X3^o3 X4^o4 * poly over parts (poly, (o2, o3, o4), sign, j).
+
+    A poly is an int64 array [prime, t, e2, e3, e4] over Z[x]/(x^k - 1): x^j
+    moves coordinate t to t + j mod k.  Nothing is reduced mod the primes.
+    """
+    first = parts[0][0]
+    k = first.shape[1]
+    shape = np.max([np.add(poly.shape[2:], off) for poly, off, _, _ in parts], axis=0)
+    out = np.zeros((first.shape[0], k, *shape), dtype=np.int64)
+    for poly, (o2, o3, o4), sign, j in parts:
+        n2, n3, n4 = poly.shape[2:]
+        view = out[:, :, o2 : o2 + n2, o3 : o3 + n3, o4 : o4 + n4]
+        for dst, src in ((view[:, j:], poly[:, : k - j]), (view[:, :j], poly[:, k - j :])):
+            if sign > 0:
+                dst += src
+            else:
+                dst -= src
+    return out
+
+
+def _one(k: int, primes: np.ndarray) -> np.ndarray:
+    poly = np.zeros((len(primes), k, 1, 1, 1), dtype=np.int64)
+    poly[:, 0] = 1
+    return poly
+
+
+def _expand_grouped(k: int, primes: np.ndarray) -> np.ndarray:
+    """prod over (w2, w3) of ((1 + w2 X2 - w3 X3)^k - Y) with Y = X4^k, mod each prime.
+
+    Grouping the triple product over the first root of unity gives the factor
+    prod_w (w*Z - W) = (-1)^(k+1) * (Z^k - W^k); across the k^2 remaining
+    (w2, w3) pairs the prefactor aggregates to (-1)^((k+1)*k^2) = +1, so no
+    global sign is applied (asserted against the full product for small k).
+    Entries stay below 3^k * p + p < 2^40 between reductions.
+    """
+    pcol = primes[:, None, None, None, None]
+    poly = _one(k, primes)
+    for i2 in range(k):
+        for i3 in range(k):
+            power = poly
+            for _ in range(k):
+                power = _shift_sum(
+                    [(power, (0, 0, 0), 1, 0), (power, (1, 0, 0), 1, i2), (power, (0, 1, 0), -1, i3)]
+                )
+            poly = _shift_sum([(power, (0, 0, 0), 1, 0), (poly, (0, 0, 1), -1, 0)])
+            poly %= pcol
+    return poly
+
+
+def _expand_full(k: int, primes: np.ndarray) -> np.ndarray:
+    """prod over (w1, w2, w3) of (w1 + w2 X2 - w3 X3 - X4), mod each prime."""
+    pcol = primes[:, None, None, None, None]
+    poly = _one(k, primes)
+    for i1 in range(k):
+        for i2 in range(k):
+            for i3 in range(k):
+                poly = _shift_sum(
+                    [(poly, (0, 0, 0), 1, i1), (poly, (1, 0, 0), 1, i2),
+                     (poly, (0, 1, 0), -1, i3), (poly, (0, 0, 1), -1, 0)]
+                )
+                poly %= pcol
+    return poly
+
+
+def _reduce(poly: np.ndarray, k: int, primes: np.ndarray) -> np.ndarray:
+    """Coordinates [prime, e2, e3, e4, u] over Z[w]/Phi_k, mod each prime."""
+    red = np.tensordot(poly, _reduction_rows(k), axes=([1], [0]))
+    return red % primes[:, None, None, None, None]
+
+
+def _crt(residues: np.ndarray, primes: tuple) -> list:
+    """Balanced CRT rebuild of each column of residues [prime, i], as Python ints."""
+    modulus = math.prod(primes)
+    total = 0
+    for r, p in zip(residues, primes):
+        mi = modulus // p
+        total = total + r.astype(object) * (mi * pow(mi, -1, p))
+    return [c - modulus if c > modulus // 2 else c for c in (total % modulus).tolist()]
+
+
+def _primes_for(bound: int) -> tuple:
+    """Pool primes whose product exceeds 2 * bound + 1: balanced rebuild of |c| <= bound."""
+    primes, modulus = [], 1
+    for p in _prime_pool():
+        primes.append(p)
+        modulus *= p
+        if modulus > 2 * bound + 1:
+            return tuple(primes)
+    raise CapacityError("coefficient bound exceeds the CRT prime pool")
+
+
+def _collapse(k: int, red: np.ndarray, primes: tuple) -> "IntPoly":
+    """Assert integrality, k-divisible exponents and homogeneity; divide exponents by k."""
+    if red[..., 1:].any():
+        raise ArithmeticError(f"non-integer coefficient in expansion (k={k})")
+    const = red[..., 0]
+    e2, e3, y = np.nonzero(const.any(axis=0))
+    bad = np.flatnonzero((e2 % k) | (e3 % k))
+    if len(bad):
+        i = bad[0]
+        raise ArithmeticError(f"exponent {(int(e2[i]), int(e3[i]), k * int(y[i]))} not divisible by k={k}")
+    e1 = k**3 - e2 - e3 - k * y
+    if (e1 < 0).any():
+        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
+    coeffs = _crt(const[:, e2, e3, y], primes)
+    exps = np.stack([e1 // k, e2 // k, e3 // k, y], axis=1).tolist()
+    poly = IntPoly.of({tuple(e): c for e, c in zip(exps, coeffs)})
+    if poly.homogeneous_degree() != k * k:
+        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
+    return poly
 
 
 @dataclass(frozen=True)
@@ -195,107 +284,6 @@ def from_text(text: str) -> IntPoly:
     return IntPoly.of(out)
 
 
-def _pack(e1: int, e2: int, e3: int, e4: int, stride: int) -> int:
-    return ((e1 * stride + e2) * stride + e3) * stride + e4
-
-
-def _unpack(key: int, stride: int):
-    e4 = key % stride
-    key //= stride
-    e3 = key % stride
-    key //= stride
-    e2 = key % stride
-    return key // stride, e2, e3, e4
-
-
-def _multinomials(k: int):
-    for a in range(k + 1):
-        for b in range(k + 1 - a):
-            c = k - a - b
-            yield a, b, c, math.factorial(k) // (
-                math.factorial(a) * math.factorial(b) * math.factorial(c)
-            )
-
-
-def _mul_into(poly: dict, factor: list, phi: int, rows) -> dict:
-    out: dict = {}
-    for key_p, cp in poly.items():
-        for key_f, cf in factor:
-            c = _cyc_mul(cp, cf, phi, rows)
-            key = key_p + key_f
-            prev = out.get(key)
-            out[key] = c if prev is None else tuple(x + y for x, y in zip(prev, c))
-    return {key: c for key, c in out.items() if any(c)}
-
-
-def _expand_grouped(k: int) -> dict:
-    """prod over (w2, w3) of ((X1 + w2 X2 - w3 X3)^k - X4^k), packed keys.
-
-    Grouping the triple product over the first root of unity gives the factor
-    prod_w (w*Z - W) = (-1)^(k+1) * (Z^k - W^k); across the k^2 remaining
-    (w2, w3) pairs the prefactor aggregates to (-1)^((k+1)*k^2) = +1, so no
-    global sign is applied (asserted against the full product for small k).
-    """
-    phi, rows = _cyc_context(k)
-    omega = _omega_powers(k)
-    stride = k**3 + 1
-    one = tuple([1] + [0] * (phi - 1))
-    poly = {_pack(0, 0, 0, 0, stride): one}
-    minus_one = tuple(-x for x in one)
-    for i2 in range(k):
-        for i3 in range(k):
-            factor = []
-            for a, b, c, m in _multinomials(k):
-                w = omega[(i2 * b + i3 * c) % k]
-                sign = -1 if c % 2 else 1
-                coeff = tuple(sign * m * x for x in w)
-                factor.append((_pack(a, b, c, 0, stride), coeff))
-            factor.append((_pack(0, 0, 0, k, stride), minus_one))
-            poly = _mul_into(poly, factor, phi, rows)
-    return poly
-
-
-def _expand_full(k: int) -> dict:
-    """prod over (w1, w2, w3) of (w1 X1 + w2 X2 - w3 X3 - X4), packed keys."""
-    phi, rows = _cyc_context(k)
-    omega = _omega_powers(k)
-    stride = k**3 + 1
-    one = tuple([1] + [0] * (phi - 1))
-    poly = {_pack(0, 0, 0, 0, stride): one}
-    minus_one = tuple(-x for x in one)
-    for i1 in range(k):
-        for i2 in range(k):
-            for i3 in range(k):
-                factor = [
-                    (_pack(1, 0, 0, 0, stride), omega[i1]),
-                    (_pack(0, 1, 0, 0, stride), omega[i2]),
-                    (_pack(0, 0, 1, 0, stride), tuple(-x for x in omega[i3])),
-                    (_pack(0, 0, 0, 1, stride), minus_one),
-                ]
-                poly = _mul_into(poly, factor, phi, rows)
-    return poly
-
-
-def _collapse(k: int, cyc_terms: dict) -> IntPoly:
-    """Assert rational-integer coefficients and k-divisible exponents; divide by k."""
-    stride = k**3 + 1
-    out = {}
-    for key, coeff in cyc_terms.items():
-        if any(coeff[1:]):
-            raise ArithmeticError(f"non-integer coefficient {coeff} in expansion (k={k})")
-        c = coeff[0]
-        if c == 0:
-            continue
-        e = _unpack(key, stride)
-        if any(x % k for x in e):
-            raise ArithmeticError(f"exponent {e} not divisible by k={k}")
-        out[tuple(x // k for x in e)] = c
-    poly = IntPoly.of(out)
-    if poly.homogeneous_degree() != k * k:
-        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
-    return poly
-
-
 @lru_cache(maxsize=8)
 def product_poly(k: int, k_cap: int = DEFAULT_K_CAP) -> IntPoly:
     """The canonical integer polynomial extracted from the root-of-unity product.
@@ -307,12 +295,22 @@ def product_poly(k: int, k_cap: int = DEFAULT_K_CAP) -> IntPoly:
         raise ValueError("k must be >= 2")
     if k > k_cap:
         raise CapacityError(f"k={k} above construction cap {k_cap}")
-    grouped = _expand_grouped(k)
-    if k <= _FULL_CROSS_CHECK_CAP:
-        full = _expand_full(k)
-        if grouped != full:
+    # every coordinate is at most (l1 of a factor)^(factors) times the largest reduction entry
+    row_peak = int(np.abs(_reduction_rows(k)).max())
+    bound = row_peak * (3**k + 1) ** (k * k)
+    full = k <= _FULL_CROSS_CHECK_CAP
+    if full:
+        bound = max(bound, row_peak * 4 ** (k**3))
+    primes = _primes_for(bound)
+    pcol = np.array(primes, dtype=np.int64)
+    grouped = _reduce(_expand_grouped(k, pcol), k, pcol)
+    if full:
+        expanded = _reduce(_expand_full(k, pcol), k, pcol)
+        off_k = np.ones(expanded.shape[3], dtype=bool)
+        off_k[::k] = False
+        if expanded[:, :, :, off_k].any() or not np.array_equal(expanded[:, :, :, ::k], grouped):
             raise ArithmeticError(f"grouped and full expansions disagree at k={k}")
-    return _collapse(k, grouped)
+    return _collapse(k, grouped, primes)
 
 
 def classic_square_poly() -> IntPoly:
@@ -324,10 +322,6 @@ def classic_square_poly() -> IntPoly:
     s = X + Y - U - V
     inner = (U * V).scale(4) + (X * Y).scale(4) - s * s
     return (U * V * X * Y).scale(64) - inner * inner
-
-
-def _select_eval_primes(count: int = 3) -> tuple:
-    return _prime_pool()[:count]
 
 
 def batch_values_mod(F: IntPoly, cols, p: int) -> np.ndarray:
@@ -359,63 +353,82 @@ def batch_values_mod(F: IntPoly, cols, p: int) -> np.ndarray:
     return acc
 
 
+@lru_cache(maxsize=8)
+def _screen_prime(k: int) -> int:
+    """The largest prime p with (k^2 + 1) * p^2 + p < 2^53: exact float64 contractions."""
+    p = math.isqrt(_FLOAT_EXACT // (k * k + 2))
+    while not is_prime(p):
+        p -= 1
+    return p
+
+
+def _balance(x: np.ndarray, p: int) -> np.ndarray:
+    """x - p * rint(x / p) in place: x mod p as a float in (-p, p), 0 exactly when p | x.
+
+    x is an integer below 2^53 - p, so p * rint(x / p) <= x + p is exact.
+    """
+    m = x / p
+    np.rint(m, out=m)
+    m *= p
+    x -= m
+    return x
+
+
+def _screen_values(F: IntPoly, k: int, N: int, p: int):
+    """Chunks (n1 offset, F mod p on [n1 chunk] x [1, N]^3), as floats in (-p, p).
+
+    The dense coefficient tensor is contracted with the power table
+    [n, e] = n^e mod p along each axis; every partial sum is below 2^53.
+    """
+    d = k * k + 1
+    coeff = np.zeros((d, d, d, d))
+    for e, c in F.terms:
+        coeff[e] = c % p
+    powers = np.ones((N, d), dtype=np.int64)
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    for e in range(1, d):
+        powers[:, e] = powers[:, e - 1] * ns % p
+    powers = powers.astype(np.float64)
+    head = _balance(np.tensordot(powers, coeff, axes=([1], [0])), p)  # [n1, e2, e3, e4]
+    step = max(1, _SCREEN_CHUNK // N**3)
+    for start in range(0, N, step):
+        vals = head[start : start + step]
+        for _ in range(3):  # contract e2, e3, e4 in turn; each n axis moves to the back
+            vals = _balance(np.tensordot(vals, powers, axes=([1], [1])), p)
+        yield start, vals
+
+
 def count_box_zeros_upto(k: int, N: int, budget: int = DEFAULT_ZERO_BUDGET) -> list:
     """[T(1), ..., T(N)] where T(n) counts zeros of the product polynomial in [1,n]^4.
 
-    Candidate zeros are screened modulo a few primes on the full grid and every
-    candidate is then confirmed by exact integer evaluation; a value nonzero
-    modulo any single prime is exactly nonzero, so the counts are exact.
+    The diagonal tuples (a, b, a, b) and (a, b, b, a) are zeros (one linear
+    factor vanishes), 2n^2 - n of them in [1,n]^4.  By homogeneity every other
+    zero is g times a primitive non-diagonal zero, so a primitive zero with
+    largest entry m adds floor(n / m) to T(n).  Candidates are screened modulo
+    one prime on the whole grid, and every primitive non-diagonal candidate is
+    confirmed by exact integer evaluation, so the counts are exact.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     if N**4 > budget:
         raise BudgetExceededError(f"N^4 = {N**4} exceeds budget {budget}")
     F = product_poly(k)
-    primes = _select_eval_primes()
-    by_e1: dict = {}
-    for e, c in F.terms:
-        by_e1.setdefault(e[0], []).append((e[1:], c))
-
-    rng = np.arange(1, N + 1, dtype=np.int64)
-    g2, g3, g4 = np.meshgrid(rng, rng, rng, indexing="ij")
-    cols = (g2.ravel(), g3.ravel(), g4.ravel())
-    maxes_rest = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
-
-    # per prime, per e1-slice: value of the slice polynomial on the (n2,n3,n4) grid
-    dummy = np.zeros(len(cols[0]), dtype=np.int64)
-    slices = {}
-    for p in primes:
-        rows = {}
-        for e1, terms in by_e1.items():
-            sub = IntPoly.of({(0, e[0], e[1], e[2]): c for e, c in terms})
-            rows[e1] = batch_values_mod(sub, (dummy, cols[0], cols[1], cols[2]), p)
-        slices[p] = rows
-
-    counts_by_max = [0] * (N + 1)
-    for n1 in range(1, N + 1):
-        mask = None
-        for p in primes:
-            rows = slices[p]
-            acc = np.zeros(len(cols[0]), dtype=np.int64)
-            for e1, vals in rows.items():
-                acc = (acc + pow(n1, e1, p) * vals) % p
-            zero = acc == 0
-            mask = zero if mask is None else (mask & zero)
-            if not mask.any():
-                break
-        if mask is None or not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
-        for i in idx:
-            tup = (n1, int(cols[0][i]), int(cols[1][i]), int(cols[2][i]))
-            if F.evaluate(tup) == 0:
-                counts_by_max[max(n1, int(maxes_rest[i]))] += 1
-    out = []
-    running = 0
-    for n in range(1, N + 1):
-        running += counts_by_max[n]
-        out.append(running)
-    return out
+    p = _screen_prime(k)
+    ns = np.arange(1, N + 1, dtype=np.int64)
+    n2, n3, n4 = ns[:, None, None], ns[None, :, None], ns[None, None, :]
+    primitive_by_max = [0] * (N + 1)
+    for start, vals in _screen_values(F, k, N, p):
+        n1 = ns[start : start + len(vals), None, None, None]
+        diagonal = ((n3 == n1) & (n4 == n2)) | ((n3 == n2) & (n4 == n1))
+        hits = np.argwhere((vals == 0) & ~diagonal) + 1
+        hits[:, 0] += start
+        for tup in hits.tolist():
+            if math.gcd(*tup) == 1 and F.evaluate(tup) == 0:
+                primitive_by_max[max(tup)] += 1
+    return [
+        2 * n * n - n + sum(c * (n // m) for m, c in enumerate(primitive_by_max[: n + 1]) if c)
+        for n in range(1, N + 1)
+    ]
 
 
 def count_box_zeros(k: int, N: int, budget: int = DEFAULT_ZERO_BUDGET) -> int:

@@ -1,0 +1,312 @@
+"""Pure-Python oracles for the algebra layer.
+
+These are the routes the array kernels replaced: Gowers norms over Python
+sets (the recursion over difference-set shifts and the square sum over every
+shift tuple, both bottoming out in a pair-difference bincount); the product
+polynomial expanded as dicts of packed exponents over Z[w]/Phi_k, grouped and
+full; and the box-zero count that screens the whole grid per n1 and confirms
+every candidate, diagonal ones included, by exact evaluation.  They share no
+arithmetic with modroots.gowers and modroots.prodpoly's kernels, so the
+property tests compare the production routes against them.
+"""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from modroots.convolve import _prime_pool
+from modroots.prodpoly import IntPoly, batch_values_mod, cyclotomic_poly, product_poly
+from modroots.sets import IndicatorSet
+
+
+# ---------------------------------------------------------------------------
+# Gowers norms over Python sets
+
+
+def _diff_square_sum(members: np.ndarray, q: int) -> int:
+    """sum_d (#{(a,b): a-b=d})^2, i.e. the additive energy of the set."""
+    if len(members) == 0:
+        return 0
+    diffs = (members[:, None] - members[None, :]) % q
+    counts = np.bincount(diffs.ravel(), minlength=q)
+    return int(np.dot(counts, counts))
+
+
+def _intersect_shift(members: set, s: int, q: int) -> set:
+    return {x for x in members if (x + s) % q in members}
+
+
+def _norm_recursive(members: set, q: int, k: int) -> int:
+    """U^k via the recursion over difference-set shifts; U^1(B) = (#B)^2."""
+    if not members:
+        return 0
+    if k == 1:
+        return len(members) ** 2
+    if k == 2:
+        return _diff_square_sum(np.fromiter(members, dtype=np.int64), q)
+    total = 0
+    diffs = {(a - b) % q for a in members for b in members}
+    for s in sorted(diffs):
+        total += _norm_recursive(_intersect_shift(members, s, q), q, k - 1)
+    return total
+
+
+def _norm_square_sum(members: set, q: int, k: int) -> int:
+    """U^k as the sum over (k-1)-tuples of shifts of squared intersection sizes."""
+    if not members:
+        return 0
+    if k == 1:
+        return len(members) ** 2
+
+    def rec(current: set, depth: int) -> int:
+        if depth == 0:
+            return len(current) ** 2
+        if not current:
+            return 0
+        if depth == 1:
+            return _diff_square_sum(np.fromiter(current, dtype=np.int64), q)
+        total = 0
+        for s in range(q):
+            total += rec(_intersect_shift(current, s, q), depth - 1)
+        return total
+
+    return rec(set(members), k - 1)
+
+
+def set_norms(A: IndicatorSet, k: int) -> tuple:
+    """U^k of A by the recursion route and by the square-sum route."""
+    members = set(A.members.tolist())
+    return _norm_recursive(members, A.q, k), _norm_square_sum(members, A.q, k)
+
+
+def fourier_u2(A: IndicatorSet) -> int:
+    """U^2 = (1/q) sum_xi |1_A^(xi)|^4, rounded (Tao-Vu, Additive Combinatorics, ch. 11)."""
+    f = np.fft.fft(A.vector().astype(np.float64))
+    return round(float(np.sum(np.abs(f) ** 4)) / A.q)
+
+
+# ---------------------------------------------------------------------------
+# product polynomial as dicts over Z[w]/Phi_k
+
+
+@lru_cache(maxsize=32)
+def _cyc_context(k: int):
+    """phi(k), and reduction rows: x^m mod Phi_k for m in [0, 2*phi-2]."""
+    phi_poly = cyclotomic_poly(k)
+    phi = len(phi_poly) - 1
+    rows = []
+    cur = [0] * phi
+    if phi > 0:
+        cur[0] = 1
+    for m in range(2 * phi - 1):
+        rows.append(tuple(cur))
+        # multiply by x, reduce by x^phi = -(low coeffs of Phi_k)
+        top = cur[phi - 1]
+        cur = [0] + cur[: phi - 1]
+        if top:
+            for t in range(phi):
+                cur[t] -= top * phi_poly[t]
+    return phi, tuple(rows)
+
+
+def _cyc_mul(a, b, phi, rows):
+    prod = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] += ai * bj
+    out = list(prod[:phi])
+    for m in range(phi, 2 * phi - 1):
+        c = prod[m]
+        if c:
+            row = rows[m]
+            for t in range(phi):
+                out[t] += c * row[t]
+    return tuple(out)
+
+
+@lru_cache(maxsize=32)
+def _omega_powers(k: int) -> tuple:
+    """w^t mod Phi_k for t = 0..k-1, as coefficient tuples."""
+    phi, rows = _cyc_context(k)
+    pows = []
+    cur = tuple([1] + [0] * (phi - 1))
+    x = tuple([0, 1] + [0] * (phi - 2)) if phi >= 2 else _reduced_x(k)
+    for _ in range(k):
+        pows.append(cur)
+        cur = _cyc_mul(cur, x, phi, rows)
+    return tuple(pows)
+
+
+def _reduced_x(k: int) -> tuple:
+    # phi(k) = 1 only for k in {1, 2}: x = 1 resp. x = -1
+    return (1,) if k == 1 else (-1,)
+
+
+def _pack(e1: int, e2: int, e3: int, e4: int, stride: int) -> int:
+    return ((e1 * stride + e2) * stride + e3) * stride + e4
+
+
+def _unpack(key: int, stride: int):
+    e4 = key % stride
+    key //= stride
+    e3 = key % stride
+    key //= stride
+    e2 = key % stride
+    return key // stride, e2, e3, e4
+
+
+def _multinomials(k: int):
+    for a in range(k + 1):
+        for b in range(k + 1 - a):
+            c = k - a - b
+            yield a, b, c, math.factorial(k) // (
+                math.factorial(a) * math.factorial(b) * math.factorial(c)
+            )
+
+
+def _mul_into(poly: dict, factor: list, phi: int, rows) -> dict:
+    out: dict = {}
+    for key_p, cp in poly.items():
+        for key_f, cf in factor:
+            c = _cyc_mul(cp, cf, phi, rows)
+            key = key_p + key_f
+            prev = out.get(key)
+            out[key] = c if prev is None else tuple(x + y for x, y in zip(prev, c))
+    return {key: c for key, c in out.items() if any(c)}
+
+
+def _expand_grouped(k: int) -> dict:
+    """prod over (w2, w3) of ((X1 + w2 X2 - w3 X3)^k - X4^k), packed keys.
+
+    Grouping the triple product over the first root of unity gives the factor
+    prod_w (w*Z - W) = (-1)^(k+1) * (Z^k - W^k); across the k^2 remaining
+    (w2, w3) pairs the prefactor aggregates to (-1)^((k+1)*k^2) = +1, so no
+    global sign is applied (asserted against the full product for small k).
+    """
+    phi, rows = _cyc_context(k)
+    omega = _omega_powers(k)
+    stride = k**3 + 1
+    one = tuple([1] + [0] * (phi - 1))
+    poly = {_pack(0, 0, 0, 0, stride): one}
+    minus_one = tuple(-x for x in one)
+    for i2 in range(k):
+        for i3 in range(k):
+            factor = []
+            for a, b, c, m in _multinomials(k):
+                w = omega[(i2 * b + i3 * c) % k]
+                sign = -1 if c % 2 else 1
+                coeff = tuple(sign * m * x for x in w)
+                factor.append((_pack(a, b, c, 0, stride), coeff))
+            factor.append((_pack(0, 0, 0, k, stride), minus_one))
+            poly = _mul_into(poly, factor, phi, rows)
+    return poly
+
+
+def _expand_full(k: int) -> dict:
+    """prod over (w1, w2, w3) of (w1 X1 + w2 X2 - w3 X3 - X4), packed keys."""
+    phi, rows = _cyc_context(k)
+    omega = _omega_powers(k)
+    stride = k**3 + 1
+    one = tuple([1] + [0] * (phi - 1))
+    poly = {_pack(0, 0, 0, 0, stride): one}
+    minus_one = tuple(-x for x in one)
+    for i1 in range(k):
+        for i2 in range(k):
+            for i3 in range(k):
+                factor = [
+                    (_pack(1, 0, 0, 0, stride), omega[i1]),
+                    (_pack(0, 1, 0, 0, stride), omega[i2]),
+                    (_pack(0, 0, 1, 0, stride), tuple(-x for x in omega[i3])),
+                    (_pack(0, 0, 0, 1, stride), minus_one),
+                ]
+                poly = _mul_into(poly, factor, phi, rows)
+    return poly
+
+
+def _collapse(k: int, cyc_terms: dict) -> IntPoly:
+    """Assert rational-integer coefficients and k-divisible exponents; divide by k."""
+    stride = k**3 + 1
+    out = {}
+    for key, coeff in cyc_terms.items():
+        if any(coeff[1:]):
+            raise ArithmeticError(f"non-integer coefficient {coeff} in expansion (k={k})")
+        c = coeff[0]
+        if c == 0:
+            continue
+        e = _unpack(key, stride)
+        if any(x % k for x in e):
+            raise ArithmeticError(f"exponent {e} not divisible by k={k}")
+        out[tuple(x // k for x in e)] = c
+    poly = IntPoly.of(out)
+    if poly.homogeneous_degree() != k * k:
+        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
+    return poly
+
+
+def dict_product_poly(k: int, full: bool = False) -> IntPoly:
+    """The product polynomial by the dict expansion, grouped or full."""
+    return _collapse(k, _expand_full(k) if full else _expand_grouped(k))
+
+
+# ---------------------------------------------------------------------------
+# box zeros, screened on the whole grid
+
+
+def screened_box_zeros_upto(k: int, N: int) -> list:
+    """[T(1), ..., T(N)] where T(n) counts zeros of the product polynomial in [1,n]^4.
+
+    Candidate zeros are screened modulo a few primes on the full grid and every
+    candidate is then confirmed by exact integer evaluation; a value nonzero
+    modulo any single prime is exactly nonzero, so the counts are exact.
+    """
+    F = product_poly(k)
+    primes = _prime_pool()[:3]
+    by_e1: dict = {}
+    for e, c in F.terms:
+        by_e1.setdefault(e[0], []).append((e[1:], c))
+
+    rng = np.arange(1, N + 1, dtype=np.int64)
+    g2, g3, g4 = np.meshgrid(rng, rng, rng, indexing="ij")
+    cols = (g2.ravel(), g3.ravel(), g4.ravel())
+    maxes_rest = np.maximum(np.maximum(cols[0], cols[1]), cols[2])
+
+    # per prime, per e1-slice: value of the slice polynomial on the (n2,n3,n4) grid
+    dummy = np.zeros(len(cols[0]), dtype=np.int64)
+    slices = {}
+    for p in primes:
+        rows = {}
+        for e1, terms in by_e1.items():
+            sub = IntPoly.of({(0, e[0], e[1], e[2]): c for e, c in terms})
+            rows[e1] = batch_values_mod(sub, (dummy, cols[0], cols[1], cols[2]), p)
+        slices[p] = rows
+
+    counts_by_max = [0] * (N + 1)
+    for n1 in range(1, N + 1):
+        mask = None
+        for p in primes:
+            rows = slices[p]
+            acc = np.zeros(len(cols[0]), dtype=np.int64)
+            for e1, vals in rows.items():
+                acc = (acc + pow(n1, e1, p) * vals) % p
+            zero = acc == 0
+            mask = zero if mask is None else (mask & zero)
+            if not mask.any():
+                break
+        if mask is None or not mask.any():
+            continue
+        idx = np.nonzero(mask)[0]
+        for i in idx:
+            tup = (n1, int(cols[0][i]), int(cols[1][i]), int(cols[2][i]))
+            if F.evaluate(tup) == 0:
+                counts_by_max[max(n1, int(maxes_rest[i]))] += 1
+    out = []
+    running = 0
+    for n in range(1, N + 1):
+        running += counts_by_max[n]
+        out.append(running)
+    return out
+
+

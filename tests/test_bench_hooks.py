@@ -14,7 +14,8 @@ from modroots import convolve
 from modroots.harness import SweepConfig, run_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-ALREADY_ABSENT = {"modroots.expsums.kth_roots"}
+# the harness no longer imports shift_intersection: it reads gowers.shift_counts
+ALREADY_ABSENT = {"modroots.expsums.kth_roots", "modroots.harness.shift_intersection"}
 
 
 def load_tracing():

@@ -126,7 +126,7 @@ def test_sweep_exit_two_on_hard_assertion_failure(capsys, monkeypatch):
 def test_sweep_exit_two_on_cross_check_failure(tmp_path, capsys, monkeypatch):
     import modroots.gowers as gowers
 
-    monkeypatch.setattr(gowers, "_norm_square_sum", lambda members, q, k: -1)
+    monkeypatch.setattr(gowers, "_norm_by_cubes", lambda a, k: -1)
     out_path = tmp_path / "r.csv"
     code = main(["--out", str(out_path), "sweep", "--check", "gowers-lemmas", "--grid", "q=31"])
     capsys.readouterr()

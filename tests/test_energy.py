@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modroots.energy as energy
+from modroots.convolve import cyclic_convolve
 from modroots.energy import (
     EnergyQuery,
     difference_rep,
@@ -184,3 +186,34 @@ def test_t42_at_a_modulus_past_the_ntt_cap():
                          weights=(mult[:, None] * mult[None, :]).ravel(), minlength=q)
         expect = int((r4.astype(np.int64) ** 2).sum())
         assert tuple_energy(EnergyQuery(4, 2, 60, j, q)) == expect
+
+
+@pytest.mark.parametrize("q", [97, 509, 1009, 10007, 100003])
+def test_pair_routes_agree_across_the_crossover(q):
+    # the largest |A| counted by pairs, and one more, which goes to cyclic_convolve
+    edge = max(n for n in range(q + 1) if energy._by_pairs(n, q))
+    assert edge < q
+    rng = np.random.default_rng(q)
+    for n in (edge - 1, edge, edge + 1, edge + 2):
+        assert energy._by_pairs(n, q) == (n <= edge)
+        A = IndicatorSet(q, np.sort(rng.choice(q, n, replace=False)).astype(np.int64))
+        ind = A.vector()
+        rev = np.zeros(q, dtype=np.int64)
+        rev[(-A.members) % q] = 1
+        m = A.members
+        sums = np.bincount(((m[:, None] + m[None, :]) % q).ravel(), minlength=q)
+        diffs = np.bincount(((m[:, None] - m[None, :]) % q).ravel(), minlength=q)
+        assert sums.tolist() == cyclic_convolve(ind, ind).tolist()
+        assert diffs.tolist() == cyclic_convolve(ind, rev).tolist()
+        assert energy._pair_sum_counts(A).tolist() == sums.tolist()
+        assert difference_rep(A).counts.tolist() == diffs.tolist()
+
+
+def test_pair_route_choice_follows_q():
+    # the old fixed 2^22-pair limit picked the pair bincount for both of these
+    assert not energy._by_pairs(2048, 100003)
+    assert not energy._by_pairs(1000, 10007)
+    # prime-average sizes stay on the pair bincount
+    assert energy._by_pairs(128, 1024) and energy._by_pairs(128, 20011)
+    # below NAIVE_THRESHOLD the convolution costs q^2, not q log q
+    assert energy._by_pairs(90, 307) and not energy._by_pairs(200, 509)

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import modroots.gowers as gowers
+from algebra_oracles import fourier_u2, set_norms
 from modroots.energy import energy_of
 from modroots.errors import BudgetExceededError
-from modroots.gowers import character_lemma_report, gowers_norm, shift_intersection
+from modroots.gowers import character_lemma_report, gowers_norm, shift_counts, shift_intersection
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
@@ -110,3 +113,76 @@ def test_u3_recursion_identity_property(q, seed):
         assert gowers_norm(A, 3) == total
     else:
         assert gowers_norm(A, 3) == 0
+
+
+@st.composite
+def _subsets(draw, qmax=37):
+    """Subsets of Z_q, q <= qmax, weighted towards the empty set, singletons and Z_q."""
+    q = draw(st.integers(1, qmax))
+    kind = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
+    if kind == "empty":
+        return IndicatorSet(q, [])
+    if kind == "singleton":
+        return IndicatorSet(q, [draw(st.integers(0, q - 1))])
+    if kind == "full":
+        return IndicatorSet(q, range(q))
+    return IndicatorSet(q, draw(st.sets(st.integers(0, q - 1))))
+
+
+@given(_subsets(), st.integers(1, 4))
+@example(IndicatorSet(37, range(37)), 4)
+@example(IndicatorSet(37, range(0, 37, 2)), 4)
+@example(IndicatorSet(36, [0, 1, 5, 11, 17, 30]), 4)
+@settings(max_examples=60, deadline=None)
+def test_array_routes_match_set_routes(A, k):
+    by_recursion, by_squares = set_norms(A, k)
+    assert by_recursion == by_squares == gowers_norm(A, k)
+    if A.cardinality:
+        a = gowers._indicator(A)
+        assert gowers._norm_by_shifts(a, k) == gowers._norm_by_cubes(a, k) == by_recursion
+
+
+@given(_subsets())
+@settings(max_examples=40, deadline=None)
+def test_u2_matches_fourier_identity(A):
+    assert gowers_norm(A, 2) == fourier_u2(A)
+
+
+@given(_subsets())
+@settings(max_examples=40, deadline=None)
+def test_shift_counts_match_shift_intersections(A):
+    counts = shift_counts(A)
+    assert counts.dtype == np.int64 and counts.shape == (A.q,)
+    expect = [shift_intersection(A, [s]).result.cardinality for s in range(A.q)]
+    assert counts.tolist() == expect
+    assert int(counts.sum()) == A.cardinality**2
+
+
+def test_row_stacks_are_chunked(monkeypatch):
+    # chunks far smaller than one stack still give the same norms
+    A = IndicatorSet(29, range(0, 29, 2))
+    expect = {k: gowers_norm(A, k) for k in (2, 3, 4)}
+    monkeypatch.setattr(gowers, "_CHUNK", 64)
+    assert {k: gowers_norm(A, k) for k in (2, 3, 4)} == expect
+
+
+def test_route_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(gowers, "_norm_by_cubes", lambda a, k: 0)
+    with pytest.raises(ArithmeticError, match="norm route mismatch"):
+        gowers_norm(IndicatorSet.of(7, [1, 3]), 3)
+
+
+def test_report_computes_each_norm_once(monkeypatch):
+    calls = []
+    real = gowers.gowers_norm
+
+    def counted(A, k, **kwargs):
+        calls.append(k)
+        return real(A, k, **kwargs)
+
+    monkeypatch.setattr(gowers, "gowers_norm", counted)
+    A = IndicatorSet.of(31, range(0, 31, 3))
+    for k, norms in ((2, [1, 2, 3]), (3, [2, 3, 4])):
+        calls.clear()
+        assert character_lemma_report(A, k).all_ok
+        assert sorted(calls) == norms

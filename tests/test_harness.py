@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from modroots.errors import ConfigError
@@ -109,7 +110,7 @@ def test_cross_check_failure_becomes_failed_row(monkeypatch):
     import modroots.gowers as gowers
 
     # a wrong second norm route makes gowers_norm's own cross-check raise
-    monkeypatch.setattr(gowers, "_norm_square_sum", lambda members, q, k: -1)
+    monkeypatch.setattr(gowers, "_norm_by_cubes", lambda a, k: -1)
     res = run_sweep(SweepConfig("gowers-lemmas", {"q": [31], "trial": "1:2"}))
     assert [r.passed for r in res.rows] == [False, False]
     assert all(r.params["fail"] == "ArithmeticError" and "skip" not in r.params for r in res.rows)
@@ -131,10 +132,9 @@ def test_gowers_lemmas_failed_row_names_the_sub_check(monkeypatch):
     assert passing.rows[0].passed is True and "fail" not in passing.rows[0].params
     assert passing.manifest["cell_failures"] == []
     failing_lemma = types.SimpleNamespace(all_ok=False, growth_ok=False, energy_ok=True)
-    empty_intersection = types.SimpleNamespace(result=types.SimpleNamespace(cardinality=0))
     for name, value, reason, message in (
         ("energy_of", lambda A, k: -1, "u2-energy", "but E(A) = -1"),
-        ("shift_intersection", lambda A, shifts: empty_intersection, "shift-identity", "= 0 but |A|^2"),
+        ("shift_counts", lambda A: np.zeros(A.q, dtype=np.int64), "shift-identity", "= 0 but |A|^2"),
         ("character_lemma_report", lambda A, k, budget: failing_lemma, "character-lemma",
          "k=2: growth_ok=False energy_ok=True"),
     ):
@@ -145,6 +145,43 @@ def test_gowers_lemmas_failed_row_names_the_sub_check(monkeypatch):
         assert row.passed is False and row.params["fail"] == reason, name
         failure = res.manifest["cell_failures"]
         assert [f["params"] for f in failure] == [f"fail={reason};q=31;trial=1"]
+        assert message in failure[0]["message"], failure
+
+
+class _StubPoly:
+    """Stands in for a product polynomial: evaluate returns `first` at the first
+    tuple it is given, `other` at any other tuple, and `modular` under a modulus."""
+
+    def __init__(self, first, modular, other):
+        self.first, self.modular, self.other = first, modular, other
+        self.seen = None
+
+    def evaluate(self, n, mod=None):
+        if mod is not None:
+            return self.modular
+        if self.seen is None:
+            self.seen = tuple(n)
+        return self.first if tuple(n) == self.seen else self.other
+
+
+def test_prodpoly_vanishing_failed_row_names_the_sub_check(monkeypatch):
+    import modroots.harness as harness
+
+    grid = {"k": [3], "trial": "1:1"}
+    passing = run_sweep(SweepConfig("prodpoly-vanishing", grid))
+    assert passing.rows[0].passed is True and passing.manifest["cell_failures"] == []
+    for values, reason, message in (
+        ((1, 0, 0), "exact-vanishing", "!= 0 although"),
+        ((0, 1, 0), "mod-m", "= 0 but F"),
+        ((0, 0, 1), "homogeneity", "^9 * F"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(harness, "product_poly", lambda k, values=values: _StubPoly(*values))
+            res = run_sweep(SweepConfig("prodpoly-vanishing", grid))
+        row = res.rows[0]
+        assert row.passed is False and row.params["fail"] == reason, reason
+        failure = res.manifest["cell_failures"]
+        assert [f["params"] for f in failure] == [f"fail={reason};k=3;trial=1"]
         assert message in failure[0]["message"], failure
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from modroots.errors import CapacityError, DegenerateError
 from modroots.modular import (
+    ROOT_TABLE_CAP,
     CharacterTable,
     PrimeModulus,
     character_table,
@@ -149,6 +150,21 @@ def test_character_table_properties():
             for b in range(1, q):
                 assert tab.chi[a * b % q] == tab.chi[a] * tab.chi[b]
         assert tab.eps_q == (1 if q % 4 == 1 else 1j)
+
+
+def test_character_table_is_a_read_only_int64_array():
+    for q in (3, 257, 100003):
+        chi = character_table(q).chi
+        assert chi.dtype == np.int64 and chi.shape == (q,) and not chi.flags.writeable
+        squares = np.zeros(q, dtype=bool)
+        squares[[x * x % q for x in range(1, q)]] = True
+        assert chi[0] == 0 and (chi[1:] == np.where(squares[1:], 1, -1)).all()
+        assert int(chi.sum()) == 0
+    value, _ = gauss_sum(3, 1, 257)
+    assert type(value) is complex
+    above_cap = next(q for q in range(ROOT_TABLE_CAP + 1, ROOT_TABLE_CAP + 200) if is_prime(q))
+    with pytest.raises(CapacityError):
+        CharacterTable.build(above_cap)
 
 
 def test_character_table_rejects_q2():

@@ -1,11 +1,20 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import modroots.prodpoly as prodpoly
+from algebra_oracles import (
+    _cyc_context,
+    _cyc_mul,
+    _omega_powers,
+    dict_product_poly,
+    screened_box_zeros_upto,
+)
 from modroots.errors import BudgetExceededError, CapacityError
 from modroots.prodpoly import (
     IntPoly,
-    _cyc_context,
-    _cyc_mul,
     batch_values_mod,
     classic_square_poly,
     count_box_zeros,
@@ -170,3 +179,83 @@ def test_int_poly_algebra():
     assert (U + V - U) == V
     assert (U * V).evaluate((3, 5, 0, 0)) == 15
     assert U.scale(4).evaluate((2, 0, 0, 0)) == 8
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_array_expansion_matches_dict_routes(k):
+    F = product_poly(k)
+    assert F == dict_product_poly(k)
+    if k <= 3:
+        assert F == dict_product_poly(k, full=True)
+
+
+@lru_cache(maxsize=None)
+def _screened(k, N):
+    return tuple(screened_box_zeros_upto(k, N))
+
+
+@given(st.integers(1, 28))
+@settings(max_examples=12, deadline=None)
+def test_zero_counts_match_full_screening_k3(N):
+    assert count_box_zeros_upto(3, N) == list(_screened(3, 28)[:N])
+
+
+@given(st.integers(1, 8))
+@settings(max_examples=8, deadline=None)
+def test_zero_counts_match_full_screening_k4(N):
+    assert count_box_zeros_upto(4, N) == list(_screened(4, 8)[:N])
+
+
+def test_reduction_rows_are_powers_mod_cyclotomic():
+    for k in (2, 3, 4, 5, 6, 12):
+        assert prodpoly._reduction_rows(k).tolist() == [list(w) for w in _omega_powers(k)]
+
+
+def test_expansion_assertions_fire(monkeypatch):
+    real = prodpoly._reduce
+    cases = (
+        # a nonzero w-coordinate: not a rational integer
+        (lambda k: (0, 0, 0, 0, 1), "non-integer coefficient"),
+        # X2^1: exponent not divisible by k
+        (lambda k: (slice(None), 1, 0, 0, 0), "not divisible by k"),
+        # X2^(k^3) X3^k: total degree above k^3 leaves a negative X1 exponent
+        (lambda k: (slice(None), k**3, k, 0, 0), "not homogeneous"),
+    )
+    for k in (3, 4):
+        for where, message in cases:
+            def broken(poly, k, primes, where=where):
+                red = real(poly, k, primes).copy()
+                red[where(k)] = 1
+                return red
+
+            with monkeypatch.context() as m:
+                m.setattr(prodpoly, "_reduce", broken)
+                m.setattr(prodpoly, "_FULL_CROSS_CHECK_CAP", 0)
+                with pytest.raises(ArithmeticError, match=message):
+                    prodpoly.product_poly.__wrapped__(k)
+
+
+def test_grouped_full_mismatch_raises(monkeypatch):
+    monkeypatch.setattr(prodpoly, "_expand_full", lambda k, primes: prodpoly._one(k, primes))
+    with pytest.raises(ArithmeticError, match="grouped and full expansions disagree"):
+        prodpoly.product_poly.__wrapped__(3)
+
+
+def test_crt_prime_count_covers_the_bound():
+    for bound in (1, 2**30, 2**61, 2**62, 82**16, 244**25):
+        primes = prodpoly._primes_for(bound)
+        modulus = int(np.prod([int(p) for p in primes], dtype=object))
+        assert modulus > 2 * bound + 1
+        assert modulus // primes[-1] <= 2 * bound + 1  # no prime more than needed
+    primes = prodpoly._primes_for(2**61)
+    residues = np.array([[p - 1, 1, 0] for p in primes], dtype=np.int64)
+    assert prodpoly._crt(residues, primes) == [-1, 1, 0]
+
+
+def test_screen_prime_keeps_float_sums_exact():
+    for k in (2, 3, 4, 5):
+        p = prodpoly._screen_prime(k)
+        assert prodpoly.is_prime(p)
+        assert (k * k + 1) * p * p + p < 2**53
+        # the next prime up would break the bound, up to a prime gap of 400
+        assert (k * k + 1) * (p + 400) ** 2 + p + 400 >= 2**53 // 2
