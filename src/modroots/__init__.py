@@ -8,13 +8,13 @@ from .sets import IndicatorSet, RepFn
 from .modular import (
     PrimeModulus,
     CharacterTable,
-    ResidueMap,
+    IndexTable,
     gauss_sum,
+    index_table,
     is_prime,
     kth_roots,
     preimage_set,
     primes_in,
-    residue_map,
     sqrt_mod,
 )
 from .convolve import cyclic_convolve

@@ -14,7 +14,7 @@ import numpy as np
 
 from .convolve import NAIVE_THRESHOLD, cyclic_convolve
 from .errors import CapacityError
-from .modular import _as_q, preimage_set, primes_in, residue_map
+from .modular import _as_q, kth_root_set, preimage_set, primes_in
 from .sets import IndicatorSet, RepFn
 
 # Representation counts of n elements mod q come from a bincount of the n^2
@@ -111,9 +111,7 @@ def set_energy(target: IndicatorSet, k: int, q) -> int:
         raise ValueError("target modulus mismatch")
     if target.cardinality == 0:
         return 0
-    hit = np.zeros(q, dtype=bool)
-    hit[target.members] = True
-    return energy_of(IndicatorSet(q, np.flatnonzero(hit[residue_map(k, q).values])), 2)
+    return energy_of(IndicatorSet(q, kth_root_set(target.members, k, q)), 2)
 
 
 def power_coset_reps(k: int, q) -> list:

@@ -3,11 +3,12 @@ and the character/inverse moment with its diagonal-plus-square-root-cancellation
 envelope.
 
 Dyadic convention throughout: m ~ M means M/2 <= m < M.  Both root sums read
-one table, f(v) = sum_{x^2 = a v} e_q(h x) for every v mod q
-(root_sum_weight_table): W is alpha . f[m n mod q] . beta and V is
-alpha . f[m n mod q] . phi(n), one matrix product each.  The moment reads the
-inverse table x^(q-2) from modular.power_values.  Oracle comparisons are at
-relative tolerance 1e-9.
+f(v) = sum_{x^2 = a v} e_q(h x), evaluated only at the products m n mod q
+they use: the square roots of a v are two gathers from modular.index_table.
+W is alpha . f[m n mod q] . beta and V is alpha . f[m n mod q] . phi(n), one
+matrix product each.  The moment reads c y^{-1} = pw[ind c - ind y] from the
+same table and sums its window slice by slice, in the order u = 1..U0.
+Oracle comparisons are at relative tolerance 1e-9.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modular import _as_q, character_table, power_values, unit_roots
+from .modular import _as_q, character_table, index_table, unit_roots
 
 
 def dyadic_range(X: int) -> range:
@@ -47,13 +48,27 @@ class BilinearQuery:
             raise ValueError("beta length must match the dyadic n-range")
 
 
+def _root_sums(a: int, h: int, q: int, vs: np.ndarray) -> np.ndarray:
+    """f(v) = sum_{x^2 = a v} e_q(h x) at every residue v of the int64 array vs."""
+    table = index_table(q)  # CapacityError above the cap, before any q-sized allocation
+    roots = unit_roots(q)
+    a %= q
+    h %= q  # a, h, v and every root are below q <= 2^26: products stay under 2^52
+    t = (a * vs.ravel()) % q
+    f = np.zeros(t.shape, dtype=np.complex128)
+    f[t == 0] = roots[0]  # the root x = 0
+    nonzero = np.flatnonzero(t)
+    solvable, xs = table.roots(t[nonzero], 2)
+    f[nonzero[solvable]] = roots[(h * xs) % q].sum(axis=1)
+    return f.reshape(vs.shape)
+
+
 def _root_sum_form(a: int, h: int, q, ms, ns, u, v) -> complex:
-    """u . F . v with F[m, n] = f(m n mod q), where f = root_sum_weight_table(a, h, q)."""
+    """u . F . v with F[m, n] = f(m n mod q), f evaluated only at those products."""
     q = _as_q(q)
-    f = root_sum_weight_table(a, h, q)
     m = np.asarray(ms, dtype=np.int64) % q
     n = np.asarray(ns, dtype=np.int64) % q  # both below q <= 2^26: products fit in int64
-    return complex(np.asarray(u) @ f[np.outer(m, n) % q] @ np.asarray(v))
+    return complex(np.asarray(u) @ _root_sums(a, h, q, np.outer(m, n) % q) @ np.asarray(v))
 
 
 def bilinear_root_sum(query: BilinearQuery) -> complex:
@@ -120,18 +135,10 @@ def smoothed_root_sum(a: int, h: int, M: int, q, alpha, bump: SmoothBump) -> com
 
 
 def root_sum_weight_table(a: int, h: int, q) -> np.ndarray:
-    """f(v) = sum_{x^2 = a v} e_q(h x) for all v, via the root table (vectorized)."""
+    """f(v) = sum_{x^2 = a v} e_q(h x) for all v = 0..q-1."""
     q = _as_q(q)
-    a %= q
-    h %= q  # both below q <= 2^26, so every product below stays under 2^52
-    sq = power_values(2, q)  # raises CapacityError above the table cap
-    roots = unit_roots(q)
-    out = np.zeros(q, dtype=np.complex128)
-    xs = np.arange(q, dtype=np.int64)
-    inva = pow(a, q - 2, q) if q > 2 else a
-    # x contributes e_q(hx) to v = x^2 / a
-    np.add.at(out, (sq * inva) % q, roots[(h * xs) % q])
-    return out
+    index_table(q)  # CapacityError above the cap, before the q-sized argument
+    return _root_sums(a, h, q, np.arange(q, dtype=np.int64))
 
 
 def fourier_vs_gauss_residual(a: int, h: int, m: int, n: int, q) -> float:
@@ -175,15 +182,19 @@ def char_inverse_moment(c: int, U0: int, r: int, q) -> MomentReport:
         raise ValueError("c must be nonzero mod q")
     if U0 == 0:
         return MomentReport(0.0, 0.0, 0.0)
-    inv = power_values(q - 2, q)  # y^(q-2) = y^{-1}, 0 at y = 0; CapacityError above the cap
+    table = index_table(q)  # CapacityError above the cap
     tab = character_table(q)
     roots = unit_roots(q)
-    w = np.asarray(tab.chi, dtype=np.float64) * roots[((c % q) * inv) % q]
+    # c y^{-1} = g^(ind c - ind y) for y != 0, in int32
+    w = np.asarray(tab.chi, dtype=np.float64) * roots[table.pw[(table.ind[c % q] - table.ind) % (q - 1)]]
     w[0] = 0.0
-    # inner(lambda) = sum_{u=1..U0} w[(lambda+u) mod q]: sliding circular window
-    inner = np.zeros(q, dtype=np.complex128)
-    for u in range(1, U0 + 1):
-        inner += np.roll(w, -u)
+    # inner(lambda) = sum_{u=1..U0} w[(lambda+u) mod q], added in the order u = 1..U0
+    # as the two slices w[u:] and w[:u]: no rolled copy of w
+    inner = np.empty(q, dtype=np.complex128)
+    inner[: q - 1], inner[q - 1] = w[1:], w[0]
+    for u in range(2, U0 + 1):
+        inner[: q - u] += w[u:]
+        inner[q - u :] += w[:u]
     moment = float(np.sum(np.abs(inner) ** (2 * r)))
     envelope = math.sqrt(q) * U0 ** (2 * r) + q * U0**r
     return MomentReport(moment, envelope, moment / envelope)

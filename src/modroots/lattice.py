@@ -229,13 +229,32 @@ def box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET
 # weighted LLL (exact integer arithmetic)
 
 
+def _swap(basis: list, d: list, lam: list, k: int) -> None:
+    """Swap rows k-1 and k and update the integral Gram-Schmidt data in place.
+
+    Cohen's SWAPI (GTM 138, Alg. 2.6.7): only d[k] and the lam of rows k-1, k
+    and the rows below change, each by one exact division.
+    """
+    basis[k], basis[k - 1] = basis[k - 1], basis[k]
+    for j in range(k - 1):
+        lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+    l = lam[k][k - 1]
+    b = (d[k - 1] * d[k + 1] + l * l) // d[k]
+    for i in range(k + 1, len(basis)):
+        t = lam[i][k]
+        lam[i][k] = (d[k + 1] * lam[i][k - 1] - l * t) // d[k]
+        lam[i][k - 1] = (b * t + l * lam[i][k]) // d[k + 1]
+    d[k] = b
+
+
 def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
     """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 rational).
 
     Integral LLL (Cohen, GTM 138, §2.6): the weights are scaled to integers, and
     the Gram-Schmidt data are kept as the integers d[i+1] (the Gram determinant
-    of rows 0..i) and lam[k][j] = d[j+1] * mu[k][j].  mu is rounded half to even,
-    as round(Fraction) does, so the steps are those of the rational algorithm.
+    of rows 0..i) and lam[k][j] = d[j+1] * mu[k][j], computed once and then
+    updated by each size reduction and swap.  mu is rounded half to even, as
+    round(Fraction) does, so the steps are those of the rational algorithm.
     """
     scale = math.lcm(*(Fraction(w).denominator for w in weights))
     wts = [int(w * scale) for w in weights]
@@ -243,24 +262,17 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
     basis = [list(r) for r in rows]
     n = len(basis)
 
-    def ip(u, v):
-        return sum(w * a * b for w, a, b in zip(wts, u, v))
-
-    def gso():
-        d = [1] + [0] * n
-        lam = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1):
-                u = ip(basis[i], basis[j])
-                for h in range(j):
-                    u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]  # exact
-                if j < i:
-                    lam[i][j] = u
-                else:
-                    d[i + 1] = u
-        return d, lam
-
-    d, lam = gso()
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(w * a * b for w, a, b in zip(wts, basis[i], basis[j]))
+            for h in range(j):
+                u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]  # exact
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
     k = 1
     guard = 0
     while k < n:
@@ -279,8 +291,7 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
         if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lam[k][k - 1] ** 2:
             k += 1
         else:
-            basis[k], basis[k - 1] = basis[k - 1], basis[k]
-            d, lam = gso()
+            _swap(basis, d, lam, k)
             k = max(k - 1, 1)
     return basis
 

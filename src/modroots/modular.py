@@ -1,23 +1,24 @@
 """Prime-field arithmetic: primality, prime enumeration, k-th roots, characters, Gauss sums.
 
-power_values(k, q) is the power map x -> x^k on Z_q as one int64 array,
-computed by square-and-multiply over the whole residue vector (O(q log k)
-numpy work, q <= ROOT_TABLE_CAP).  Root extraction below the cap goes through
-residue_map(k, q), which adds to those values their argsort and bucket
-starts, so the roots of v are one slice of it.  The table is cached per
-(k, q) and serves every dilate j: preimages of j*x^k are a mask over
-(j * values) mod q.  Above the cap only square roots are supported
-(Tonelli-Shanks).  Other whole-field tables read power_values directly, for
-example the inverses x^(q-2) and the quadratic character, whose table marks
-the squares x^2.
+Every power and root query below ROOT_TABLE_CAP reads one discrete-log table
+per prime, index_table(q): a primitive root g, pw[i] = g^i and ind[x] =
+log_g x as read-only int32 arrays, built in O(q) by block doubling and cached
+per q (the cache is bounded by the residues it holds, not by its entries).
+Powers, inverses and the quadratic character are exponent arithmetic on it:
+x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
+With g_k = gcd(k, q-1) and h = (q-1)/g_k, x^k = v has roots only when g_k
+divides ind v, and they are pw[(ind v / g_k) (k/g_k)^-1 mod h + i h] for
+i < g_k; so kth_roots costs O(g_k) and preimage_set O(g_k N), whatever the
+dilate j.  Above the cap only square roots are supported (Tonelli-Shanks).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -118,57 +119,130 @@ def _as_q(q) -> int:
     return q
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueMap:
-    """The power map x -> x^k on Z_q as read-only int64 arrays.
+def _primitive_root(q: int) -> int:
+    """The least generator of F_q^* (trial division of q - 1, q <= ROOT_TABLE_CAP)."""
+    if q == 2:
+        return 1
+    n, factors, p = q - 1, [], 2
+    while p * p <= n:
+        if n % p == 0:
+            factors.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        factors.append(n)
+    g = 2
+    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
+        g += 1
+    return g
 
-    values[x] = x^k mod q; order is 0..q-1 stably sorted by value, and
-    starts[v] is the first position of value v in it, so the solutions of
-    x^k = v are order[starts[v]:starts[v + 1]], ascending.
+
+@dataclass(frozen=True, eq=False)
+class IndexTable:
+    """Discrete logarithms to the primitive root g of F_q as read-only int32 arrays.
+
+    pw[i] = g^i mod q for i = 0..q-2, and ind[x] = log_g x for x = 1..q-1
+    (ind[0] = 0 is a placeholder: every query treats x = 0 itself).
     """
 
     q: int
-    k: int
-    values: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
+    g: int
+    pw: np.ndarray
+    ind: np.ndarray
 
-    def roots_of(self, v: int) -> np.ndarray:
-        v %= self.q
-        return self.order[self.starts[v] : self.starts[v + 1]]
+    def roots(self, vs, k: int):
+        """(solvable, roots) for nonzero residues vs: x^k = vs[i] is solvable iff
+        solvable[i], and roots[r] holds the g_k = gcd(k, q - 1) roots of the r-th
+        solvable value (int64, shape (solvable.sum(), g_k))."""
+        gk = math.gcd(k, self.q - 1)
+        h = (self.q - 1) // gk
+        iv = self.ind[np.asarray(vs, dtype=np.int64)].astype(np.int64)
+        solvable = iv % gk == 0
+        # roots of x^k = g^(gk t): g^(t (k/gk)^-1 mod h + i h) for i < gk; both factors below 2^26
+        base = (iv[solvable] // gk) * pow(k // gk, -1, h) % h
+        return solvable, self.pw[base[:, None] + h * np.arange(gk)].astype(np.int64)
 
 
-def power_values(k: int, q) -> np.ndarray:
-    """values[x] = x^k mod q for x = 0..q-1 (int64; 0^0 = 1)."""
-    q = _as_q(q)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+# tables held at once, in residues (two int32 each): 32 MiB, but always the latest table
+INDEX_CACHE_RESIDUES = 1 << 22
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _cache_by_residues(cap: int):
+    """An lru cache of one table per prime q, bounded by the sum of the q it holds.
+
+    A sweep that walks more primes than a count-bounded cache holds, cyclically,
+    would miss on every lookup; a bound in residues keeps all the small tables.
+    """
+
+    def decorate(build):
+        tables = OrderedDict()
+        stats = {"hits": 0, "misses": 0}
+
+        @wraps(build)
+        def cached(q):
+            q = _as_q(q)
+            if q in tables:
+                stats["hits"] += 1
+                tables.move_to_end(q)
+                return tables[q]
+            stats["misses"] += 1
+            table = tables[q] = build(q)
+            while len(tables) > 1 and sum(tables) > cap:
+                tables.popitem(last=False)
+            return table
+
+        cached.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"], cap, sum(tables))
+
+        def cache_clear():
+            tables.clear()
+            stats.update(hits=0, misses=0)
+
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
+def index_table(q: int) -> IndexTable:
+    """The IndexTable of F_q, built in O(q) by block doubling; q <= ROOT_TABLE_CAP."""
     if q > ROOT_TABLE_CAP:
         raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
-    # q <= 2^26 keeps every product below 2^52
-    values = np.ones(q, dtype=np.int64)
-    base, e = np.arange(q, dtype=np.int64), k
-    while e:  # square-and-multiply over the whole residue vector
-        if e & 1:
-            values = (values * base) % q
-        base = (base * base) % q
-        e >>= 1
-    return values
+    g = _primitive_root(q)
+    n = q - 1
+    pw = np.empty(n, dtype=np.int32)
+    pw[0] = 1
+    b = 1
+    while b < n:  # pw[b:2b] = pw[:b] * g^b, products below q^2 <= 2^52
+        m = min(b, n - b)
+        block = np.multiply(pw[:m], pow(g, b, q), dtype=np.int64)
+        block %= q
+        pw[b : b + m] = block
+        b += m
+    ind = np.zeros(q, dtype=np.int32)
+    ind[pw] = np.arange(n, dtype=np.int32)
+    pw.flags.writeable = False
+    ind.flags.writeable = False
+    return IndexTable(q, g, pw, ind)
 
 
-@lru_cache(maxsize=128)
-def residue_map(k: int, q) -> ResidueMap:
+def kth_root_set(vs, k: int, q) -> np.ndarray:
+    """Ascending int64 array of the x in Z_q with x^k in vs, for distinct residues vs.
+
+    O(g_k |vs|) gathers from index_table(q), g_k = gcd(k, q - 1); CapacityError above the cap.
+    """
     q = _as_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = power_values(k, q)
-    # the keys values*q + x are distinct, so sorting them is a stable argsort by value
-    order = np.sort(values * q + np.arange(q, dtype=np.int64)) % q
-    starts = np.zeros(q + 1, dtype=np.int64)
-    np.cumsum(np.bincount(values, minlength=q), out=starts[1:])
-    for arr in (values, order, starts):
-        arr.flags.writeable = False
-    return ResidueMap(q, k, values, order, starts)
+    vs = np.asarray(vs, dtype=np.int64)
+    nonzero = vs[vs != 0]
+    roots = index_table(q).roots(nonzero, k)[1].ravel()
+    if len(nonzero) < len(vs):  # 0^k = 0
+        roots = np.append(roots, 0)
+    return np.sort(roots)
 
 
 def sqrt_mod(a: int, q) -> list:
@@ -211,34 +285,40 @@ def sqrt_mod(a: int, q) -> list:
 
 def kth_roots(a: int, k: int, q) -> set:
     """The set { x in Z_q : x^k = a (mod q) }."""
-    try:
-        return set(residue_map(k, q).roots_of(a).tolist())
-    except CapacityError:  # above the table cap
+    q = _as_q(q)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if q > ROOT_TABLE_CAP:
         if k != 2:
-            raise CapacityError("k-th roots above the table cap supported only for k = 2") from None
-    return set(sqrt_mod(a, q))
+            raise CapacityError("k-th roots above the table cap supported only for k = 2")
+        return set(sqrt_mod(a, q))
+    return set(kth_root_set([a % q], k, q).tolist())
 
 
 def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
-    """The set { x in F_q^* : j*x^k mod q lies in {1,...,N} } (natural embedding)."""
+    """The set { x in F_q^* : j*x^k mod q lies in {1,...,N} } (natural embedding).
+
+    The union of the k-th roots of j^{-1} n for n = 1..N: O(g_k N) work.
+    """
     q = _as_q(q)
     j %= q
     if j == 0:
         raise ValueError("j must be nonzero mod q")
     if not (1 <= N <= q):
         raise ValueError(f"N must satisfy 1 <= N <= q, got {N}")
-    dilated = residue_map(k, q).values * j  # < q^2 <= 2^52
-    dilated %= q
-    return IndicatorSet(q, np.flatnonzero((dilated >= 1) & (dilated <= N)))
+    index_table(q)  # CapacityError above the cap, before the N-sized arange
+    # n = q would give v = 0, whose only root is 0, outside F_q^*
+    vs = (pow(j, -1, q) * np.arange(1, min(N, q - 1) + 1, dtype=np.int64)) % q  # < q^2 <= 2^52
+    return IndicatorSet(q, kth_root_set(vs, k, q))
 
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
     """Quadratic character chi mod q, the unit eps_q, and the additive character e_q.
 
-    chi is a read-only int64 array: chi[0] = 0, chi[x^2 mod q] = 1 for x != 0,
-    and -1 elsewhere, read off the square map power_values(2, q) (so above
-    ROOT_TABLE_CAP, build raises CapacityError).
+    chi is a read-only int64 array: chi[0] = 0 and chi[x] = (-1)^(log_g x),
+    the parity of index_table(q).ind (so above ROOT_TABLE_CAP, build raises
+    CapacityError).
     """
 
     q: int
@@ -250,8 +330,7 @@ class CharacterTable:
         q = _as_q(q)
         if q == 2:
             raise DegenerateError("quadratic character table requires odd q")
-        chi = np.full(q, -1, dtype=np.int64)
-        chi[power_values(2, q)[1:]] = 1
+        chi = 1 - 2 * (index_table(q).ind & 1).astype(np.int64)  # (-1)^(log_g x)
         chi[0] = 0
         chi.flags.writeable = False
         eps = 1.0 + 0.0j if q % 4 == 1 else 1.0j

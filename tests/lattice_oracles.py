@@ -1,7 +1,8 @@
 """Pure-Python oracles for the lattice layer.
 
 These are the routes the integer lattice code replaced: LLL with the full
-rational Gram-Schmidt recomputed after every step, a scoring loop over Python
+rational Gram-Schmidt recomputed after every step, the full integral
+Gram-Schmidt that integral LLL recomputed after every swap, a scoring loop over Python
 tuples, and a dual enumeration that walks every lambda in [0, q) with a Python
 stack.  They are slow but share no arithmetic with modroots.lattice's LLL and
 minima, so the property tests compare the production routes against them.
@@ -62,6 +63,27 @@ def rational_lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
             mu, norms = gso()
             k = max(k - 1, 1)
     return basis
+
+
+def integral_gso(basis: list, weights: list):
+    """(d, lam) of the integral Gram-Schmidt of the rows under the scaled weights,
+    recomputed from scratch: d[i+1] is the Gram determinant of rows 0..i and
+    lam[k][j] = d[j+1] * mu[k][j] (Cohen, GTM 138, §2.6)."""
+    scale = math.lcm(*(Fraction(w).denominator for w in weights))
+    wts = [int(w * scale) for w in weights]
+    n = len(basis)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = sum(w * a * b for w, a, b in zip(wts, basis[i], basis[j]))
+            for h in range(j):
+                u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def independent(chosen: list, cand) -> bool:

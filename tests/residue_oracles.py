@@ -1,10 +1,14 @@
-"""Pure-Python oracles for the flat residue core.
+"""Oracles for the residue core.
 
-These are the routes the flat residue table replaced: a bucket table holding,
-for each v in Z_q, the tuple of x with j*x^k = v (mod q), rebuilt for every
-dilate j; and a coset scan that materialises the k-th power subgroup as a set.
-They are slow but independent of modular.residue_map, so the property tests
-compare every consumer of the table against them.
+These are the routes the discrete-log table replaced, and the routes before
+them: a bucket table holding, for each v in Z_q, the tuple of x with
+j*x^k = v (mod q), rebuilt for every dilate j; a coset scan that
+materialises the k-th power subgroup as a set; the power map by
+square-and-multiply over the whole residue vector and its stable argsort by
+value (the sorted residue map); the root-sum table scattered by np.add.at;
+and the moment window summed by np.roll.  They are slow but independent of
+modular.index_table, so the property tests compare every consumer of the
+table against them.
 """
 
 import math
@@ -79,3 +83,70 @@ def bucket_max_energy(k: int, N: int, q: int):
         if e > best:
             best, best_j = e, j
     return best, best_j
+
+
+def square_multiply_table(k: int, q: int) -> np.ndarray:
+    """values[x] = x^k mod q for x = 0..q-1 by square-and-multiply (0^0 = 1)."""
+    values = np.ones(q, dtype=np.int64)
+    base, e = np.arange(q, dtype=np.int64), k
+    while e:  # q < 2^26 keeps every product below 2^52
+        if e & 1:
+            values = (values * base) % q
+        base = (base * base) % q
+        e >>= 1
+    return values
+
+
+@lru_cache(maxsize=8)
+def sorted_residue_map(k: int, q: int):
+    """(values, order, starts): the roots of x^k = v are order[starts[v]:starts[v + 1]]."""
+    values = square_multiply_table(k, q)
+    # the keys values*q + x are distinct, so sorting them is a stable argsort by value
+    order = np.sort(values * q + np.arange(q, dtype=np.int64)) % q
+    starts = np.zeros(q + 1, dtype=np.int64)
+    np.cumsum(np.bincount(values, minlength=q), out=starts[1:])
+    return values, order, starts
+
+
+def sorted_kth_roots(a: int, k: int, q: int) -> list:
+    _, order, starts = sorted_residue_map(k, q)
+    a %= q
+    return order[starts[a] : starts[a + 1]].tolist()
+
+
+def mask_preimage(j: int, k: int, N: int, q: int) -> list:
+    """{x : 1 <= j x^k mod q <= N} as a mask over the dilated power map."""
+    dilated = (sorted_residue_map(k, q)[0] * (j % q)) % q
+    return np.flatnonzero((dilated >= 1) & (dilated <= N)).tolist()
+
+
+def quadratic_character(q: int) -> np.ndarray:
+    """chi[0] = 0, 1 on the squares x^2 (x != 0), -1 elsewhere."""
+    chi = np.full(q, -1, dtype=np.int64)
+    chi[square_multiply_table(2, q)[1:]] = 1
+    chi[0] = 0
+    return chi
+
+
+def add_at_weight_table(a: int, h: int, q: int) -> np.ndarray:
+    """f(v) = sum_{x^2 = a v} e_q(h x) for every v, scattering each x by np.add.at."""
+    a %= q
+    h %= q
+    sq = square_multiply_table(2, q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    out = np.zeros(q, dtype=np.complex128)
+    inva = pow(a, q - 2, q) if q > 2 else a
+    np.add.at(out, (sq * inva) % q, roots[(h * np.arange(q, dtype=np.int64)) % q])
+    return out
+
+
+def roll_moment(c: int, U0: int, r: int, q: int) -> float:
+    """sum_lambda |sum_{u=1..U0} chi(lambda+u) e_q(c (lambda+u)^{-1})|^{2r} by np.roll."""
+    inv = square_multiply_table(q - 2, q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    w = np.asarray(quadratic_character(q), dtype=np.float64) * roots[((c % q) * inv) % q]
+    w[0] = 0.0
+    inner = np.zeros(q, dtype=np.complex128)
+    for u in range(1, U0 + 1):
+        inner += np.roll(w, -u)
+    return float(np.sum(np.abs(inner) ** (2 * r)))

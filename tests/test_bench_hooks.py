@@ -14,8 +14,13 @@ from modroots import convolve
 from modroots.harness import SweepConfig, run_sweep
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-# the harness no longer imports shift_intersection: it reads gowers.shift_counts
-ALREADY_ABSENT = {"modroots.expsums.kth_roots", "modroots.harness.shift_intersection"}
+# the harness no longer imports shift_intersection: it reads gowers.shift_counts;
+# energy no longer imports residue_map: roots and preimages read modular.index_table
+ALREADY_ABSENT = {
+    "modroots.expsums.kth_roots",
+    "modroots.harness.shift_intersection",
+    "modroots.energy.residue_map",
+}
 
 
 def load_tracing():

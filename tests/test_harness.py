@@ -19,7 +19,7 @@ from modroots.harness import (
     run_sweep,
     theta_k,
 )
-from modroots.modular import residue_map
+from modroots.modular import index_table
 from modroots.rng import SplitMix64
 
 
@@ -283,7 +283,7 @@ def test_random_set_doubling_exact():
 @pytest.fixture
 def drop_residue_tables():
     yield
-    residue_map.cache_clear()  # a q = 4194301 table holds about 100 MiB
+    index_table.cache_clear()  # a q = 4194301 table holds 32 MiB
 
 
 @pytest.mark.parametrize(

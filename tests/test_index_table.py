@@ -1,0 +1,206 @@
+"""The discrete-log table and every query that reads it, against the routes it replaced.
+
+The oracles in residue_oracles.py share no arithmetic with modular.index_table:
+Python pow, square-and-multiply tables, the sorted residue map, Tonelli-Shanks,
+the np.add.at root-sum table and the np.roll moment window.  The moduli cover
+q = 2 (where x = -x), q = 3, q = 65537 (q - 1 = 2^16), primes on both sides of
+2^21 and every g_k = gcd(k, q - 1) in {1, 2, 3, 4, 6}.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modroots.energy import prime_averaged_energy, set_energy
+from modroots.errors import CapacityError
+from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment, root_sum_weight_table
+from modroots.modular import (
+    ROOT_TABLE_CAP,
+    CharacterTable,
+    _cache_by_residues,
+    index_table,
+    is_prime,
+    kth_root_set,
+    kth_roots,
+    preimage_set,
+    sqrt_mod,
+)
+from modroots.sets import IndicatorSet
+
+from residue_oracles import (
+    add_at_weight_table,
+    mask_preimage,
+    roll_moment,
+    sorted_kth_roots,
+    sorted_residue_map,
+    square_multiply_table,
+)
+
+# q - 1 = 2^16; 2^21 - 9 (q - 1 = 2 * 1048571); 2^21 + 17 (q - 1 = 48 * 43691)
+EDGE = [2, 3, 5, 7, 13, 37, 61, 65537, 2097143, 2097169]
+PRIMES = st.sampled_from(EDGE)
+ABOVE_CAP = next(q for q in range(ROOT_TABLE_CAP + 1, ROOT_TABLE_CAP + 200) if is_prime(q))
+
+
+@pytest.mark.parametrize("q", EDGE)
+def test_table_is_a_permutation_of_the_units(q):
+    table = index_table(q)
+    assert table.pw.dtype == table.ind.dtype == np.int32
+    assert table.pw.shape == (q - 1,) and table.ind.shape == (q,)
+    assert sorted(table.pw.tolist()) == list(range(1, q))
+    assert np.array_equal(table.ind[table.pw], np.arange(q - 1))
+    assert all(table.pw[i] == pow(table.g, i, q) for i in {0, (q - 1) // 2, q - 2})
+
+
+def gather_power(q, xs, e):
+    """x^e = pw[e ind x mod (q - 1)] for the units xs."""
+    table = index_table(q)
+    return table.pw[(table.ind[np.asarray(xs)].astype(np.int64) * (e % (q - 1))) % (q - 1)]
+
+
+@given(PRIMES, st.integers(0, 60))
+@settings(max_examples=40, deadline=None)
+def test_powers_match_square_and_multiply(q, k):
+    assert np.array_equal(gather_power(q, np.arange(1, q), k), square_multiply_table(k, q)[1:])
+
+
+@given(PRIMES, st.integers(-(2**62), 2**62), st.lists(st.integers(1, 2**40), min_size=1, max_size=50))
+@settings(max_examples=80, deadline=None)
+def test_powers_and_inverses_match_pow(q, e, xs):
+    xs = [x % (q - 1) + 1 for x in xs]
+    assert gather_power(q, xs, e).tolist() == [pow(x, e, q) for x in xs]
+    assert gather_power(q, xs, -1).tolist() == [pow(x, -1, q) for x in xs]
+
+
+@given(PRIMES, st.integers(1, 12), st.integers(0, 2**40))
+@settings(max_examples=80, deadline=None)
+def test_kth_roots_match_sorted_residue_map(q, k, a):
+    assert sorted(kth_roots(a, k, q)) == sorted_kth_roots(a, k, q)
+
+
+@pytest.mark.parametrize("q, k, gk", [
+    (13, 5, 1), (13, 2, 2), (13, 3, 3), (13, 4, 4), (13, 6, 6),
+    (61, 7, 1), (61, 14, 2), (61, 9, 3), (61, 4, 4), (61, 6, 6),
+    (65537, 3, 1), (65537, 6, 2), (65537, 4, 4),
+    (2097169, 5, 1), (2097169, 2, 2), (2097169, 9, 3), (2097169, 4, 4), (2097169, 6, 6),
+])
+def test_root_sets_for_each_gk(q, k, gk):
+    assert math.gcd(k, q - 1) == gk
+    values = sorted_residue_map(k, q)[0]
+    sample = range(q) if q < 100 else np.random.default_rng(q + k).integers(0, q, 400).tolist()
+    for a in sample:
+        roots = kth_roots(a, k, q)
+        assert sorted(roots) == sorted_kth_roots(a, k, q)
+        assert len(roots) in ((1,) if a == 0 else (0, gk))
+    # every value of the power map at once: the union of all roots is Z_q
+    assert np.array_equal(kth_root_set(np.unique(values), k, q), np.arange(q))
+
+
+@given(PRIMES, st.integers(1, 8), st.integers(1, 2**40), st.integers(1, 2**40))
+@settings(max_examples=60, deadline=None)
+def test_preimage_matches_mask_route(q, k, j, n):
+    j = j % (q - 1) + 1
+    N = min(n % q + 1, 4000)
+    assert preimage_set(j, k, N, q).members.tolist() == mask_preimage(j, k, N, q)
+
+
+@given(st.sampled_from([3, 5, 13, 65537, 2097143, 2097169]), st.integers(0, 2**40))
+@settings(max_examples=60, deadline=None)
+def test_square_roots_match_tonelli_shanks(q, a):
+    assert kth_roots(a, 2, q) == set(sqrt_mod(a, q))
+
+
+@given(st.sampled_from(EDGE[:8]), st.integers(0, 2**62), st.integers(0, 2**62))
+@settings(max_examples=40, deadline=None)
+def test_root_sum_table_matches_add_at_route_exactly(q, a, h):
+    a = a if a % q else a + 1
+    assert np.array_equal(root_sum_weight_table(a, h, q), add_at_weight_table(a, h, q))
+
+
+@given(st.sampled_from(EDGE[:8]), st.integers(1, 2**62), st.integers(0, 2**62), st.integers(2, 40),
+       st.integers(2, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_w_reads_the_table_route_exactly(q, a, h, M, N, seed):
+    # f at the products m n only is the q-length table gathered at them, bit for bit
+    a = a if a % q else a + 1
+    rng = np.random.default_rng(seed)
+    ms, ns = np.arange((M + 1) // 2, M), np.arange((N + 1) // 2, N)
+    alpha, beta = rng.choice([-1.0, 0.0, 1.0], len(ms)), rng.choice([-1.0, 0.0, 1.0], len(ns))
+    want = complex(alpha @ add_at_weight_table(a, h, q)[np.outer(ms, ns) % q] @ beta)
+    assert bilinear_root_sum(BilinearQuery(a, h, M, N, q, tuple(alpha), tuple(beta))) == want
+
+
+@given(st.sampled_from([3, 5, 13, 37, 61, 499, 65537]), st.integers(1, 2**62), st.data())
+@settings(max_examples=30, deadline=None)
+def test_moment_matches_roll_route_exactly(q, c, data):
+    c = c if c % q else c + 1
+    U0 = data.draw(st.integers(1, min(q, 80)))
+    r = data.draw(st.integers(1, 3))
+    assert char_inverse_moment(c, U0, r, q).moment == roll_moment(c, U0, r, q)
+
+
+def test_set_energy_at_q2_and_q3():
+    for q in (2, 3):
+        for k in (1, 2, 3):
+            target = IndicatorSet.of(q, range(q))
+            assert set_energy(target, k, q) == q**3  # every x: all q^3 solutions of a+b=c+d
+
+
+def test_capacity_error_before_anything_is_allocated():
+    q = ABOVE_CAP
+    one = IndicatorSet(q, np.array([1], dtype=np.int64))
+    calls = [
+        lambda: index_table(q),
+        lambda: kth_root_set([1], 2, q),
+        lambda: kth_roots(5, 3, q),
+        lambda: preimage_set(1, 2, q, q),
+        lambda: set_energy(one, 3, q),
+        lambda: CharacterTable.build(q),
+        lambda: root_sum_weight_table(1, 1, q),
+        lambda: bilinear_root_sum(BilinearQuery(1, 1, 4, 4, q, (1.0, 1.0), (1.0, 1.0))),
+        lambda: char_inverse_moment(1, 4, 2, q),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # a q-length array would be 256 MiB or more
+
+
+def test_cache_is_bounded_by_residues_not_by_count():
+    builds = []
+
+    @_cache_by_residues(30)
+    def table(q):
+        builds.append(q)
+        return q
+
+    for q in (2, 3, 5, 7, 11, 2, 3, 5, 7, 11):  # 28 residues: every table stays
+        table(q)
+    assert builds == [2, 3, 5, 7, 11] and table.cache_info().currsize == 28
+    table(13)  # 41 residues: the least recent, 2, 3, 5 and 7, go
+    table(11)
+    assert table.cache_info()[:2] == (6, 6) and table.cache_info().currsize == 24
+    table(2)
+    assert builds == [2, 3, 5, 7, 11, 13, 2]
+    table(37)  # alone above the bound: kept, everything else dropped
+    assert table.cache_info().currsize == 37
+    table.cache_clear()
+    assert table.cache_info() == (0, 0, 30, 0)
+
+
+def test_second_prime_average_builds_no_table():
+    # 135 primes in [1000, 2000), walked once per coset rep: more than a count-bounded lru holds
+    index_table.cache_clear()
+    first = prime_averaged_energy(3, 8, 2000)
+    built = index_table.cache_info().misses
+    assert built == len(first.primes) == 135
+    assert prime_averaged_energy(3, 8, 2000) == first
+    assert index_table.cache_info().misses == built

@@ -3,15 +3,18 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from modroots import lattice
 from modroots.errors import BudgetExceededError
 from modroots.lattice import (
     BoxBody,
     CongruenceLattice,
+    DualLattice,
     _independent_rows,
     _lll,
     _mulmod,
@@ -24,6 +27,7 @@ from modroots.modular import is_prime, primes_in
 from lattice_oracles import (
     dual_candidate_count,
     independent,
+    integral_gso,
     oracle_dual_minima,
     oracle_successive_minima,
     rational_lll,
@@ -90,6 +94,36 @@ def test_integer_lll_lovasz_tie():
     # |b*_1|^2 = 2 = (3/4 - (1/2)^2) |b*_0|^2: the Lovasz test holds with equality, no swap
     assert _lll([[2, 0], [1, 1]], [1, 2]) == [[2, 0], [1, 1]]
     assert rational_lll([[2, 0], [1, 1]], [1, 2]) == [[2, 0], [1, 1]]
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from(PRIMES[-40:] + [65537, 1000003, 999999937, 10**9 + 7]),
+    st.integers(1, 2**64),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 6), st.integers(0, 2**40), st.integers(0, 2**40)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_swap_updates_match_full_gram_schmidt(d, q, c, widths):
+    # congruence lattices with primal and dual weights, as the minima reduce them
+    lat = CongruenceLattice(tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)), q)
+    w = [width(*x) for x in widths[:d]]
+    swap = lattice._swap
+
+    def checked_swap(basis, dd, lam, k):
+        swap(basis, dd, lam, k)
+        assert (dd, lam) == integral_gso(basis, weights)
+
+    for rows, weights in (
+        (lat.basis(), [1 / (wi * wi) for wi in w]),
+        (DualLattice(lat).integer_basis(), [wi * wi for wi in w]),
+    ):
+        with mock.patch.object(lattice, "_swap", checked_swap):
+            reduced = _lll(rows, weights)
+        assert reduced == rational_lll(rows, weights)
 
 
 @given(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modroots.energy import max_energy_over_j, power_coset_reps, set_energy
-from modroots.modular import kth_roots, preimage_set, primes_in, residue_map
+from modroots.modular import index_table, kth_roots, preimage_set, primes_in
 from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sum
 
 from residue_oracles import (
@@ -27,13 +27,16 @@ KS = st.integers(1, 12)
 
 def test_table_layout_matches_buckets():
     for q in (2, 3, 7, 13, 97):
+        table = index_table(q)
+        assert table.pw.dtype == table.ind.dtype == np.int32
+        assert not table.pw.flags.writeable and not table.ind.flags.writeable
+        assert table.pw.tolist() == [pow(table.g, i, q) for i in range(q - 1)]
+        assert all(table.pw[table.ind[x]] == x for x in range(1, q))
         for k in (1, 2, 3, 4, 6):
-            rmap = residue_map(k, q)
-            assert rmap.values.dtype == rmap.order.dtype == rmap.starts.dtype == np.int64
-            assert not any(a.flags.writeable for a in (rmap.values, rmap.order, rmap.starts))
-            assert rmap.values.tolist() == [pow(x, k, q) for x in range(q)]
-            table = bucket_table(1, k, q)
-            assert [tuple(rmap.roots_of(v).tolist()) for v in range(q)] == list(table)
+            exps = (k * table.ind[1:].astype(np.int64)) % (q - 1)
+            assert table.pw[exps].tolist() == [pow(x, k, q) for x in range(1, q)]
+            buckets = bucket_table(1, k, q)
+            assert [tuple(sorted(kth_roots(v, k, q))) for v in range(q)] == list(buckets)
 
 
 @given(PRIMES, KS, st.integers(0, 10**9))
