@@ -13,8 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from modroots import __version__
-from modroots.harness import SweepConfig, SweepResult, emit, run_sweep
+from modroots.harness import SweepConfig, emit, run_sweep
 from modroots.modular import primes_in
 
 RATIO_GRIDS = [
@@ -25,7 +24,7 @@ RATIO_GRIDS = [
     ("w-ratio", {"q": [199, 499], "M": [8, 16, 32], "N": [8, 16, 32], "trial": "1:2"}),
     ("v-ratio", {"q": [499, 997], "M": [4, 8], "N": [32, 60], "r": [2], "trial": "1:2"}),
     ("salie-moment", {"q": [101, 499, 997], "U0": [4, 16, 64], "r": [2], "trial": "1:2"}),
-    ("gamma-ratio", {"q": [101], "P": [40]}),  # extended below
+    ("gamma-ratio", {"q,P": [(q, int(q**0.8)) for q in (101, 499, 1009, 2003, 4999)]}),
     ("tk-growth", {"k": [3], "N": [5, 10, 15, 20, 25]}),
 ]
 
@@ -48,22 +47,7 @@ def main():
     print(f"{'check':24s} {'rows':>6s} {'skips':>6s} {'max ratio':>12s}")
     failures = 0
     for check, grid in RATIO_GRIDS:
-        if check == "gamma-ratio":
-            # P = q^0.8 per q: five one-cell sweeps, their manifests summed
-            subs = [
-                run_sweep(SweepConfig(check, {"q": [q], "P": [int(q**0.8)]}, seed=args.seed))
-                for q in (101, 499, 1009, 2003, 4999)
-            ]
-            rows = [row for sub in subs for row in sub.rows]
-            manifest = {"config": {"check": check}, "rows": len(rows), "version": __version__,
-                        "bound_formula": subs[0].manifest["bound_formula"],
-                        "max_ratio": max(sub.manifest["max_ratio"] or 0.0 for sub in subs)}
-            for key in ("passes", "failures", "skips", "wall_ms", "cell_ms_total"):
-                manifest[key] = sum(sub.manifest[key] for sub in subs)
-            manifest["cell_failures"] = [f for sub in subs for f in sub.manifest["cell_failures"]]
-            res = SweepResult(rows, manifest)
-        else:
-            res = run_sweep(SweepConfig(check, grid, seed=args.seed, parallelism=args.threads))
+        res = run_sweep(SweepConfig(check, grid, seed=args.seed, parallelism=args.threads))
         emit(res, "csv", os.path.join(args.out_dir, f"{check}.csv"))
         m = res.manifest
         print(f"{check:24s} {m['rows']:6d} {m['skips']:6d} {m['max_ratio']:12.5g}")

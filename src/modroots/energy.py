@@ -2,7 +2,9 @@
 
 tuple_energy computes the number of 2*nu tuples of elements of the preimage
 set A = {x in F_q^* : j*x^k in {1..N}} whose nu-fold sums agree mod q;
-set_energy is the nu = 2 case for a general target set.
+set_energy is the nu = 2 case for a general target set.  Representation
+counts come from a pair bincount or from cyclic_convolve, which reaches every
+q the residue tables allow; max_energy_over_j scans one j per power coset.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .convolve import NAIVE_THRESHOLD, cyclic_convolve
 from .errors import CapacityError
-from .modular import _as_q, kth_root_set, preimage_set, primes_in
+from .modular import PRIME_SWEEP_CAP, _as_q, kth_root_set, preimage_set, primes_in
 from .sets import IndicatorSet, RepFn
 
 # Representation counts of n elements mod q come from a bincount of the n^2
@@ -136,17 +138,15 @@ def power_coset_reps(k: int, q) -> list:
     return reps
 
 
-def max_energy_over_j(k: int, N: int, q, full_enumeration: bool = False):
+def max_energy_over_j(k: int, N: int, q):
     """max_j E_k(N; j, q) and an argmax j.
 
     By dilation invariance the max over all j equals the max over one
-    representative per coset of the k-th powers; full_enumeration forces the
-    all-j scan (oracle mode).
+    representative per coset of the k-th powers.
     """
     q = _as_q(q)
-    js = range(1, q) if full_enumeration else power_coset_reps(k, q)
     best, best_j = 0, 1
-    for j in js:
+    for j in power_coset_reps(k, q):
         e = tuple_energy(EnergyQuery(2, k, N, j, q))
         if e > best:
             best, best_j = e, j
@@ -169,21 +169,19 @@ class PrimeAverageResult:
     value: float
 
 
-def prime_averaged_energy(
-    k: int, N: int, Q: int, full_enumeration: bool = False, sieve_cap: int = 1 << 24
-) -> PrimeAverageResult:
+def prime_averaged_energy(k: int, N: int, Q: int) -> PrimeAverageResult:
     """(log Q / Q) * sum over primes q in [Q/2, Q) of max_j E_k(N; j, q)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if N > Q:
         raise ValueError("requires N <= Q")
-    if Q > sieve_cap:
-        raise CapacityError(f"Q exceeds sieve capacity {sieve_cap}")
+    if Q > PRIME_SWEEP_CAP:
+        raise CapacityError(f"Q exceeds sieve capacity {PRIME_SWEEP_CAP}")
     lo = (Q + 1) // 2  # dyadic: Q/2 <= q < Q
     qs = primes_in(lo, Q - 1)
     total = 0
     for q in qs:
         n_eff = min(N, q)
-        total += max_energy_over_j(k, n_eff, q, full_enumeration=full_enumeration)[0]
+        total += max_energy_over_j(k, n_eff, q)[0]
     value = math.log(Q) / Q * total if Q > 1 else 0.0
     return PrimeAverageResult(k, N, Q, tuple(qs), total, value)

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError
-from .modular import WORD_CAP, _as_q, primes_in, sqrt_mod
+from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, primes_in, sqrt_mod
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ class PrimeRootsResult:
         return self.result.value
 
 
-def prime_roots_discrepancy(q, P: int, sieve_cap: int = 1 << 24) -> PrimeRootsResult:
+def prime_roots_discrepancy(q, P: int) -> PrimeRootsResult:
     """Discrepancy of the multiset { x/q : x^2 = p (mod q), p prime <= P }."""
     q = _as_q(q)
-    if P > sieve_cap:
-        raise CapacityError(f"P exceeds sieve capacity {sieve_cap}")
+    if P > PRIME_SWEEP_CAP:
+        raise CapacityError(f"P exceeds sieve capacity {PRIME_SWEEP_CAP}")
     points = []
     certs = []
     for p in primes_in(2, P) if P >= 2 else []:

@@ -398,18 +398,28 @@ def _expand_axis(value) -> list:
 
 
 def expand_grid(config: SweepConfig) -> list:
+    """Cells of the crossed axes, sorted; a key "a,b" is one axis of zipped (a, b) tuples."""
     if config.check not in CHECKS:
         raise ConfigError(f"unknown check {config.check!r}")
     _, schema = CHECKS[config.check]
-    axes = {}
-    for key, value in config.grid.items():
-        if key not in schema:
-            raise ConfigError(f"unknown grid key {key!r} for check {config.check}")
-        axes[key] = _expand_axis(value)
-    keys = sorted(axes)
+    keys = []
     cells = [{}]
-    for key in keys:
-        cells = [dict(c, **{key: v}) for c in cells for v in axes[key]]
+    for key, value in sorted(config.grid.items()):
+        names = key.split(",")
+        for name in names:
+            if name not in schema:
+                raise ConfigError(f"unknown grid key {name!r} for check {config.check}")
+            if name in keys:
+                raise ConfigError(f"grid key {name!r} appears in two axes")
+            keys.append(name)
+        if len(names) == 1:
+            value = [(v,) for v in _expand_axis(value)]
+        elif not isinstance(value, (list, tuple)) or not all(
+            isinstance(t, (list, tuple)) and len(t) == len(names) for t in value
+        ):
+            raise ConfigError(f"paired grid key {key!r} takes a list of {len(names)}-tuples")
+        cells = [dict(c, **dict(zip(names, t))) for c in cells for t in value]
+    keys.sort()
     cells.sort(key=lambda c: tuple(c[k] for k in keys))
     return cells
 

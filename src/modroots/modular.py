@@ -3,7 +3,8 @@
 Every power and root query below ROOT_TABLE_CAP reads one discrete-log table
 per prime, index_table(q): a primitive root g, pw[i] = g^i and ind[x] =
 log_g x as read-only int32 arrays, built in O(q) by block doubling and cached
-per q (the cache is bounded by the residues it holds, not by its entries).
+per q (the cache is bounded by the residues it holds, not by its entries;
+character_table and unit_roots are cached under the same bound).
 Powers, inverses and the quadratic character are exponent arithmetic on it:
 x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
 With g_k = gcd(k, q-1) and h = (q-1)/g_k, x^k = v has roots only when g_k
@@ -30,6 +31,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 WORD_CAP = 1 << 63
 SIEVE_CAP = 1 << 40
+PRIME_SWEEP_CAP = 1 << 24  # largest Q of the prime average, and P of the prime-roots discrepancy
 ROOT_TABLE_CAP = 1 << 26
 
 COMPLEX_RTOL = 1e-9
@@ -164,7 +166,8 @@ class IndexTable:
         return solvable, self.pw[base[:, None] + h * np.arange(gk)].astype(np.int64)
 
 
-# tables held at once, in residues (two int32 each): 32 MiB, but always the latest table
+# residues each per-q cache holds at once, but always the latest table: 32 MiB of
+# index tables (two int32 a residue), 32 MiB of characters, 64 MiB of unit roots
 INDEX_CACHE_RESIDUES = 1 << 22
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -340,12 +343,12 @@ class CharacterTable:
         return cmath.exp(2j * math.pi * (x % self.q) / self.q)
 
 
-@lru_cache(maxsize=128)
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
 def character_table(q) -> CharacterTable:
     return CharacterTable.build(q)
 
 
-@lru_cache(maxsize=128)
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
 def unit_roots(q: int) -> np.ndarray:
     """exp(2*pi*i*x/q) for x = 0..q-1."""
     return np.exp(2j * np.pi * np.arange(q) / q)

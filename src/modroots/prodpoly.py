@@ -34,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .convolve import _prime_pool
 from .errors import BudgetExceededError, CapacityError
 from .modular import is_prime
 
@@ -43,6 +42,17 @@ DEFAULT_ZERO_BUDGET = 2 * 10**7  # grid tuples per count_box_zeros call
 _FULL_CROSS_CHECK_CAP = 3
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 _SCREEN_CHUNK = 1 << 20  # grid values per screening temporary
+
+
+@lru_cache(maxsize=1)
+def _prime_pool() -> tuple:
+    """All primes c*2^20 + 1 below 2^31, largest first (modmuls fit in int64)."""
+    pool = []
+    for c in range(2047, 0, -2):
+        p = (c << 20) | 1
+        if is_prime(p):
+            pool.append(p)
+    return tuple(pool)
 
 
 @lru_cache(maxsize=32)

@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from modroots.convolve import _prime_pool
-from modroots.prodpoly import IntPoly, batch_values_mod, cyclotomic_poly, product_poly
+from modroots.prodpoly import IntPoly, _prime_pool, batch_values_mod, cyclotomic_poly, product_poly
 from modroots.sets import IndicatorSet
 
 

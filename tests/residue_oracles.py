@@ -8,7 +8,8 @@ square-and-multiply over the whole residue vector and its stable argsort by
 value (the sorted residue map); the root-sum table scattered by np.add.at;
 and the moment window summed by np.roll.  They are slow but independent of
 modular.index_table, so the property tests compare every consumer of the
-table against them.
+table against them.  all_j_max_energy is the oracle for the coset reduction
+of max_energy_over_j: it scans every dilate j with the production energy.
 """
 
 import math
@@ -16,6 +17,8 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+from modroots.energy import EnergyQuery, tuple_energy
 
 
 @lru_cache(maxsize=64)
@@ -80,6 +83,16 @@ def bucket_max_energy(k: int, N: int, q: int):
     best, best_j = 0, 1
     for j in subgroup_coset_reps(k, q):
         e = pair_energy(bucket_preimage(j, k, N, q), q)
+        if e > best:
+            best, best_j = e, j
+    return best, best_j
+
+
+def all_j_max_energy(k: int, N: int, q: int):
+    """(max_j E_k(N; j, q), first maximising j) over every j in 1..q-1."""
+    best, best_j = 0, 1
+    for j in range(1, q):
+        e = tuple_energy(EnergyQuery(2, k, N, j, q))
         if e > best:
             best, best_j = e, j
     return best, best_j

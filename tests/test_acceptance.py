@@ -23,6 +23,9 @@ from modroots.prodpoly import batch_values_mod, classic_square_poly, count_box_z
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
+from convolve_oracles import naive_convolve, ntt_convolve
+from residue_oracles import all_j_max_energy
+
 OK = "PASS"
 BAD = "FAIL"
 
@@ -81,16 +84,17 @@ def test_criterion_02_convolution_engine():
         for _ in range(100):
             u = [rng.randint(0, q) for _ in range(q)]
             v = [rng.randint(0, q) for _ in range(q)]
-            if cyclic_convolve(u, v, method="ntt").tolist() != cyclic_convolve(u, v, method="naive").tolist():
+            w = cyclic_convolve(u, v).tolist()
+            if not w == ntt_convolve(u, v).tolist() == naive_convolve(u, v).tolist():
                 bad += 1
-    _report(2, bad == 0, f"NTT+CRT equals naive convolution on 300 instances ({bad} mismatches)")
+    _report(2, bad == 0, f"cyclic_convolve equals NTT+CRT and naive on 300 instances ({bad} mismatches)")
 
 
 def test_criterion_03_product_poly_regression_and_vanishing():
     ok = product_poly(2) == -classic_square_poly()
     detail = ["quartic matches -1 x classic formula" if ok else "quartic regression FAILED"]
     rng = SplitMix64(333)
-    from modroots.convolve import _prime_pool
+    from modroots.prodpoly import _prime_pool
 
     screen_primes = _prime_pool()[:3]
     for k in (3, 4):
@@ -322,7 +326,7 @@ def test_criterion_10_dilation_and_coset_max():
         q = small[rng.below(len(small))]
         k = rng.randint(2, 5)
         N = rng.randint(1, q)
-        if max_energy_over_j(k, N, q)[0] != max_energy_over_j(k, N, q, full_enumeration=True)[0]:
+        if max_energy_over_j(k, N, q)[0] != all_j_max_energy(k, N, q)[0]:
             coset_bad += 1
     ok = bad == 0 and coset_bad == 0
     _report(10, ok, f"dilation invariance 100/100, coset-representative max = full max 20/20"

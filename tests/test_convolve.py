@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modroots.convolve import (
-    NAIVE_THRESHOLD,
-    _TWO_ADIC,
-    _prime_pool,
-    _primitive_root,
-    _root_powers,
-    cyclic_convolve,
-)
+from modroots.convolve import NAIVE_THRESHOLD, cyclic_convolve
 from modroots.errors import CapacityError
+from modroots.prodpoly import _prime_pool
 from modroots.rng import SplitMix64
+
+from convolve_oracles import _TWO_ADIC, _primitive_root, _root_powers, naive_convolve, ntt_convolve
 
 
 def naive_oracle(u, v):
@@ -46,9 +42,10 @@ def test_random_against_double_loop():
         u = [rng.randint(0, 10) for _ in range(q)]
         v = [rng.randint(0, 10) for _ in range(q)]
         expect = naive_oracle(u, v)
-        assert cyclic_convolve(u, v, method="naive").tolist() == expect
+        assert cyclic_convolve(u, v).tolist() == expect
+        assert naive_convolve(u, v).tolist() == expect
         if q > 2:
-            assert cyclic_convolve(u, v, method="ntt").tolist() == expect
+            assert ntt_convolve(u, v).tolist() == expect
 
 
 def test_ntt_equals_naive_signed_and_big():
@@ -56,12 +53,14 @@ def test_ntt_equals_naive_signed_and_big():
     q = 701
     u = [rng.randint(0, 2**40) - 2**39 for _ in range(q)]
     v = [rng.randint(0, 2**40) - 2**39 for _ in range(q)]
-    assert cyclic_convolve(u, v, method="ntt").tolist() == cyclic_convolve(u, v, method="naive").tolist()
+    expect = naive_convolve(u, v).tolist()
+    assert ntt_convolve(u, v).tolist() == expect
+    assert cyclic_convolve(u, v).tolist() == expect  # q > NAIVE_THRESHOLD: the split route
     # entries far beyond 64 bits
     q = 60
     u = [rng.randint(0, 2**200) for _ in range(q)]
     v = [rng.randint(0, 2**200) for _ in range(q)]
-    assert cyclic_convolve(u, v, method="ntt").tolist() == naive_oracle(u, v)
+    assert ntt_convolve(u, v).tolist() == naive_oracle(u, v)
 
 
 def test_paths_agree_for_every_length_to_200():
@@ -69,7 +68,7 @@ def test_paths_agree_for_every_length_to_200():
     for q in range(3, 201):
         u = [rng.randint(0, 30) for _ in range(q)]
         v = [rng.randint(0, 30) for _ in range(q)]
-        assert cyclic_convolve(u, v, method="ntt").tolist() == cyclic_convolve(u, v, method="naive").tolist()
+        assert ntt_convolve(u, v).tolist() == naive_convolve(u, v).tolist()
 
 
 def test_auto_threshold_paths_agree():
@@ -77,7 +76,7 @@ def test_auto_threshold_paths_agree():
     q = NAIVE_THRESHOLD + 7
     u = [rng.randint(0, q) for _ in range(q)]
     v = [rng.randint(0, q) for _ in range(q)]
-    assert cyclic_convolve(u, v).tolist() == cyclic_convolve(u, v, method="naive").tolist()
+    assert cyclic_convolve(u, v).tolist() == naive_convolve(u, v).tolist()
 
 
 def test_prime_pool_properties():
@@ -106,21 +105,19 @@ def test_ntt_length_cap_is_a_capacity_error():
     u[0] = 1
     v = np.zeros(q, dtype=np.int64)
     v[[0, 5, q - 1]] = [3, 1, 2]
-    assert cyclic_convolve(u, v, method="ntt").tolist() == v.tolist()
+    assert ntt_convolve(u, v).tolist() == v.tolist()
     u, v = np.ones(q + 1, dtype=np.int64), np.ones(q + 1, dtype=np.int64)
     with pytest.raises(CapacityError, match="transform length"):
-        cyclic_convolve(u, v, method="ntt")
+        ntt_convolve(u, v)
 
 
 def test_crt_pool_capacity_is_a_capacity_error():
     capacity = math.prod(_prime_pool())
     small, big = 1 << 1400, 1 << 1600  # bounds 2^2800 and 2^3200 on either side
     assert small * small * 2 + 1 < capacity < big * big * 2 + 1
-    assert cyclic_convolve([small, 0, 1], [small, 0, 0], method="ntt").tolist() == [
-        small * small, 0, small
-    ]
+    assert ntt_convolve([small, 0, 1], [small, 0, 0]).tolist() == [small * small, 0, small]
     with pytest.raises(CapacityError, match="CRT prime pool"):
-        cyclic_convolve([big, 0, 0], [big, 0, 0], method="ntt")
+        ntt_convolve([big, 0, 0], [big, 0, 0])
 
 
 def test_array_result_dtypes():
@@ -128,9 +125,9 @@ def test_array_result_dtypes():
     assert isinstance(w, np.ndarray) and w.dtype == np.int64
     assert cyclic_convolve([2**40, 0, 0], [2**40, 0, 0]).dtype == object
     q = NAIVE_THRESHOLD + 1
-    for method in ("auto", "ntt"):
-        assert cyclic_convolve([1] * q, [1] * q, method=method).dtype == np.int64
-        assert cyclic_convolve([0] * q, [5] * q, method=method).tolist() == [0] * q
+    for convolve in (cyclic_convolve, ntt_convolve):
+        assert convolve([1] * q, [1] * q).dtype == np.int64
+        assert convolve([0] * q, [5] * q).tolist() == [0] * q
     big = [2**40] + [0] * (q - 1)
     w = cyclic_convolve(big, big)
     assert w.dtype == object and w.tolist() == [2**80] + [0] * (q - 1)

@@ -1,9 +1,10 @@
-"""The float64 FFT path of cyclic_convolve against the NTT+CRT oracle.
+"""The float64 FFT path of cyclic_convolve and its bit split against the NTT+CRT oracle.
 
 _float_convolve must return the exact convolution whenever Percival's bound
 certifies it (|u|^2 |v|^2 below _norm_limit(log2 L + 1), L the zero-padded
-length), and cyclic_convolve must reach the NTT (_convolve_mod) exactly when
-it does not.
+length), and cyclic_convolve must reach the bit split (_split_convolve)
+exactly when it does not; the split must agree with the oracles at every
+magnitude, sign and length.
 """
 
 import math
@@ -15,14 +16,17 @@ from hypothesis import given, settings, strategies as st
 
 import modroots.convolve as convolve
 from modroots.convolve import NAIVE_THRESHOLD, _float_convolve, _norm_limit, cyclic_convolve
+from modroots.errors import CapacityError
+
+from convolve_oracles import naive_convolve, ntt_convolve
 
 
-class ReachedNTT(Exception):
+class ReachedSplit(Exception):
     pass
 
 
 def _refuse(*args):
-    raise ReachedNTT
+    raise ReachedSplit
 
 
 def norm_squares(u, v):
@@ -47,6 +51,25 @@ def draw_vector(rng, q, kind):
         return rng.integers(0, rng.integers(1, 200), size=q, dtype=np.int64)
     bits = int(rng.choice([1, 8, 16, 24, 30]))
     return rng.integers(-(1 << bits), 1 << bits, size=q, dtype=np.int64)
+
+
+def scaled_pair(u, v):
+    """(t u, t v) and ((t+1) u, (t+1) v) on either side of the bound, t the largest certified."""
+    t = math.isqrt(math.isqrt((limit_for(len(u)) - 1) // norm_squares(u, v)))
+    below, above = (t * u, t * v), ((t + 1) * u, (t + 1) * v)
+    assert certified(*below) and not certified(*above)
+    assert int(np.abs(above[0]).max()) < 1 << 31  # the guard, not the entry cap, decides
+    return below, above
+
+
+def sparse_convolve(u, v):
+    """Cyclic convolution by a loop over the nonzero entries of u and v."""
+    q = len(u)
+    out = [0] * q
+    for i in np.flatnonzero(u).tolist():
+        for j in np.flatnonzero(v).tolist():
+            out[(i + j) % q] += int(u[i]) * int(v[j])
+    return out
 
 
 KINDS = st.sampled_from(["bits", "counts", "signed"])
@@ -79,7 +102,7 @@ def test_float_kernel_against_ntt(q, kind_u, kind_v, seed):
     w = _float_convolve(u, v)
     if certified(u, v):
         assert w is not None and w.dtype == np.int64
-        assert w.tolist() == cyclic_convolve(u, v, method="ntt").tolist()
+        assert w.tolist() == ntt_convolve(u, v).tolist()
     else:
         assert w is None
 
@@ -89,14 +112,15 @@ def test_float_kernel_against_ntt(q, kind_u, kind_v, seed):
 def test_auto_route_follows_the_guard(q, kind_u, kind_v, seed):
     rng = np.random.default_rng(seed)
     u, v = draw_vector(rng, q, kind_u), draw_vector(rng, q, kind_v)
-    expect = cyclic_convolve(u, v, method="ntt").tolist()
+    expect = ntt_convolve(u, v).tolist()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convolve, "_convolve_mod", _refuse)
+        mp.setattr(convolve, "_split_convolve", _refuse)
         if q <= NAIVE_THRESHOLD or certified(u, v):
             assert cyclic_convolve(u, v).tolist() == expect
         else:
-            with pytest.raises(ReachedNTT):
+            with pytest.raises(ReachedSplit):
                 cyclic_convolve(u, v)
+    assert cyclic_convolve(u, v).tolist() == expect
 
 
 @given(st.one_of(st.integers(1, 64), EDGE_Q), st.sampled_from(["bits", "counts", "delta"]), SEEDS)
@@ -109,26 +133,22 @@ def test_inputs_scaled_to_either_side_of_the_bound(q, kind, seed):
     else:
         u, v = draw_vector(rng, q, kind), draw_vector(rng, q, kind)
         u[0] = v[0] = 1  # nonzero norms
-    limit = limit_for(q)
-    # largest t with t^4 |u|^2 |v|^2 < limit: t u, t v is certified and (t+1) u, (t+1) v is not
-    t = math.isqrt(math.isqrt((limit - 1) // norm_squares(u, v)))
-    below, above = (t * u, t * v), ((t + 1) * u, (t + 1) * v)
-    assert certified(*below) and not certified(*above)
-    assert int(np.abs(above[0]).max()) < 1 << 31  # the guard, not the entry cap, decides
+    below, above = scaled_pair(u, v)
     for pair, ok in ((below, True), (above, False)):
         w = _float_convolve(*pair)
-        expect = cyclic_convolve(*pair, method="ntt").tolist()
+        expect = ntt_convolve(*pair).tolist()
         assert (w is not None) == ok
         if ok:
             assert w.tolist() == expect
         if q > NAIVE_THRESHOLD:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(convolve, "_convolve_mod", _refuse)
+                mp.setattr(convolve, "_split_convolve", _refuse)
                 if ok:
                     assert cyclic_convolve(*pair).tolist() == expect
                 else:
-                    with pytest.raises(ReachedNTT):
+                    with pytest.raises(ReachedSplit):
                         cyclic_convolve(*pair)
+            assert cyclic_convolve(*pair).tolist() == expect
 
 
 def test_sum_identity_rejects_an_inexact_transform(monkeypatch):
@@ -139,8 +159,10 @@ def test_sum_identity_rejects_an_inexact_transform(monkeypatch):
     q = NAIVE_THRESHOLD + 100
     u = rng.integers(0, 1 << 24, size=q, dtype=np.int64)
     v = rng.integers(0, 1 << 24, size=q, dtype=np.int64)
-    assert _float_convolve(u, v) is None
-    assert cyclic_convolve(u, v).tolist() == cyclic_convolve(u, v, method="naive").tolist()
+    with pytest.raises(ArithmeticError, match="sum"):
+        _float_convolve(u, v)
+    with pytest.raises(ArithmeticError, match="sum"):
+        cyclic_convolve(u, v)
 
 
 def test_entry_cap_and_dtype_decline():
@@ -152,3 +174,96 @@ def test_entry_cap_and_dtype_decline():
     assert _float_convolve(u, e) is None  # certified by the bound, but above the entry cap
     assert _float_convolve(u >> 1, e).tolist() == (u >> 1).tolist()
     assert _float_convolve(e.astype(object), e) is None
+
+
+# --- the bit split --------------------------------------------------------------
+
+EDGE_ENTRIES = [2**31 - 1, 2**31, 2**31 + 1, -(2**31) - 1, 2**62, -(2**62), 2**63 - 1, 2**63, -(2**63)]
+
+
+@pytest.mark.parametrize("q", [NAIVE_THRESHOLD + 1, 1031])
+def test_split_at_word_edges(q):
+    rng = np.random.default_rng(q)
+    for trial in range(6):
+        u = rng.integers(-3, 4, size=q).astype(object)
+        v = rng.integers(0, 1 << 20, size=q).astype(object)
+        u[rng.integers(q, size=4)] = rng.choice(np.array(EDGE_ENTRIES, dtype=object), 4)
+        v[rng.integers(q, size=3)] = rng.choice(np.array(EDGE_ENTRIES, dtype=object), 3)
+        if trial % 2:
+            u = np.array([x * (1 << 137) - 1 for x in u.tolist()], dtype=object)  # about 2^200
+        expect = ntt_convolve(u, v)
+        got = cyclic_convolve(u, v)
+        assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
+        assert all(type(x) is int for x in got.tolist())
+
+
+def test_split_of_signed_62_bit_entries():
+    rng = np.random.default_rng(62)
+    q = 2 * NAIVE_THRESHOLD + 3
+    for bits in (31, 32, 40, 62):
+        u = rng.integers(-(1 << bits) + 1, 1 << bits, size=q, dtype=np.int64)
+        v = rng.integers(-(1 << bits) + 1, 1 << bits, size=q, dtype=np.int64)
+        expect = ntt_convolve(u, v)
+        got = cyclic_convolve(u, v)
+        assert got.dtype == expect.dtype and got.tolist() == expect.tolist()
+
+
+@given(st.integers(NAIVE_THRESHOLD + 1, NAIVE_THRESHOLD + 40), st.sampled_from([2, 9, 33, 63]), SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_forced_deep_splits_match_the_oracle(q, bits, seed):
+    # a tiny bound certifies only small halves, so every pair is split down to a few bits
+    rng = np.random.default_rng(seed)
+    u = rng.integers(-(1 << (bits - 1)), 1 << (bits - 1), size=q, dtype=np.int64)
+    v = rng.integers(-3, 4, size=q, dtype=np.int64)
+    v[rng.integers(q)] = -(1 << (bits - 1))
+    expect = ntt_convolve(u, v).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convolve, "_norm_limit", lambda levels: 1 << 40)
+        assert cyclic_convolve(u, v).tolist() == expect
+
+
+def test_unit_operands_past_the_bound_are_a_capacity_error(monkeypatch):
+    monkeypatch.setattr(convolve, "_norm_limit", lambda levels: 1)  # only zero vectors certify
+    q = NAIVE_THRESHOLD + 1
+    ones, signs = np.ones(q, dtype=np.int64), np.resize(np.array([1, -1, 0]), q)
+    for u, v in ((ones, ones), (signs, ones), (5 * ones, signs)):
+        with pytest.raises(CapacityError, match="float error bound"):
+            cyclic_convolve(u, v)
+    assert cyclic_convolve(np.zeros(q, dtype=np.int64), ones).tolist() == [0] * q
+
+
+def test_certified_input_calls_float_convolve_once(monkeypatch):
+    calls = []
+
+    def counted(u, v):
+        calls.append(len(u))
+        return _float_convolve(u, v)
+
+    monkeypatch.setattr(convolve, "_float_convolve", counted)
+    rng = np.random.default_rng(5)
+    q = 1009
+    u, v = draw_vector(rng, q, "bits"), draw_vector(rng, q, "counts")
+    below, above = scaled_pair(u, v)
+    assert cyclic_convolve(*below).tolist() == ntt_convolve(*below).tolist()
+    assert calls == [q]
+    calls.clear()
+    assert cyclic_convolve(*above).tolist() == ntt_convolve(*above).tolist()
+    assert len(calls) >= 3  # the declined pair, then both halves
+
+
+def test_split_at_the_ntt_length_limit():
+    # q = 2^19 is the oracle's last length; 2^19 + 1 needs 2^21 points, checked by a sparse loop
+    rng = np.random.default_rng(19)
+    q = 1 << 19
+    u, v = draw_vector(rng, q, "bits"), draw_vector(rng, q, "bits")
+    u[0] = v[0] = 1
+    for pair in scaled_pair(u, v):
+        assert cyclic_convolve(*pair).tolist() == ntt_convolve(*pair).tolist()
+    q += 1
+    u, v = np.zeros(q, dtype=np.int64), np.zeros(q, dtype=np.int64)
+    u[rng.integers(q, size=40)] = rng.integers(1, 1 << 10, size=40)
+    v[rng.integers(q, size=40)] = rng.integers(1, 1 << 10, size=40)
+    for pair in scaled_pair(u, v):
+        assert cyclic_convolve(*pair).tolist() == sparse_convolve(*pair)
+    big = (u << 50) - (v << 51)  # entries near 2^61, split below 2^31 before any transform
+    assert cyclic_convolve(big, v).tolist() == sparse_convolve(big, v)

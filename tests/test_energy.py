@@ -19,6 +19,8 @@ from modroots.modular import preimage_set
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
+from residue_oracles import all_j_max_energy
+
 
 def brute_force_tuple_energy(A, nu):
     """O(|A|^(2 nu)) enumeration; only for tiny sets."""
@@ -139,7 +141,7 @@ def test_coset_reps_cover():
 def test_max_energy_coset_equals_full():
     for q, k, N in [(13, 3, 4), (19, 3, 7), (17, 2, 5), (31, 5, 9)]:
         fast = max_energy_over_j(k, N, q)[0]
-        slow = max_energy_over_j(k, N, q, full_enumeration=True)[0]
+        slow = all_j_max_energy(k, N, q)[0]
         assert fast == slow
 
 

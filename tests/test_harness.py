@@ -19,8 +19,10 @@ from modroots.harness import (
     run_sweep,
     theta_k,
 )
-from modroots.modular import index_table
-from modroots.rng import SplitMix64
+from modroots.convolve import _float_convolve
+from modroots.energy import sum_rep
+from modroots.modular import index_table, preimage_set
+from modroots.rng import SplitMix64, cell_seeds
 
 
 def test_exponent_constants():
@@ -47,6 +49,32 @@ def test_unknown_keys_rejected():
         expand_grid(SweepConfig("no-such-check", {}))
     with pytest.raises(ConfigError):
         expand_grid(SweepConfig("t22-bound", {"q": "1:10:0"}))
+
+
+def test_paired_axes_zip_their_values():
+    cfg = SweepConfig("gamma-ratio", {"q,P": [(499, 143), (101, 40), [1009, 252]]})
+    assert expand_grid(cfg) == [{"P": 40, "q": 101}, {"P": 143, "q": 499}, {"P": 252, "q": 1009}]
+    # a paired axis crosses the other axes like any single one
+    cells = expand_grid(SweepConfig("v-ratio", {"q,r": [(499, 2), (997, 3)], "M": [4, 8], "N": [32]}))
+    assert [(c["q"], c["r"], c["M"]) for c in cells] == [(499, 2, 4), (997, 3, 4), (499, 2, 8), (997, 3, 8)]
+    for grid in (
+        {"q,P": [(101, 40), (499,)]},  # unequal lengths
+        {"q,P": [(101, 40, 1)]},
+        {"q,P": [101, 40]},  # not tuples
+        {"q,P": "1:3"},
+        {"q,bogus": [(101, 40)]},  # unknown name
+        {"q,P": [(101, 40)], "q": [499]},  # q in two axes
+    ):
+        with pytest.raises(ConfigError):
+            expand_grid(SweepConfig("gamma-ratio", grid))
+
+
+def test_paired_gamma_ratio_sweep_equals_one_cell_sweeps():
+    pairs = [(q, int(q**0.8)) for q in (101, 499, 1009)]
+    paired = run_sweep(SweepConfig("gamma-ratio", {"q,P": pairs}, seed=1))
+    single = [run_sweep(SweepConfig("gamma-ratio", {"q": [q], "P": [P]}, seed=1)) for q, P in pairs]
+    assert render_csv(paired.rows) == render_csv([row for res in single for row in res.rows])
+    assert paired.manifest["rows"] == 3 and paired.manifest["config"]["grid"] == {"q,P": pairs}
 
 
 def test_all_checks_registered():
@@ -299,9 +327,25 @@ def test_large_modulus_cells_give_rows(drop_residue_tables, check, q, N):
     assert res.manifest["skips"] == 0
 
 
-def test_past_float_guard_and_ntt_cap_is_a_skip_row(drop_residue_tables):
-    # |A| ~ 10^5: the t42 count vectors fail Percival's bound, and the NTT needs 2^21 points
-    res = run_sweep(SweepConfig("t42-bound", {"q": [1000003], "N": [100000]}, seed=1))
+def test_past_float_guard_is_a_split_row(drop_residue_tables):
+    # |A| ~ 10^5 at q = 1000003: the pair counts r2 pass Percival's bound, r4 = r2 * r2 does
+    # not, so r4 comes from the bit split.  Checked against |A ∩ (d - A)| for sampled r2
+    # entries, exact object dot products for sampled r4 entries, and sum(r4) = |A|^4.
+    q, N = 1000003, 100000
+    res = run_sweep(SweepConfig("t42-bound", {"q": [q], "N": [N]}, seed=1))
     (row,) = res.rows
-    assert row.params["skip"] == "CapacityError" and row.measured is None
-    assert res.manifest["skips"] == 1
+    assert "skip" not in row.params and "fail" not in row.params and res.manifest["skips"] == 0
+    j = SplitMix64(cell_seeds(1, 1)[0]).randint(1, q - 1)  # the dilate the cell drew
+    A = preimage_set(j, 2, N, q)
+    m = A.members
+    r2 = sum_rep(A, 2).counts
+    r4 = sum_rep(A, 4).counts
+    assert _float_convolve(r2, r2) is None
+    rng = np.random.default_rng(q)
+    for d in rng.integers(q, size=4).tolist():
+        assert r2[d] == np.isin((d - m) % q, m).sum()
+    r2 = r2.astype(object)
+    for d in rng.integers(q, size=3).tolist():
+        assert r4[d] == np.dot(r2, r2[(d - np.arange(q)) % q])
+    assert sum(r4.tolist()) == A.cardinality**4
+    assert row.measured == sum(c * c for c in r4.tolist())

@@ -18,15 +18,18 @@ from modroots.energy import prime_averaged_energy, set_energy
 from modroots.errors import CapacityError
 from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment, root_sum_weight_table
 from modroots.modular import (
+    INDEX_CACHE_RESIDUES,
     ROOT_TABLE_CAP,
     CharacterTable,
     _cache_by_residues,
+    character_table,
     index_table,
     is_prime,
     kth_root_set,
     kth_roots,
     preimage_set,
     sqrt_mod,
+    unit_roots,
 )
 from modroots.sets import IndicatorSet
 
@@ -194,6 +197,20 @@ def test_cache_is_bounded_by_residues_not_by_count():
     assert table.cache_info().currsize == 37
     table.cache_clear()
     assert table.cache_info() == (0, 0, 30, 0)
+
+
+def test_character_caches_are_bounded_by_residues():
+    # a count-bounded lru kept all three: about 294 MiB of roots and characters
+    caches = (unit_roots, character_table, index_table)
+    try:
+        for q in (1000003, 2000003, 4194301):
+            char_inverse_moment(3, 16, 2, q)
+            for cache in caches:
+                assert cache.cache_info().currsize <= INDEX_CACHE_RESIDUES + q
+        assert unit_roots.cache_info().currsize == character_table.cache_info().currsize == 4194301
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_second_prime_average_builds_no_table():
