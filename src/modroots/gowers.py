@@ -149,14 +149,17 @@ def _work_estimate(A: IndicatorSet, k: int) -> int:
     return A.q ** max(k - 1, 0) * max(A.cardinality, 1)
 
 
-def gowers_norm(
-    A: IndicatorSet, k: int, k_cap: int = DEFAULT_K_CAP, budget: int = DEFAULT_WORK_BUDGET
-) -> int:
+def gowers_norm(A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET) -> int:
     """The non-normalised U^k norm, computed two ways and cross-checked."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > k_cap:
-        raise BudgetExceededError(f"k={k} above cap {k_cap}")
+    if k > DEFAULT_K_CAP:
+        raise BudgetExceededError(f"k={k} above cap {DEFAULT_K_CAP}")
+    return _gowers_norm(A, k, budget)
+
+
+def _gowers_norm(A: IndicatorSet, k: int, budget: int) -> int:
+    """gowers_norm past the k cap: character_lemma_report needs U^(k+1)."""
     if _work_estimate(A, k) > budget:
         raise BudgetExceededError("work estimate exceeds budget")
     if A.cardinality == 0:
@@ -192,7 +195,7 @@ def _log_ratio(lhs: int, rhs: int) -> float:
 
 
 def character_lemma_report(
-    A: IndicatorSet, k: int, k_cap: int = DEFAULT_K_CAP, budget: int = DEFAULT_WORK_BUDGET
+    A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET
 ) -> CharLemmaReport:
     """Checks, in exact integer arithmetic with cross-multiplied powers:
 
@@ -204,14 +207,12 @@ def character_lemma_report(
     """
     if k < 2:
         raise ValueError("growth inequality needs k >= 2")
-    if k > k_cap:
-        raise BudgetExceededError(f"k={k} above cap {k_cap}")
+    if k > DEFAULT_K_CAP:
+        raise BudgetExceededError(f"k={k} above cap {DEFAULT_K_CAP}")
     if A.cardinality == 0:
         return CharLemmaReport(k, True, True, 0.0, True, 0.0)
 
-    norms = {
-        m: gowers_norm(A, m, k_cap=k_cap + 1, budget=budget) for m in sorted({2, k - 1, k, k + 1})
-    }
+    norms = {m: _gowers_norm(A, m, budget) for m in sorted({2, k - 1, k, k + 1})}
     # growth: U^{k+1}^(k-1) * U^{k-1}^(2k) >= U^k^(3k-2)
     lhs1 = norms[k + 1] ** (k - 1) * norms[k - 1] ** (2 * k)
     rhs1 = norms[k] ** (3 * k - 2)

@@ -7,9 +7,15 @@ max box-norm of an LLL-reduced basis (d independent vectors), so the greedy
 extraction below sees every candidate vector.  LLL is integral (Cohen, GTM 138,
 §2.6): integer Gram determinants in place of a rational Gram-Schmidt.  Norms
 are compared as integers scaled by an lcm of the widths, in int64 arrays while
-they stay below 2^63 and in object arrays above.  The dual enumeration visits
-O(min(q, box)) residue classes in bounded chunks, plus its output, never all
-of [0, q).
+they stay below 2^63 and in object arrays above.
+
+One chunked walk per side.  The primal walk enumerates a box's free
+coordinates in blocks of at most _CHUNK tuples and solves the congruence for
+the widest one: point counts sum its residue classes, box points and primal
+minima lift them.  The residue walk visits the min(q, 2*b_f + 1) residues that
+the narrowest bound b_f meets, never all of [0, q): the dual minima lift them,
+and trichotomy case (iii) compares their balanced lifts with the exact integer
+thresholds floor(4320*MN/K), so no product can wrap int64.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -54,7 +61,7 @@ class CongruenceLattice:
         """Rows generating the lattice (solved coordinate: the last)."""
         d, q = self.d, self.q
         s = d - 1
-        inv = pow(self.coeffs[s] % q, -1, q) if q > 1 else 0
+        inv = pow(self.coeffs[s], -1, q)  # 0 when q = 1
         rows = []
         for i in range(d - 1):
             row = [0] * d
@@ -109,18 +116,19 @@ def _class_counts(res: np.ndarray, bound: int, q: int):
     return tmin, counts
 
 
-def _expand_classes(free_cols: list, res: np.ndarray, bound: int, q: int):
-    """All solved-coordinate values per free tuple; returns stacked columns."""
+def _expand_classes(free_cols: list, res: np.ndarray, bound: int, q: int, at: int) -> list:
+    """Every solved value res + q*t in [-bound, bound] per free tuple: the free
+    columns repeated, with the solved column inserted at position at."""
     tmin, counts = _class_counts(res, bound, q)
     total = int(counts.sum())
-    if total == 0:
-        return None
     rep = np.repeat(np.arange(len(res)), counts)
     solved = np.arange(total, dtype=np.int64)  # becomes res + q*t, in place
     solved -= (np.cumsum(counts) - counts - tmin)[rep]
     solved *= q
     solved += res[rep]
-    return [col[rep] for col in free_cols], solved
+    cols = [col[rep] for col in free_cols]
+    cols.insert(at, solved)
+    return cols
 
 
 def _mulmod(c: int, r: np.ndarray, q: int) -> np.ndarray:
@@ -130,99 +138,80 @@ def _mulmod(c: int, r: np.ndarray, q: int) -> np.ndarray:
     return ((c * r.astype(object)) % q).astype(np.int64)
 
 
-def _solve_coord(lat: CongruenceLattice, s: int):
-    q = lat.q
-    if q == 1:
-        return [0] * lat.d
-    inv = pow(lat.coeffs[s] % q, -1, q)
-    return [(-a * inv) % q for a in lat.coeffs]  # entry s unused
-
-
-def _enumeration_plan(lat: CongruenceLattice, bounds: list, budget: int):
-    """The solved coordinate s (the widest), the free ones, and the multipliers
-    solving the congruence for s; raises before the enumeration would exceed the
-    budget or int64."""
-    s = max(range(lat.d), key=lambda i: bounds[i])
-    free = [i for i in range(lat.d) if i != s]
+def _primal_walk(lat: CongruenceLattice, bounds: list, budget: int):
+    """Walk the box |v_i| <= bounds_i over the free coordinates; the congruence
+    solves for the widest one, s.  Raises before allocating if the walk would
+    exceed the budget or int64, then yields (s, axes, res) per block of at most
+    _CHUNK free tuples: the block's values of each free coordinate (a grid), and
+    per grid tuple, in row-major order, the residue mod q forced on v_s."""
+    d, q = lat.d, lat.q
+    s = max(range(d), key=lambda i: bounds[i])
+    free = [i for i in range(d) if i != s]
     volume = math.prod(2 * bounds[i] + 1 for i in free)
     if volume > budget:
         raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
     # every int64 intermediate (multiplier times free value, residue sums, solved values) is below this
-    if lat.q * (sum(bounds[i] for i in free) + 2) + bounds[s] >= _WORD_CAP:
-        raise CapacityError(f"enumeration at q={lat.q}, bounds={bounds} overflows int64")
-    return s, free, _solve_coord(lat, s)
+    if q * (sum(bounds[i] for i in free) + 2) + bounds[s] >= _WORD_CAP:
+        raise CapacityError(f"enumeration at q={q}, bounds={bounds} overflows int64")
+    inv = pow(lat.coeffs[s], -1, q)  # 0 when q = 1
+    cmul = [(-lat.coeffs[i] * inv) % q for i in free]
+    # blocks of whole rows of the last free coordinate, or of one row's pieces
+    steps = [max(1, _CHUNK // (2 * bounds[free[-1]] + 1))] * (len(free) - 1) + [_CHUNK]
+    for starts in product(*(range(-bounds[i], bounds[i] + 1, st) for i, st in zip(free, steps))):
+        ends = [min(lo + st, bounds[i] + 1) for lo, st, i in zip(starts, steps, free)]
+        axes = [np.arange(lo, hi, dtype=np.int64) for lo, hi in zip(starts, ends)]
+        res = np.zeros((), dtype=np.int64)
+        for c, v in zip(cmul, axes):
+            res = (res[..., None] + c * v) % q
+        yield s, axes, res.ravel()
+
+
+def _lifted_blocks(lat: CongruenceLattice, bounds: list, budget: int):
+    """The box's lattice points as (n, d) int64 arrays: the lifts of consecutive
+    walk blocks, joined until they reach _CHUNK points (sparse lifts would
+    otherwise cost the minima one greedy pass per block)."""
+    batch, size = [], 0
+    for s, axes, res in _primal_walk(lat, bounds, budget):
+        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        batch.append(np.stack(_expand_classes(grid, res, bounds[s], lat.q, s), axis=1))
+        size += len(batch[-1])
+        if size >= _CHUNK:
+            pts, batch, size = np.concatenate(batch), [], 0
+            yield pts
+    if batch:
+        yield np.concatenate(batch)
 
 
 def count_points(lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """#(lattice ∩ box), origin included: enumerate the free coordinates and
-    solve the congruence for the remaining one."""
+    """#(lattice ∩ box), origin included: walk the free coordinates and count
+    the solutions of the congruence for the remaining one."""
     if box.d != lat.d:
         raise ValueError("dimension mismatch")
     bounds = [int(w) for w in box.half_widths]  # floor of nonnegative rationals
-    s, free, cmul = _enumeration_plan(lat, bounds, budget)
-    q = lat.q
-    total = 0
-    if lat.d == 2:
-        f = free[0]
-        vf = np.arange(-bounds[f], bounds[f] + 1, dtype=np.int64)
-        res = (cmul[f] * vf) % q if q > 1 else np.zeros(len(vf), dtype=np.int64)
-        _, counts = _class_counts(res, bounds[s], q)
-        return int(counts.sum())
-    f1, f2 = free
-    v2 = np.arange(-bounds[f2], bounds[f2] + 1, dtype=np.int64)
-    r2 = (cmul[f2] * v2) % q if q > 1 else np.zeros(len(v2), dtype=np.int64)
-    step = max(1, _CHUNK // max(len(v2), 1))
-    for lo in range(-bounds[f1], bounds[f1] + 1, step):
-        hi = min(lo + step - 1, bounds[f1])
-        v1 = np.arange(lo, hi + 1, dtype=np.int64)
-        r1 = (cmul[f1] * v1) % q if q > 1 else np.zeros(len(v1), dtype=np.int64)
-        res = (r1[:, None] + r2[None, :]) % q if q > 1 else np.zeros((len(v1), len(v2)), dtype=np.int64)
-        _, counts = _class_counts(res.ravel(), bounds[s], q)
-        total += int(counts.sum())
-    return total
+    walk = _primal_walk(lat, bounds, budget)
+    return sum(int(_class_counts(res, bounds[s], lat.q)[1].sum()) for s, _, res in walk)
 
 
 def box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
     """All lattice points v with |v_i| <= bounds_i, as an (n, d) int64 array."""
-    bounds = [int(b) for b in bounds]
-    s, free, cmul = _enumeration_plan(lat, bounds, budget)
-    q = lat.q
-    pieces = []
-    if lat.d == 2:
-        f = free[0]
-        vf = np.arange(-bounds[f], bounds[f] + 1, dtype=np.int64)
-        res = (cmul[f] * vf) % q if q > 1 else np.zeros(len(vf), dtype=np.int64)
-        expanded = _expand_classes([vf], res, bounds[s], q)
-        if expanded is not None:
-            (col_f,), col_s = expanded
-            out = np.empty((len(col_s), 2), dtype=np.int64)
-            out[:, f] = col_f
-            out[:, s] = col_s
-            pieces.append(out)
-    else:
-        f1, f2 = free
-        v2 = np.arange(-bounds[f2], bounds[f2] + 1, dtype=np.int64)
-        r2 = (cmul[f2] * v2) % q if q > 1 else np.zeros(len(v2), dtype=np.int64)
-        step = max(1, _CHUNK // max(len(v2), 1))
-        for lo in range(-bounds[f1], bounds[f1] + 1, step):
-            hi = min(lo + step - 1, bounds[f1])
-            v1 = np.arange(lo, hi + 1, dtype=np.int64)
-            g1, g2 = np.meshgrid(v1, v2, indexing="ij")
-            g1 = g1.ravel()
-            g2 = g2.ravel()
-            res = ((cmul[f1] * g1) + (cmul[f2] * g2)) % q if q > 1 else np.zeros(len(g1), dtype=np.int64)
-            expanded = _expand_classes([g1, g2], res, bounds[s], q)
-            if expanded is None:
-                continue
-            (col1, col2), col_s = expanded
-            out = np.empty((len(col_s), 3), dtype=np.int64)
-            out[:, f1] = col1
-            out[:, f2] = col2
-            out[:, s] = col_s
-            pieces.append(out)
-    if not pieces:
-        return np.empty((0, lat.d), dtype=np.int64)
-    return np.concatenate(pieces, axis=0)
+    pieces = list(_lifted_blocks(lat, [int(b) for b in bounds], budget))
+    return np.concatenate(pieces) if pieces else np.empty((0, lat.d), dtype=np.int64)
+
+
+def _residue_walk(coeffs, q: int, bounds: list, step: int):
+    """The residues t_i = a_i * lambda mod q of the lambda whose narrowest
+    coordinate f has t_f in [-b_f, b_f] (mod q): per chunk of at most step of the
+    min(q, 2*b_f + 1) such r = t_f, never all of [0, q), the columns
+    t_i = cmul_i * r mod q with cmul_i = a_i * a_f^{-1}."""
+    f = min(range(len(coeffs)), key=bounds.__getitem__)
+    inv = pow(coeffs[f], -1, q)
+    cmul = [(a * inv) % q for a in coeffs]
+    b = bounds[f]
+    spans = [(0, q)] if 2 * b + 1 >= q else [(0, b + 1), (q - b, q)]
+    for lo, hi in spans:
+        for start in range(lo, hi, step):
+            r = np.arange(start, min(start + step, hi), dtype=np.int64)
+            yield [_mulmod(c, r, q) for c in cmul]
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +358,13 @@ def successive_minima(
     mult = [wi.denominator * (P // wi.numerator) for wi in w]
     reduced = _lll(lat.basis(), [1 / (wi * wi) for wi in w])
     radius = max(max(abs(x) * m for x, m in zip(row, mult)) for row in reduced)  # scaled
-    pts = box_points(lat, [radius // m for m in mult], budget=budget)
-    if radius >= _WORD_CAP:
-        pts = pts.astype(object)
-    scaled = (np.abs(pts) * np.array(mult, dtype=pts.dtype)).max(axis=1)
-    nonzero = scaled > 0
-    picks = _greedy_minima(scaled[nonzero], pts[nonzero], [])
+    score_dtype = np.int64 if radius < _WORD_CAP else object
+    picks: list = []
+    for pts in _lifted_blocks(lat, [radius // m for m in mult], budget):
+        pts = pts.astype(score_dtype, copy=False)
+        scaled = (np.abs(pts) * np.array(mult, dtype=score_dtype)).max(axis=1)
+        nonzero = scaled > 0
+        picks = _greedy_minima(scaled[nonzero], pts[nonzero], picks)
     return _minima_result(picks, d, P, "enumeration radius")
 
 
@@ -404,9 +394,7 @@ class DualLattice:
     def integer_basis(self) -> list:
         """Basis of q * (dual lattice) as integer rows."""
         a, q, d = self.primal.coeffs, self.q, self.primal.d
-        if q == 1:
-            return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-        inv = pow(a[0] % q, -1, q)
+        inv = pow(a[0], -1, q)  # 0 when q = 1: the identity rows
         first = [(ai * inv) % q for ai in a]
         first[0] = 1
         rows = [first]
@@ -424,11 +412,8 @@ class DualLattice:
             if v.denominator != 1:
                 return False
             m.append(int(v))
-        q = self.q
-        if q == 1:
-            return True
-        a = self.primal.coeffs
-        lam = (m[0] * pow(a[0] % q, -1, q)) % q
+        q, a = self.q, self.primal.coeffs
+        lam = (m[0] * pow(a[0], -1, q)) % q
         return all((ai * lam - mi) % q == 0 for ai, mi in zip(a, m))
 
 
@@ -442,9 +427,7 @@ def dual_minima(
     """Successive minima of the dual body {sum w_i|x_i| <= 1} w.r.t. the dual lattice.
 
     The candidates q*x = m with m_i = a_i*lambda (mod q) inside the certified
-    box are enumerated in chunks, indexed by the residue r = a_f*lambda of the
-    narrowest coordinate f: only the min(q, 2*b_f + 1) residues that [-b_f, b_f]
-    meets are visited.
+    box are the lifts of the residue walk's columns, chunk by chunk.
     """
     if box.d != lat.d:
         raise ValueError("dimension mismatch")
@@ -460,23 +443,11 @@ def dual_minima(
     if max(bounds) + q >= _WORD_CAP:
         raise CapacityError(f"dual enumeration at q={q}, bounds={bounds} overflows int64")
     score_dtype = np.int64 if sum(b * m for b, m in zip(bounds, mult)) < _WORD_CAP else object
-
-    f = min(range(d), key=bounds.__getitem__)
-    inv = pow(lat.coeffs[f], -1, q)
-    cmul = [(a * inv) % q for a in lat.coeffs]  # residue of m_i is cmul[i] * r
-    b = bounds[f]
-    spans = [(0, q)] if 2 * b + 1 >= q else [(0, b + 1), (q - b, q)]
     per_class = math.prod(2 * bi // q + 1 for bi in bounds)  # candidates per residue, at most
 
-    def residues(step):
-        for lo, hi in spans:
-            for start in range(lo, hi, step):
-                r = np.arange(start, min(start + step, hi), dtype=np.int64)
-                yield [_mulmod(c, r, q) for c in cmul]
-
-    if sum(hi - lo for lo, hi in spans) * per_class > budget:  # else the count cannot exceed it
+    if min(q, 2 * min(bounds) + 1) * per_class > budget:  # else the count cannot exceed it
         total = 0
-        for res in residues(_CHUNK):
+        for res in _residue_walk(lat.coeffs, q, bounds, _CHUNK):
             counts = [_class_counts(ri, bi, q)[1] for ri, bi in zip(res, bounds)]
             if per_class * _CHUNK >= _WORD_CAP:  # the products of counts could wrap int64
                 counts[0] = counts[0].astype(object)
@@ -485,13 +456,11 @@ def dual_minima(
                 raise BudgetExceededError("dual enumeration exceeds budget")
 
     picks: list = []
-    for cols in residues(max(1, _CHUNK // per_class)):
+    for cols in _residue_walk(lat.coeffs, q, bounds, max(1, _CHUNK // per_class)):
         for i in range(d):  # replace residue column i by its lifts
-            expanded = _expand_classes(cols[:i] + cols[i + 1:], cols[i], bounds[i], q)
-            if expanded is None:
+            cols = _expand_classes(cols[:i] + cols[i + 1:], cols[i], bounds[i], q, i)
+            if not len(cols[i]):
                 break
-            rest, lifts = expanded
-            cols = rest[:i] + [lifts] + rest[i:]
         else:
             scaled = np.zeros(len(cols[0]), dtype=score_dtype)
             for col, m in zip(cols, mult):
@@ -570,8 +539,9 @@ def trichotomy_check(
     """Which of the three lemma cases hold for the lattice a*l + b*m + c*n = 0 (mod q)
     and the box |l| <= N, |m| <= M, |n| <= L.
 
-    Case (iii) searches lambda over F_q^* with balanced residue lifts; the
-    bounds use the verbatim constants 640 and 4320.
+    Case (iii) asks for lambda in F_q^* whose balanced lifts of (a, b, c)*lambda
+    are at most floor(4320*MN/K), floor(4320*LN/K), floor(4320*LM/K), walking the
+    residues of the narrowest; the constants 640 and 4320 are verbatim.
     """
     for x in (a, b, c):
         if x % q == 0:
@@ -590,12 +560,15 @@ def trichotomy_check(
         minima = successive_minima(lat, box, budget=budget)
         case_ii = minima.lambdas[0] <= 1 < minima.lambdas[1]
 
-    lams = np.arange(1, q, dtype=np.int64)
-    ok = np.ones(len(lams), dtype=bool)
-    for coeff, bound_num in ((a, 4320 * M * N), (b, 4320 * L * N), (c, 4320 * L * M)):
-        t = (coeff * lams) % q
-        bal = np.minimum(t, q - t)
-        ok &= bal * K <= bound_num
-    case_iii = bool(ok.any())
+    # bal * K <= n iff bal <= n // K (K >= 1: the origin is counted); bal < q
+    caps = [min(4320 * n // K, q) for n in (M * N, L * N, L * M)]
+
+    def dual_point(cols):
+        ok = cols[0] != 0  # r = 0 is lambda = 0
+        for t, cap in zip(cols, caps):
+            ok &= np.minimum(t, q - t) <= cap
+        return bool(ok.any())
+
+    case_iii = any(map(dual_point, _residue_walk(lat.coeffs, q, caps, _CHUNK)))
 
     return TrichotomyResult(K, bool(case_i), bool(case_ii), case_iii, box.degenerate)

@@ -295,7 +295,7 @@ def from_text(text: str) -> IntPoly:
 
 
 @lru_cache(maxsize=8)
-def product_poly(k: int, k_cap: int = DEFAULT_K_CAP) -> IntPoly:
+def product_poly(k: int) -> IntPoly:
     """The canonical integer polynomial extracted from the root-of-unity product.
 
     Canonical means: exactly what the grouped product determines, with no sign
@@ -303,8 +303,8 @@ def product_poly(k: int, k_cap: int = DEFAULT_K_CAP) -> IntPoly:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if k > k_cap:
-        raise CapacityError(f"k={k} above construction cap {k_cap}")
+    if k > DEFAULT_K_CAP:
+        raise CapacityError(f"k={k} above construction cap {DEFAULT_K_CAP}")
     # every coordinate is at most (l1 of a factor)^(factors) times the largest reduction entry
     row_peak = int(np.abs(_reduction_rows(k)).max())
     bound = row_peak * (3**k + 1) ** (k * k)
@@ -332,35 +332,6 @@ def classic_square_poly() -> IntPoly:
     s = X + Y - U - V
     inner = (U * V).scale(4) + (X * Y).scale(4) - s * s
     return (U * V * X * Y).scale(64) - inner * inner
-
-
-def batch_values_mod(F: IntPoly, cols, p: int) -> np.ndarray:
-    """Values of F mod p at a batch of 4-tuples given as four int64 arrays."""
-    cols = [np.asarray(c, dtype=np.int64) % p for c in cols]
-    n = len(cols[0])
-    acc = np.zeros(n, dtype=np.int64)
-    pow_cache: list = [dict() for _ in range(4)]
-
-    def powed(i, e):
-        cache = pow_cache[i]
-        if e not in cache:
-            if e == 0:
-                cache[e] = np.ones(n, dtype=np.int64)
-            else:
-                half = powed(i, e // 2)
-                v = (half * half) % p
-                if e % 2:
-                    v = (v * cols[i]) % p
-                cache[e] = v
-        return cache[e]
-
-    for e, c in F.terms:
-        t = np.full(n, c % p, dtype=np.int64)
-        for i in range(4):
-            if e[i]:
-                t = (t * powed(i, e[i])) % p
-        acc = (acc + t) % p
-    return acc
 
 
 @lru_cache(maxsize=8)

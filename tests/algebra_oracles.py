@@ -4,8 +4,9 @@ These are the routes the array kernels replaced: Gowers norms over Python
 sets (the recursion over difference-set shifts and the square sum over every
 shift tuple, both bottoming out in a pair-difference bincount); the product
 polynomial expanded as dicts of packed exponents over Z[w]/Phi_k, grouped and
-full; and the box-zero count that screens the whole grid per n1 and confirms
-every candidate, diagonal ones included, by exact evaluation.  They share no
+full; the term-by-term evaluation of a polynomial mod p at a batch of
+4-tuples; and the box-zero count that screens the whole grid per n1 and
+confirms every candidate, diagonal ones included, by exact evaluation.  They share no
 arithmetic with modroots.gowers and modroots.prodpoly's kernels, so the
 property tests compare the production routes against them.
 """
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from modroots.prodpoly import IntPoly, _prime_pool, batch_values_mod, cyclotomic_poly, product_poly
+from modroots.prodpoly import IntPoly, _prime_pool, cyclotomic_poly, product_poly
 from modroots.sets import IndicatorSet
 
 
@@ -252,6 +253,35 @@ def dict_product_poly(k: int, full: bool = False) -> IntPoly:
 
 # ---------------------------------------------------------------------------
 # box zeros, screened on the whole grid
+
+
+def batch_values_mod(F: IntPoly, cols, p: int) -> np.ndarray:
+    """Values of F mod p at a batch of 4-tuples given as four int64 arrays."""
+    cols = [np.asarray(c, dtype=np.int64) % p for c in cols]
+    n = len(cols[0])
+    acc = np.zeros(n, dtype=np.int64)
+    pow_cache: list = [dict() for _ in range(4)]
+
+    def powed(i, e):
+        cache = pow_cache[i]
+        if e not in cache:
+            if e == 0:
+                cache[e] = np.ones(n, dtype=np.int64)
+            else:
+                half = powed(i, e // 2)
+                v = (half * half) % p
+                if e % 2:
+                    v = (v * cols[i]) % p
+                cache[e] = v
+        return cache[e]
+
+    for e, c in F.terms:
+        t = np.full(n, c % p, dtype=np.int64)
+        for i in range(4):
+            if e[i]:
+                t = (t * powed(i, e[i])) % p
+        acc = (acc + t) % p
+    return acc
 
 
 def screened_box_zeros_upto(k: int, N: int) -> list:

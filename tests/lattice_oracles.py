@@ -2,14 +2,17 @@
 
 These are the routes the integer lattice code replaced: LLL with the full
 rational Gram-Schmidt recomputed after every step, the full integral
-Gram-Schmidt that integral LLL recomputed after every swap, a scoring loop over Python
-tuples, and a dual enumeration that walks every lambda in [0, q) with a Python
-stack.  They are slow but share no arithmetic with modroots.lattice's LLL and
-minima, so the property tests compare the production routes against them.
+Gram-Schmidt that integral LLL recomputed after every swap, a box walk and
+scoring loop over Python tuples, a dual enumeration that walks every lambda in
+[0, q) with a Python stack, and trichotomy case (iii) scanning every lambda in
+[1, q).  They are slow but share no arithmetic with modroots.lattice's LLL,
+walks and minima, so the property tests compare the production routes against
+them.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from modroots.errors import BudgetExceededError
 from modroots.lattice import (
@@ -18,7 +21,6 @@ from modroots.lattice import (
     CongruenceLattice,
     DualLattice,
     MinimaResult,
-    box_points,
 )
 
 
@@ -122,22 +124,42 @@ def _greedy(scored: list, d: int, denom: int) -> MinimaResult:
     return MinimaResult(tuple(lambdas), tuple(tuple(v) for v in witnesses))
 
 
+def oracle_box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET) -> list:
+    """Every lattice point with |v_i| <= bounds_i as a tuple of Python ints: each
+    tuple of the coordinates other than the widest, s, with every lift of the
+    residue the congruence forces on v_s.  The free volume obeys the budget."""
+    d, q = lat.d, lat.q
+    s = max(range(d), key=lambda i: bounds[i])
+    free = [i for i in range(d) if i != s]
+    volume = math.prod(2 * bounds[i] + 1 for i in free)
+    if volume > budget:
+        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
+    inv = pow(lat.coeffs[s], -1, q)
+    pts = []
+    for vals in product(*(range(-bounds[i], bounds[i] + 1) for i in free)):
+        r = -inv * sum(lat.coeffs[i] * v for i, v in zip(free, vals)) % q
+        for x in range(-bounds[s] + (r + bounds[s]) % q, bounds[s] + 1, q):
+            v = list(vals)
+            v.insert(s, x)
+            pts.append(tuple(v))
+    return pts
+
+
 def oracle_successive_minima(
     lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
 ) -> MinimaResult:
-    """Successive minima: rational LLL radius, then a Python scoring loop."""
+    """Successive minima: rational LLL radius, the Python box walk, then a Python
+    scoring loop."""
     if box.degenerate:
         return MinimaResult((), (), degenerate=True)
     w = box.half_widths
     reduced = rational_lll(lat.basis(), [1 / (wi * wi) for wi in w])
     radius = max(box.norm(row) for row in reduced)
     bounds = [math.floor(radius * wi) for wi in w]
-    pts = box_points(lat, bounds, budget=budget)
+    pts = oracle_box_points(lat, bounds, budget=budget)
     P = math.lcm(*(wi.numerator for wi in w))
     mult = [wi.denominator * (P // wi.numerator) for wi in w]
-    scored = [
-        (max(abs(x) * m for x, m in zip(row, mult)), row) for row in pts.tolist() if any(row)
-    ]
+    scored = [(max(abs(x) * m for x, m in zip(row, mult)), list(row)) for row in pts if any(row)]
     return _greedy(scored, lat.d, P)
 
 
@@ -191,3 +213,17 @@ def oracle_dual_minima(
             if scaled <= scaled_radius:
                 scored.append((scaled, m))
     return _greedy(scored, lat.d, q * R)
+
+
+def oracle_case_dual_point(a: int, b: int, c: int, L: int, M: int, N: int, q: int, K: int) -> bool:
+    """Trichotomy case (iii) with point count K: some lambda in [1, q) whose
+    balanced residues bal = min(t, q - t) of t = (a, b, c) * lambda mod q satisfy
+    bal * K <= 4320 * (MN, LN, LM), every product in Python ints."""
+    for lam in range(1, q):
+        ok = True
+        for coeff, bound_num in ((a, 4320 * M * N), (b, 4320 * L * N), (c, 4320 * L * M)):
+            t = (coeff * lam) % q
+            ok = ok and min(t, q - t) * K <= bound_num
+        if ok:
+            return True
+    return False

@@ -19,10 +19,11 @@ from modroots.gowers import character_lemma_report, gowers_norm, shift_counts
 from modroots.harness import SweepConfig, render_csv, render_json, run_sweep
 from modroots.lattice import BoxBody, CongruenceLattice, trichotomy_check, verify_geometry
 from modroots.modular import character_table, preimage_set, primes_in, unit_roots
-from modroots.prodpoly import batch_values_mod, classic_square_poly, count_box_zeros_upto, product_poly
+from modroots.prodpoly import classic_square_poly, count_box_zeros_upto, product_poly
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
+from algebra_oracles import batch_values_mod
 from convolve_oracles import naive_convolve, ntt_convolve
 from residue_oracles import all_j_max_energy
 

@@ -174,15 +174,29 @@ def test_route_mismatch_raises(monkeypatch):
 
 def test_report_computes_each_norm_once(monkeypatch):
     calls = []
-    real = gowers.gowers_norm
+    real = gowers._gowers_norm  # every norm, U^(k+1) past the public cap included
 
-    def counted(A, k, **kwargs):
+    def counted(A, k, *args):
         calls.append(k)
-        return real(A, k, **kwargs)
+        return real(A, k, *args)
 
-    monkeypatch.setattr(gowers, "gowers_norm", counted)
+    monkeypatch.setattr(gowers, "_gowers_norm", counted)
     A = IndicatorSet.of(31, range(0, 31, 3))
     for k, norms in ((2, [1, 2, 3]), (3, [2, 3, 4])):
         calls.clear()
         assert character_lemma_report(A, k).all_ok
         assert sorted(calls) == norms
+
+
+def test_cap_is_the_module_constant():
+    # the report at k = DEFAULT_K_CAP still computes U^(k+1), past the public cap
+    A = IndicatorSet.of(11, [0, 1, 3, 7])
+    k = gowers.DEFAULT_K_CAP
+    with pytest.raises(BudgetExceededError, match=f"k={k + 1} above cap {k}"):
+        gowers_norm(A, k + 1)
+    with pytest.raises(BudgetExceededError, match=f"k={k + 1} above cap {k}"):
+        character_lemma_report(A, k + 1)
+    rep = character_lemma_report(A, k)
+    top = gowers._gowers_norm(A, k + 1, gowers.DEFAULT_WORK_BUDGET)
+    assert top == set_norms(A, k + 1)[0]
+    assert rep.growth_ok and rep.energy_ok

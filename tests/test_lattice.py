@@ -167,6 +167,9 @@ def test_dual_membership_example():
     assert D.contains((0, 0))
     assert not D.contains((Fraction(1, 5), Fraction(2, 5)))
     assert not D.contains((Fraction(1, 7), Fraction(3, 7)))
+    Z2 = dual_lattice(CongruenceLattice((1, 1), 1))  # q = 1: the dual is Z^2
+    assert Z2.contains((2, -1)) and not Z2.contains((Fraction(1, 3), 0))
+    assert Z2.integer_basis() == [[1, 0], [0, 1]]
 
 
 def test_dual_reciprocity_integer_inner_products():

@@ -3,11 +3,12 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from modroots import lattice
 from modroots.errors import BudgetExceededError
@@ -19,8 +20,11 @@ from modroots.lattice import (
     _lll,
     _mulmod,
     dual_lattice,
+    box_points,
+    count_points,
     dual_minima,
     successive_minima,
+    trichotomy_check,
 )
 from modroots.modular import is_prime, primes_in
 
@@ -28,6 +32,8 @@ from lattice_oracles import (
     dual_candidate_count,
     independent,
     integral_gso,
+    oracle_box_points,
+    oracle_case_dual_point,
     oracle_dual_minima,
     oracle_successive_minima,
     rational_lll,
@@ -271,3 +277,94 @@ def test_dual_minima_above_word_residues():
         assert dual.contains(tuple(Fraction(x, q) for x in m))
         assert box.dual_norm(m) / q == lam
     assert res.lambdas == (Fraction(7895500, q), Fraction(16293600, q))
+
+
+def case_dual_point_and_oracle(a, b, c, L, M, N, q):
+    res = trichotomy_check(a, b, c, L, M, N, q)
+    return res.case_dual_point, oracle_case_dual_point(a, b, c, L, M, N, q, res.point_count)
+
+
+def test_case_dual_point_does_not_wrap():
+    # K = 20039959905823: at lambda = 92050 an int64 bal * K = 460250 * K passes 2^63
+    got, expect = case_dual_point_and_oracle(5, 7, 11, 10**13, 500, 500, 1000003)
+    assert got is expect is False
+
+
+def test_case_dual_point_threshold_past_word():
+    # floor(4320 * MN / K) is past 2^63 and past q; LN = LM = 0 leave only lambda = 0
+    q = 10**18 + 9
+    assert is_prime(q)
+    res = trichotomy_check(3, 5, 7, 0, 1, 3 * 10**15, q)
+    assert 4320 * 3 * 10**15 // res.point_count >= 2**63
+    assert res.case_dual_point is False
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_case_dual_point_at_tiny_q(q):
+    for a, b, c in product(range(1, q), repeat=3):
+        for L, M, N in product(range(4), repeat=3):
+            got, expect = case_dual_point_and_oracle(a, b, c, L, M, N, q)
+            assert got == expect, (a, b, c, L, M, N, q)
+
+
+def box_sides(regime):
+    """(L, M, N) for a case-(iii) regime, in a random order."""
+    if regime == "small":
+        sides = st.tuples(*[st.integers(0, 12)] * 3)
+    elif regime == "long":  # K large and 2 * B_f + 1 < q
+        sides = st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1100, 6000))
+    else:  # "wide": 4320 * MN and bal * K on both sides of 2^63, the box degenerate
+        sides = st.tuples(st.just(0), st.integers(1, 3), st.integers(2**40, 2**61))
+    return sides.flatmap(st.permutations).map(tuple)
+
+
+@given(
+    st.sampled_from(PRIMES),  # 2 and 3 included
+    st.lists(st.integers(1, 2**64), min_size=3, max_size=3),
+    st.sampled_from(["small", "long", "wide"]).flatmap(box_sides),
+)
+@settings(max_examples=150, deadline=None)
+@example(1009, [1, 2, 3], (5, 5, 3000))  # 2 * B_f + 1 = 357 < q
+@example(2999, [3, 5, 7], (0, 3, 2**61))  # bal * K and 4320 * MN past 2^63
+@example(2003, [1687, 1299, 415], (2, 3928, 3763))  # two binding thresholds: the
+@example(2999, [2911, 2601, 2414], (3605, 1, 3236))  # first hit is past r = 6
+def test_case_dual_point_matches_scan(q, seeds, sides):
+    a, b, c = (1 + x % (q - 1) for x in seeds)
+    got, expect = case_dual_point_and_oracle(a, b, c, *sides, q)
+    assert got == expect
+    walk = lattice._residue_walk  # again with the residues in chunks of 7
+
+    def walk_by_7(coeffs, q, bounds, step):
+        return walk(coeffs, q, bounds, 7)
+
+    with mock.patch.object(lattice, "_residue_walk", walk_by_7):
+        assert trichotomy_check(a, b, c, *sides, q).case_dual_point == expect
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from([1, 2, 3, 7, 101]),
+    st.integers(1, 2**64),
+    st.lists(st.integers(0, 12), min_size=3, max_size=3),
+    st.lists(st.fractions(Fraction(1, 4), 12, max_denominator=5), min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_walks_across_chunk_boundaries(d, q, c, bounds, widths):
+    # blocks of 7 free tuples: pieces of one row, several rows, and residue chunks of 7
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
+    lat, bounds, box = CongruenceLattice(coeffs, q), bounds[:d], BoxBody(tuple(widths[:d]))
+    expect = sorted(oracle_box_points(lat, bounds))
+    with mock.patch.object(lattice, "_CHUNK", 7):
+        for _, axes, res in lattice._primal_walk(lat, bounds, 10**7):
+            assert len(res) == math.prod(map(len, axes)) <= 7
+        # joined lifts: at least 7 points but the last, under 7 plus one block's lifts
+        sizes = [len(pts) for pts in lattice._lifted_blocks(lat, bounds, 10**7)]
+        assert sum(sizes) == len(expect) and all(n >= 7 for n in sizes[:-1])
+        assert all(n < 7 + 7 * (2 * max(bounds) // q + 1) for n in sizes)
+        assert count_points(lat, BoxBody(tuple(bounds))) == len(expect)
+        assert sorted(map(tuple, box_points(lat, bounds).tolist())) == expect
+        assert outcome(successive_minima, lat, box) == outcome(oracle_successive_minima, lat, box)
+        assert outcome(dual_minima, lat, box) == outcome(oracle_dual_minima, lat, box)
+        if d == 3 and q > 1:
+            dual_point, scanned = case_dual_point_and_oracle(*coeffs, *bounds, q)
+            assert dual_point == scanned

@@ -9,13 +9,13 @@ from algebra_oracles import (
     _cyc_context,
     _cyc_mul,
     _omega_powers,
+    batch_values_mod,
     dict_product_poly,
     screened_box_zeros_upto,
 )
 from modroots.errors import BudgetExceededError, CapacityError
 from modroots.prodpoly import (
     IntPoly,
-    batch_values_mod,
     classic_square_poly,
     count_box_zeros,
     count_box_zeros_upto,
@@ -58,6 +58,8 @@ def test_construction_shape():
         assert F.homogeneous_degree() == k * k
     with pytest.raises(CapacityError):
         product_poly(9)
+    with pytest.raises(CapacityError, match=f"k={prodpoly.DEFAULT_K_CAP + 1} above construction cap"):
+        product_poly(prodpoly.DEFAULT_K_CAP + 1)
     with pytest.raises(ValueError):
         product_poly(1)
 
