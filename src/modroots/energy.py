@@ -4,7 +4,15 @@ tuple_energy computes the number of 2*nu tuples of elements of the preimage
 set A = {x in F_q^* : j*x^k in {1..N}} whose nu-fold sums agree mod q;
 set_energy is the nu = 2 case for a general target set.  Representation
 counts come from a pair bincount or from cyclic_convolve, which reaches every
-q the residue tables allow; max_energy_over_j scans one j per power coset.
+q the residue tables allow.
+
+max_energy_over_j and prime_averaged_energy read every coset of a prime at
+once.  With g_k = gcd(k, q - 1), j^-1 n is a k-th power iff
+ind n = ind j (mod g_k), so the classes c = ind n mod g_k split n = 1..N
+among the cosets, and E_k(N; j, q) depends only on the class of j.
+_coset_energies gathers each class's roots from index_table(q) and takes the
+pair sums of all sparse classes in one bincount, with a bin offset per class;
+a dense class goes through energy_of like any other set.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import numpy as np
 
 from .convolve import NAIVE_THRESHOLD, cyclic_convolve
 from .errors import CapacityError
-from .modular import PRIME_SWEEP_CAP, _as_q, kth_root_set, preimage_set, primes_in
+from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, index_table, kth_root_set, preimage_set, primes_in
 from .sets import IndicatorSet, RepFn
 
 # Representation counts of n elements mod q come from a bincount of the n^2
@@ -29,9 +37,14 @@ _PAIRS_PER_RESIDUE = 16
 _BINCOUNT_PAIR_LIMIT = 1 << 22
 
 
-def _by_pairs(n: int, q: int) -> bool:
+def _pair_limit(q: int) -> int:
+    """The most pairs a set mod q takes through the bincount."""
     limit = q * q // 8 if q <= NAIVE_THRESHOLD else _PAIRS_PER_RESIDUE * q
-    return n * n <= min(limit, _BINCOUNT_PAIR_LIMIT)
+    return min(limit, _BINCOUNT_PAIR_LIMIT)
+
+
+def _by_pairs(n: int, q: int) -> bool:
+    return n * n <= _pair_limit(q)
 
 
 @dataclass(frozen=True)
@@ -138,16 +151,75 @@ def power_coset_reps(k: int, q) -> list:
     return reps
 
 
+def _coset_energies(k: int, N: int, q: int) -> np.ndarray:
+    """E_k(N; g^c, q) for every class c < g_k = gcd(k, q - 1), g = index_table(q).g.
+
+    j^-1 n is a k-th power iff ind n = ind j (mod g_k), so the classes
+    c = ind n mod g_k split n = 1..min(N, q - 1) among the cosets, and the
+    set of j = g^c is the g_k roots of x^k = g^(ind n - c) for each n of class
+    c: distinct and nonzero, so they need no dedup.  A class that fails
+    _by_pairs goes through energy_of, so memory stays bounded at N near q.
+    The others lay their roots out as [class, slot] rows padded with 2q, and a
+    batch of rows takes its pair sums from one bincount of q + 1 bins a row:
+    the sums s and s + q share bin s, and every pair with a pad lands in bin q.
+    """
+    table = index_table(q)
+    gk = math.gcd(k, q - 1)
+    iv = table.ind[1 : min(N, q - 1) + 1].astype(np.int64)
+    cls = iv % gk
+    sizes = np.bincount(cls, minlength=gk)
+    size = int(sizes.max())
+    energies = np.zeros(gk, dtype=np.int64 if (gk * size) ** 3 < WORD_CAP else object)
+
+    if gk * size > math.isqrt(_pair_limit(q)):
+        dense = sizes * gk > math.isqrt(_pair_limit(q))
+        for c in np.flatnonzero(dense).tolist():
+            roots = table.power_roots(iv[cls == c] // gk, k).ravel()
+            energies[c] = energy_of(IndicatorSet(q, np.sort(roots)))
+        keep = ~dense[cls]
+        iv, cls = iv[keep], cls[keep]
+        if not len(iv):
+            return energies
+        size = int(sizes[~dense].max())
+    order = np.argsort(cls, kind="stable")
+    iv, cls = iv[order], cls[order]  # grouped by class
+    rank = np.arange(len(iv)) - np.searchsorted(cls, cls)
+    per_batch = max(1, _BINCOUNT_PAIR_LIMIT // max((gk * size) ** 2, q + 1))
+    for lo in range(0, gk, per_batch):
+        rows = min(per_batch, gk - lo)
+        a, b = np.searchsorted(cls, (lo, lo + rows))
+        if a == b:  # only dense or empty classes
+            continue
+        slots = np.full((rows, size, gk), 2 * q, dtype=np.int64)
+        slots[cls[a:b] - lo, rank[a:b]] = table.power_roots(iv[a:b] // gk, k)
+        slots = slots.reshape(rows, size * gk)
+        sums = slots[:, :, None] + slots[:, None, :]  # real sums 2..2q-2, pad sums > 2q
+        np.minimum(sums, 2 * q, out=sums)
+        np.subtract(sums, q, out=sums, where=sums >= q)
+        sums += (q + 1) * np.arange(rows)[:, None, None]
+        reps = np.bincount(sums.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)[:, :q]
+        energies[lo : lo + rows] += np.einsum("cs,cs->c", reps, reps)  # dense and empty rows add 0
+    return energies
+
+
 def max_energy_over_j(k: int, N: int, q):
     """max_j E_k(N; j, q) and an argmax j.
 
-    By dilation invariance the max over all j equals the max over one
-    representative per coset of the k-th powers.
+    By dilation invariance E_k(N; j, q) depends only on the coset of j mod the
+    k-th powers, that is on the class ind j mod g_k that _coset_energies
+    indexes; the argmax is the first maximising least coset representative
+    from power_coset_reps.
     """
     q = _as_q(q)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 1 <= N <= q:
+        raise ValueError("N must satisfy 1 <= N <= q")
+    energies = _coset_energies(k, N, q)
+    ind = index_table(q).ind
     best, best_j = 0, 1
     for j in power_coset_reps(k, q):
-        e = tuple_energy(EnergyQuery(2, k, N, j, q))
+        e = int(energies[ind[j] % len(energies)])
         if e > best:
             best, best_j = e, j
     return best, best_j
@@ -173,15 +245,14 @@ def prime_averaged_energy(k: int, N: int, Q: int) -> PrimeAverageResult:
     """(log Q / Q) * sum over primes q in [Q/2, Q) of max_j E_k(N; j, q)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if N > Q:
-        raise ValueError("requires N <= Q")
+    if Q < 2:
+        raise ValueError(f"the prime average needs Q >= 2, got Q={Q}")
+    if not 1 <= N <= Q:
+        raise ValueError("requires 1 <= N <= Q")
     if Q > PRIME_SWEEP_CAP:
         raise CapacityError(f"Q exceeds sieve capacity {PRIME_SWEEP_CAP}")
     lo = (Q + 1) // 2  # dyadic: Q/2 <= q < Q
     qs = primes_in(lo, Q - 1)
-    total = 0
-    for q in qs:
-        n_eff = min(N, q)
-        total += max_energy_over_j(k, n_eff, q)[0]
-    value = math.log(Q) / Q * total if Q > 1 else 0.0
+    total = sum(int(_coset_energies(k, min(N, q), q).max()) for q in qs)
+    value = math.log(Q) / Q * total
     return PrimeAverageResult(k, N, Q, tuple(qs), total, value)

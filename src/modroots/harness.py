@@ -77,6 +77,7 @@ class CellResult:
     ratio: object = None
     passed: object = None
     skip_reason: str = None
+    skip_message: str = None
     fail_reason: str = None  # the failed sub-check, or the exception class of a failed cross-check
     fail_message: str = None
 
@@ -164,6 +165,8 @@ def _check_e2k_average(params, rng, budgets):
     k, N, Q = params["k"], params["N"], params["Q"]
     if k < 3:
         raise ConfigError("k >= 3 for the prime-average bound")
+    if Q < 2 or not 1 <= N <= Q:
+        raise InfeasibleCellError("need Q >= 2 and 1 <= N <= Q")
     r = prime_averaged_energy(k, N, Q)
     bound = N**2 + N**4 / Q
     return CellResult(measured=r.value, bound=bound, ratio=r.value / bound)
@@ -432,7 +435,7 @@ def _run_cell(args):
     try:
         res = fn(params, rng, budgets)
     except (BudgetExceededError, CapacityError, InfeasibleCellError) as exc:
-        res = CellResult(skip_reason=type(exc).__name__)
+        res = CellResult(skip_reason=type(exc).__name__, skip_message=str(exc))
     except ArithmeticError as exc:  # an internal cross-check failed
         res = CellResult(passed=False, fail_reason=type(exc).__name__, fail_message=str(exc))
     ms = int((time.monotonic() - start) * 1000)
@@ -461,6 +464,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         outcomes = [_run_cell(j) for j in jobs]
 
     rows = []
+    cell_skips = []
     cell_failures = []
     total_ms = 0
     for cell, (res, ms) in zip(cells, outcomes):
@@ -468,6 +472,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         params = dict(cell)
         if res.skip_reason:
             params["skip"] = res.skip_reason
+            cell_skips.append({"params": _fmt_params(params), "message": res.skip_message})
         if res.fail_reason:
             params["fail"] = res.fail_reason
             cell_failures.append({"params": _fmt_params(params), "message": res.fail_message})
@@ -502,6 +507,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         "max_ratio": max(ratios) if ratios else None,
         "wall_ms": int((time.monotonic() - start) * 1000),
         "cell_ms_total": total_ms,
+        "cell_skips": cell_skips,
         "cell_failures": cell_failures,
     }
     return SweepResult(rows, manifest)

@@ -116,10 +116,19 @@ def _class_counts(res: np.ndarray, bound: int, q: int):
     return tmin, counts
 
 
-def _expand_classes(free_cols: list, res: np.ndarray, bound: int, q: int, at: int) -> list:
-    """Every solved value res + q*t in [-bound, bound] per free tuple: the free
-    columns repeated, with the solved column inserted at position at."""
-    tmin, counts = _class_counts(res, bound, q)
+def _lift_total(counts: np.ndarray, bound: int, q: int) -> int:
+    """The exact sum of _class_counts' counts: each is at most 2*bound//q + 1, so
+    their int64 sum can wrap only once that times their number reaches 2^63."""
+    if (2 * bound // q + 1) * len(counts) >= _WORD_CAP:
+        counts = counts.astype(object)
+    return int(counts.sum())
+
+
+def _expand_classes(free_cols: list, res: np.ndarray, classes, q: int, at: int) -> list:
+    """Every solved value res + q*t in [-bound, bound] per free tuple, for
+    classes = _class_counts(res, bound, q): the free columns repeated, with the
+    solved column inserted at position at."""
+    tmin, counts = classes
     total = int(counts.sum())
     rep = np.repeat(np.arange(len(res)), counts)
     solved = np.arange(total, dtype=np.int64)  # becomes res + q*t, in place
@@ -169,11 +178,17 @@ def _primal_walk(lat: CongruenceLattice, bounds: list, budget: int):
 def _lifted_blocks(lat: CongruenceLattice, bounds: list, budget: int):
     """The box's lattice points as (n, d) int64 arrays: the lifts of consecutive
     walk blocks, joined until they reach _CHUNK points (sparse lifts would
-    otherwise cost the minima one greedy pass per block)."""
-    batch, size = [], 0
+    otherwise cost the minima one greedy pass per block).  The lifts count
+    against the budget too: BudgetExceededError before a block is expanded
+    once the points lifted so far exceed it."""
+    batch, size, lifted = [], 0, 0
     for s, axes, res in _primal_walk(lat, bounds, budget):
+        classes = _class_counts(res, bounds[s], lat.q)
+        lifted += _lift_total(classes[1], bounds[s], lat.q)
+        if lifted > budget:
+            raise BudgetExceededError(f"{lifted} lifted points exceed budget {budget}")
         grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        batch.append(np.stack(_expand_classes(grid, res, bounds[s], lat.q, s), axis=1))
+        batch.append(np.stack(_expand_classes(grid, res, classes, lat.q, s), axis=1))
         size += len(batch[-1])
         if size >= _CHUNK:
             pts, batch, size = np.concatenate(batch), [], 0
@@ -188,8 +203,10 @@ def count_points(lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENU
     if box.d != lat.d:
         raise ValueError("dimension mismatch")
     bounds = [int(w) for w in box.half_widths]  # floor of nonnegative rationals
-    walk = _primal_walk(lat, bounds, budget)
-    return sum(int(_class_counts(res, bounds[s], lat.q)[1].sum()) for s, _, res in walk)
+    return sum(
+        _lift_total(_class_counts(res, bounds[s], lat.q)[1], bounds[s], lat.q)
+        for s, _, res in _primal_walk(lat, bounds, budget)
+    )
 
 
 def box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
@@ -458,7 +475,8 @@ def dual_minima(
     picks: list = []
     for cols in _residue_walk(lat.coeffs, q, bounds, max(1, _CHUNK // per_class)):
         for i in range(d):  # replace residue column i by its lifts
-            cols = _expand_classes(cols[:i] + cols[i + 1:], cols[i], bounds[i], q, i)
+            classes = _class_counts(cols[i], bounds[i], q)
+            cols = _expand_classes(cols[:i] + cols[i + 1:], cols[i], classes, q, i)
             if not len(cols[i]):
                 break
         else:

@@ -158,12 +158,17 @@ class IndexTable:
         solvable[i], and roots[r] holds the g_k = gcd(k, q - 1) roots of the r-th
         solvable value (int64, shape (solvable.sum(), g_k))."""
         gk = math.gcd(k, self.q - 1)
-        h = (self.q - 1) // gk
         iv = self.ind[np.asarray(vs, dtype=np.int64)].astype(np.int64)
         solvable = iv % gk == 0
+        return solvable, self.power_roots(iv[solvable] // gk, k)
+
+    def power_roots(self, t: np.ndarray, k: int) -> np.ndarray:
+        """Row r holds the g_k distinct roots of x^k = g^(g_k t[r]), for int64 0 <= t < (q-1)/g_k."""
+        gk = math.gcd(k, self.q - 1)
+        h = (self.q - 1) // gk
         # roots of x^k = g^(gk t): g^(t (k/gk)^-1 mod h + i h) for i < gk; both factors below 2^26
-        base = (iv[solvable] // gk) * pow(k // gk, -1, h) % h
-        return solvable, self.pw[base[:, None] + h * np.arange(gk)].astype(np.int64)
+        base = t * pow(k // gk, -1, h) % h
+        return self.pw[base[:, None] + h * np.arange(gk)].astype(np.int64)
 
 
 # residues each per-q cache holds at once, but always the latest table: 32 MiB of

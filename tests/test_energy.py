@@ -168,6 +168,12 @@ def test_prime_average_trivial_zero():
         prime_averaged_energy(3, 50, 20)
 
 
+@pytest.mark.parametrize("N, Q, message", [(1, 1, "needs Q >= 2"), (1, -5, "needs Q >= 2"), (0, 20, "1 <= N <= Q")])
+def test_prime_average_rejects_empty_ranges(N, Q, message):
+    with pytest.raises(ValueError, match=message):
+        prime_averaged_energy(3, N, Q)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         EnergyQuery(2, 2, 0, 1, 7)

@@ -134,6 +134,31 @@ def test_budget_exhaustion_becomes_skip_row():
     assert res.manifest["skips"] == 1
 
 
+@pytest.mark.parametrize(
+    "config, reason, message",
+    [
+        (SweepConfig("tk-growth", {"k": [3], "N": [80]}, budgets={"tk": 10**4}),
+         "BudgetExceededError", "N^4 = 40960000 exceeds budget 10000"),
+        (SweepConfig("e2k-average", {"k": [3], "N": [8], "Q": [2**24 + 1]}),
+         "CapacityError", "Q exceeds sieve capacity"),
+        (SweepConfig("e2k-average", {"k": [3], "N": [50], "Q": [20]}, seed=1),
+         "InfeasibleCellError", "need Q >= 2 and 1 <= N <= Q"),
+        (SweepConfig("e2k-average", {"k": [3], "N": [1], "Q": [1]}, seed=1),
+         "InfeasibleCellError", "need Q >= 2 and 1 <= N <= Q"),
+    ],
+)
+def test_skip_row_message_goes_to_the_manifest(config, reason, message):
+    res = run_sweep(config)
+    [row] = res.rows
+    assert row.params["skip"] == reason and row.measured is None and row.passed is None
+    assert res.manifest["skips"] == 1 and res.manifest["cell_failures"] == []
+    [skip] = res.manifest["cell_skips"]
+    assert skip["params"] == ";".join(f"{k}={v}" for k, v in sorted(row.params.items()))
+    assert message in skip["message"]
+    # the message stays out of the report rows
+    assert message not in render_csv(res.rows) and message not in render_json(res.rows)
+
+
 def test_cross_check_failure_becomes_failed_row(monkeypatch):
     import modroots.gowers as gowers
 
@@ -158,7 +183,7 @@ def test_gowers_lemmas_failed_row_names_the_sub_check(monkeypatch):
     grid = {"q": [31], "trial": "1:1"}
     passing = run_sweep(SweepConfig("gowers-lemmas", grid))
     assert passing.rows[0].passed is True and "fail" not in passing.rows[0].params
-    assert passing.manifest["cell_failures"] == []
+    assert passing.manifest["cell_failures"] == [] and passing.manifest["cell_skips"] == []
     failing_lemma = types.SimpleNamespace(all_ok=False, growth_ok=False, energy_ok=True)
     for name, value, reason, message in (
         ("energy_of", lambda A, k: -1, "u2-energy", "but E(A) = -1"),

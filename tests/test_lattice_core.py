@@ -368,3 +368,44 @@ def test_walks_across_chunk_boundaries(d, q, c, bounds, widths):
         if d == 3 and q > 1:
             dual_point, scanned = case_dual_point_and_oracle(*coeffs, *bounds, q)
             assert dual_point == scanned
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from([2, 3, 7, 101]),
+    st.integers(1, 2**64),
+    st.lists(st.integers(0, 40), min_size=3, max_size=3),
+    st.integers(0, 300),
+)
+@settings(max_examples=80, deadline=None)
+def test_box_points_budget_counts_the_lifts(d, q, c, bounds, budget):
+    # the walk refuses a free volume above the budget, the lifts a point count above it
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
+    lat, bounds = CongruenceLattice(coeffs, q), bounds[:d]
+    points = len(oracle_box_points(lat, bounds))
+    free = math.prod(sorted(2 * b + 1 for b in bounds)[:-1])
+    if max(points, free) <= budget:
+        assert len(box_points(lat, bounds, budget)) == points
+    else:
+        with pytest.raises(BudgetExceededError):
+            box_points(lat, bounds, budget)
+
+
+def test_box_points_huge_lift_count_raises_before_allocating():
+    # 49 free tuples, each with about 7.2 * 10^14 lifts along the wide side
+    result, peak = peak_mib(box_points, CongruenceLattice((860, 385, 1999), 2777), [3, 3, 10**18])
+    assert isinstance(result, BudgetExceededError) and "lifted points" in str(result)
+    assert peak < 8
+
+
+def test_trichotomy_with_a_huge_lift_count_raises_budget_error():
+    with pytest.raises(BudgetExceededError, match="lifted points"):
+        trichotomy_check(860, 385, 1999, 878850195129962102, 3, 3, 2777)
+
+
+def test_count_points_past_int64():
+    # 9 free tuples whose lift counts sum past 2^63: the count must not wrap
+    b = 2**62
+    expect = sum(len(range(-b, b + 1)[(-(x + y) - -b) % 3 :: 3]) for x in (-1, 0, 1) for y in (-1, 0, 1))
+    assert expect > 2**63
+    assert count_points(CongruenceLattice((1, 1, 1), 3), BoxBody((1, 1, b))) == expect

@@ -1,12 +1,15 @@
 """The flat residue table and its consumers against the bucket-table oracles."""
 
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modroots.energy import max_energy_over_j, power_coset_reps, set_energy
+from modroots import energy
+from modroots.energy import max_energy_over_j, power_coset_reps, prime_averaged_energy, set_energy
 from modroots.modular import index_table, kth_roots, preimage_set, primes_in
 from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sum
 
@@ -70,11 +73,31 @@ def test_coset_reps_match_subgroup_scan(q, k):
     assert len(reps) == math.gcd(k, q - 1)
 
 
-@given(PRIMES, st.integers(2, 8), st.integers(1, 60))
-@settings(max_examples=25, deadline=None)
-def test_max_energy_matches_buckets(q, k, N):
-    N = min(N, q)
-    assert max_energy_over_j(k, N, q) == bucket_max_energy(k, N, q)
+def _routed(route):
+    if route == "dense":  # every class through energy_of's convolution
+        return mock.patch.object(energy, "_pair_limit", lambda q: 0)
+    if route == "mixed":  # at most 64 pairs a class: dense and sparse classes mixed, one class a batch
+        return mock.patch.object(energy, "_BINCOUNT_PAIR_LIMIT", 64)
+    return contextlib.nullcontext()
+
+
+@given(PRIMES, KS, st.sampled_from(["one", "all", "some"]), st.integers(1, 60),
+       st.sampled_from(["pairs", "dense", "mixed"]))
+@settings(max_examples=40, deadline=None)
+def test_max_energy_matches_buckets(q, k, which, n, route):
+    # N = q puts every n < q into some class; the oracle affords that only at small q
+    N = 1 if which == "one" else q if which == "all" and q < 1000 else min(n, q)
+    with _routed(route):
+        assert max_energy_over_j(k, N, q) == bucket_max_energy(k, N, q)
+
+
+@given(st.integers(1, 8), st.integers(2, 300), st.integers(1, 40))
+@settings(max_examples=20, deadline=None)
+def test_prime_average_total_matches_buckets(k, Q, n):
+    N = min(n, Q)
+    r = prime_averaged_energy(k, N, Q)
+    assert r.primes == tuple(primes_in((Q + 1) // 2, Q - 1))
+    assert r.total == sum(bucket_max_energy(k, min(N, q), q)[0] for q in r.primes)
 
 
 # ---------------------------------------------------------------------------
