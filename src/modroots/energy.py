@@ -2,17 +2,17 @@
 
 tuple_energy computes the number of 2*nu tuples of elements of the preimage
 set A = {x in F_q^* : j*x^k in {1..N}} whose nu-fold sums agree mod q;
-set_energy is the nu = 2 case for a general target set.  Representation
-counts come from a pair bincount or from cyclic_convolve, which reaches every
-q the residue tables allow.
+set_energy is the nu = 2 case for a general target set.  The pair counts of
+sparse sets, here and in gowers.py, come from one kernel, _pair_counts; a set
+that fails _by_pairs goes to cyclic_convolve, which reaches every q.
 
 max_energy_over_j and prime_averaged_energy read every coset of a prime at
 once.  With g_k = gcd(k, q - 1), j^-1 n is a k-th power iff
 ind n = ind j (mod g_k), so the classes c = ind n mod g_k split n = 1..N
 among the cosets, and E_k(N; j, q) depends only on the class of j.
-_coset_energies gathers each class's roots from index_table(q) and takes the
-pair sums of all sparse classes in one bincount, with a bin offset per class;
-a dense class goes through energy_of like any other set.
+_coset_energies gathers each class's roots from index_table(q) and counts
+the pair sums of all sparse classes as one _pair_counts stack; a dense class
+goes through energy_of like any other set.
 """
 
 from __future__ import annotations
@@ -29,22 +29,59 @@ from .sets import IndicatorSet, RepFn
 
 # Representation counts of n elements mod q come from a bincount of the n^2
 # pairs or from cyclic_convolve, whichever the measured costs favour (2-vCPU
-# VM): the bincount takes about 8 ns a pair; the naive convolution (q <=
-# NAIVE_THRESHOLD) overtakes it near n^2 = q^2 / 8, and the float FFT near
-# n^2 = 7q..16q for q = 10^3..4*10^5.  The pair array itself is capped at
-# _BINCOUNT_PAIR_LIMIT entries (32 MiB).
+# VM): the bincount takes about 8 ns a pair, and _PAIRS_PER_CALL pairs about
+# one cyclic_convolve call; the naive convolution (q <= NAIVE_THRESHOLD)
+# overtakes it near n^2 = q^2 / 8, the float FFT near n^2 = 7q..16q for
+# q = 10^3..4*10^5.  Pair arrays are capped at _BINCOUNT_PAIR_LIMIT entries
+# (32 MiB); a stack of sets goes in blocks of _PAIR_BATCH pairs, kept in cache.
 _PAIRS_PER_RESIDUE = 16
+_PAIRS_PER_CALL = 1 << 12
 _BINCOUNT_PAIR_LIMIT = 1 << 22
+_PAIR_BATCH = 1 << 16
 
 
 def _pair_limit(q: int) -> int:
     """The most pairs a set mod q takes through the bincount."""
-    limit = q * q // 8 if q <= NAIVE_THRESHOLD else _PAIRS_PER_RESIDUE * q
+    limit = max(q * q // 8, _PAIRS_PER_CALL) if q <= NAIVE_THRESHOLD else _PAIRS_PER_RESIDUE * q
     return min(limit, _BINCOUNT_PAIR_LIMIT)
 
 
-def _by_pairs(n: int, q: int) -> bool:
+def _by_pairs(n, q: int):
     return n * n <= _pair_limit(q)
+
+
+def _pair_counts(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool = False):
+    """Yields the pair counts of a ragged stack of sets mod q, as int64 blocks [b, q].
+
+    Row r is the next sizes[r] members of x, and counts its pairs (a, b) by
+    a + b mod q, or by a - b = a + (q - b) when negate.  A block's pairs are
+    one np.repeat of a and one gather of b, unpadded (a broadcast sum for one
+    row), and one np.bincount takes them with an offset of q bins a row.  A
+    block holds at most _PAIR_BATCH pairs and _BINCOUNT_PAIR_LIMIT bins, or
+    one row.
+    """
+    ends, pair_ends = sizes.cumsum(), (sizes * sizes).cumsum()
+    partner = q - x if negate else x
+    lo, rows = 0, len(sizes)
+    while lo < rows:
+        hi = int(pair_ends.searchsorted((pair_ends[lo - 1] if lo else 0) + _PAIR_BATCH, "right"))
+        hi = max(lo + 1, min(hi, lo + _BINCOUNT_PAIR_LIMIT // q))
+        a, b = int(ends[lo] - sizes[lo]), int(ends[hi - 1])
+        if hi - lo == 1:
+            t = (x[a:b, None] + partner[a:b]).ravel()
+        else:
+            n = sizes[lo:hi]
+            reps = n.repeat(n)  # each member pairs with every member of its row
+            # member i's pairs start at first[i], and its row's members at start[i]
+            first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
+            t = x[a:b].repeat(reps)
+            t += partner[a:b][np.arange(len(t)) - (first - start).repeat(reps)]
+        u = t.view(np.uint64)
+        np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
+        if hi - lo > 1:
+            t += (q * np.arange(hi - lo)).repeat(n * n)
+        yield np.bincount(t, minlength=(hi - lo) * q).reshape(hi - lo, q)
+        lo = hi
 
 
 @dataclass(frozen=True)
@@ -67,17 +104,7 @@ class EnergyQuery:
 
 def difference_rep(A: IndicatorSet) -> RepFn:
     """counts(d) = #{(a1, a2) in A^2 : a1 - a2 = d (mod q)}."""
-    q = A.q
-    n = A.cardinality
-    if n == 0:
-        return RepFn(q, np.zeros(q, dtype=np.int64))
-    if _by_pairs(n, q):
-        arr = A.members
-        diffs = (arr[:, None] - arr[None, :]) % q
-        return RepFn(q, np.bincount(diffs.ravel(), minlength=q))
-    rev = np.zeros(q, dtype=np.int64)
-    rev[(-A.members) % q] = 1
-    return RepFn(q, cyclic_convolve(A.vector(), rev))
+    return RepFn(A.q, _pair_sum_counts(A, negate=True))
 
 
 def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
@@ -98,15 +125,14 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
     return RepFn(q, acc)
 
 
-def _pair_sum_counts(A: IndicatorSet):
-    q = A.q
-    n = A.cardinality
+def _pair_sum_counts(A: IndicatorSet, negate: bool = False):
+    """The counts of a1 + a2 over (a1, a2) in A^2, or of a1 - a2 when negate."""
+    q, n = A.q, A.cardinality
     if _by_pairs(n, q):
-        arr = A.members
-        sums = (arr[:, None] + arr[None, :]) % q
-        return np.bincount(sums.ravel(), minlength=q)
+        return next(_pair_counts(A.members, np.array([n]), q, negate))[0]
     ind = A.vector()
-    return cyclic_convolve(ind, ind)
+    # ind[-x mod q] for differences; the same array twice costs cyclic_convolve one rfft
+    return cyclic_convolve(ind, np.roll(ind[::-1], 1) if negate else ind)
 
 
 def energy_of(A: IndicatorSet, nu: int = 2) -> int:
@@ -159,46 +185,22 @@ def _coset_energies(k: int, N: int, q: int) -> np.ndarray:
     set of j = g^c is the g_k roots of x^k = g^(ind n - c) for each n of class
     c: distinct and nonzero, so they need no dedup.  A class that fails
     _by_pairs goes through energy_of, so memory stays bounded at N near q.
-    The others lay their roots out as [class, slot] rows padded with 2q, and a
-    batch of rows takes its pair sums from one bincount of q + 1 bins a row:
-    the sums s and s + q share bin s, and every pair with a pad lands in bin q.
+    The classes are the rows of one _pair_counts stack, a dense one empty.
     """
     table = index_table(q)
     gk = math.gcd(k, q - 1)
     iv = table.ind[1 : min(N, q - 1) + 1].astype(np.int64)
     cls = iv % gk
-    sizes = np.bincount(cls, minlength=gk)
-    size = int(sizes.max())
-    energies = np.zeros(gk, dtype=np.int64 if (gk * size) ** 3 < WORD_CAP else object)
-
-    if gk * size > math.isqrt(_pair_limit(q)):
-        dense = sizes * gk > math.isqrt(_pair_limit(q))
-        for c in np.flatnonzero(dense).tolist():
-            roots = table.power_roots(iv[cls == c] // gk, k).ravel()
-            energies[c] = energy_of(IndicatorSet(q, np.sort(roots)))
-        keep = ~dense[cls]
-        iv, cls = iv[keep], cls[keep]
-        if not len(iv):
-            return energies
-        size = int(sizes[~dense].max())
-    order = np.argsort(cls, kind="stable")
-    iv, cls = iv[order], cls[order]  # grouped by class
-    rank = np.arange(len(iv)) - np.searchsorted(cls, cls)
-    per_batch = max(1, _BINCOUNT_PAIR_LIMIT // max((gk * size) ** 2, q + 1))
-    for lo in range(0, gk, per_batch):
-        rows = min(per_batch, gk - lo)
-        a, b = np.searchsorted(cls, (lo, lo + rows))
-        if a == b:  # only dense or empty classes
-            continue
-        slots = np.full((rows, size, gk), 2 * q, dtype=np.int64)
-        slots[cls[a:b] - lo, rank[a:b]] = table.power_roots(iv[a:b] // gk, k)
-        slots = slots.reshape(rows, size * gk)
-        sums = slots[:, :, None] + slots[:, None, :]  # real sums 2..2q-2, pad sums > 2q
-        np.minimum(sums, 2 * q, out=sums)
-        np.subtract(sums, q, out=sums, where=sums >= q)
-        sums += (q + 1) * np.arange(rows)[:, None, None]
-        reps = np.bincount(sums.ravel(), minlength=rows * (q + 1)).reshape(rows, q + 1)[:, :q]
-        energies[lo : lo + rows] += np.einsum("cs,cs->c", reps, reps)  # dense and empty rows add 0
+    sizes = np.bincount(cls, minlength=gk) * gk  # roots a class
+    energies = np.zeros(gk, dtype=np.int64 if int(sizes.max()) ** 3 < WORD_CAP else object)
+    sparse = _by_pairs(sizes, q)
+    for c in np.flatnonzero(~sparse).tolist():
+        roots = table.power_roots(iv[cls == c] // gk, k).ravel()
+        energies[c] = energy_of(IndicatorSet(q, np.sort(roots)))
+    iv = iv[sparse[cls]]
+    iv = iv[np.argsort(iv % gk, kind="stable")]  # grouped by class
+    blocks = _pair_counts(table.power_roots(iv // gk, k).ravel(), sizes * sparse, q)
+    energies += np.concatenate([np.einsum("cs,cs->c", b, b) for b in blocks])  # dense rows add 0
     return energies
 
 

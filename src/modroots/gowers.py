@@ -3,21 +3,21 @@
 The k-th norm counts (k+1)-dimensional combinatorial cubes with all 2^k
 vertices in the set: U^1(A) = (#A)^2 and U^k(A) = sum_s U^(k-1)(A ∩ (A - s)).
 gowers_norm unfolds that recursion down to U^2 along two independent routes,
-each over a stack of boolean rows of length q scored all at once, and asserts
-they agree before returning:
+each over a stack of boolean rows of length q, and asserts they agree:
 
   * the shift route builds the rows by repeated shift-intersection,
     B -> B & roll(B, -s) for every s, dropping empty rows, and scores a row by
-    its autocorrelation: U^2(B) = sum_t (sum_x B[x] B[x+t])^2;
+    its difference counts: U^2(B) = E(B) = sum_d #{(x, y) in B^2 : x - y = d}^2;
   * the cube route builds the row of every shift tuple (s_1..s_(k-2))
     directly, as the product of the indicator over the 2^(k-2) vertices
-    x + eps.s, and scores a row by its self-convolution:
-    U^2(B) = sum_z (sum_x B[x] B[z-x])^2.
+    x + eps.s, and scores a row by its sum counts, whose square sum is E(B) too.
 
-Both scores cost rows * q^2 whatever the density: a float matmul over
-sliding-window views whose every partial sum is an integer at most q, so it
-is exact.  character_lemma_report checks the two norm/energy inequalities in
-exact integer arithmetic, computing each U^m once.
+Sparse rows (energy._by_pairs) are scored all at once by the ragged pair
+bincount energy._pair_counts, dense rows one by one by difference_rep or
+sum_rep through cyclic_convolve, a row past q/2 members by its complement.
+U^k costs about q^(k-2) (2^(k-2) q + min(|A|^2, energy._pair_limit(q))), the
+work estimate held to the budget.  character_lemma_report checks the two
+norm/energy inequalities in exact integer arithmetic, computing each U^m once.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .energy import _by_pairs, _pair_counts, _pair_limit, difference_rep, sum_rep
 from .errors import BudgetExceededError
 from .sets import IndicatorSet, _exact_dot
 
 DEFAULT_K_CAP = 4
 DEFAULT_WORK_BUDGET = 10**9
 _CHUNK = 1 << 20  # entries per temporary of the row stacks
-_FLOAT32_EXACT = 1 << 24  # float32 holds every integer below this exactly
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,10 @@ def shift_intersection(A: IndicatorSet, shifts) -> ShiftSystem:
     return ShiftSystem(shifts, IndicatorSet(q, np.flatnonzero(a)))
 
 
-def _as_float(rows: np.ndarray) -> np.ndarray:
-    """0/1 rows in a float type that holds every sum of q products exactly."""
-    return rows.astype(np.float32 if rows.shape[1] < _FLOAT32_EXACT else np.float64)
-
-
 def _shifted(rows: np.ndarray) -> np.ndarray:
     """A view [r, s, x] = rows[r, x + s mod q] for s = 0..q-1."""
     q = rows.shape[1]
     return sliding_window_view(np.concatenate([rows, rows], axis=1), q, axis=1)[:, :q]
-
-
-def _window_products(rows: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """out[r, s] = sum_x rows[r, x] * partner[r, x + s mod q], as int64."""
-    return np.einsum("rsx,rx->rs", _shifted(np.ascontiguousarray(partner)), rows).astype(np.int64)
 
 
 def _square_sum(c: np.ndarray) -> int:
@@ -81,17 +71,24 @@ def _square_sum(c: np.ndarray) -> int:
     return _exact_dot(c, c, int(c.max(initial=0)) ** 2)
 
 
-def _autocorrelation_energy(rows: np.ndarray) -> int:
-    """sum over rows B of sum_t (sum_x B[x] B[x+t mod q])^2."""
-    f = _as_float(rows)
-    return _square_sum(_window_products(f, f))
+def _stack_energy(rows: np.ndarray, negate: bool) -> int:
+    """sum over the rows B of E(B), the square sum of B's difference (negate) or sum counts.
 
-
-def _convolution_energy(rows: np.ndarray) -> int:
-    """sum over rows B of sum_z (sum_x B[x] B[z-x mod q])^2."""
-    f = _as_float(rows)
-    # partner[y] = B[-1 - y]: partner[x + s] = B[z - x] for z = -1 - s, every z once
-    return _square_sum(_window_products(f, f[:, ::-1]))
+    A row past q/2 members is scored by its complement C: either count of B is
+    that of C plus m = 2|B| - q, so E(B) = E(C) + m (q m + 2|C|^2).
+    """
+    q = rows.shape[1]
+    sizes = np.count_nonzero(rows, axis=1)
+    flip = 2 * sizes > q
+    m, c = 2 * sizes[flip] - q, q - sizes[flip]
+    total = _exact_dot(m, q * m + 2 * c * c, 2 * q**3)
+    rows, sizes[flip] = rows ^ flip[:, None], c
+    sparse = _by_pairs(sizes, q)
+    for B in (IndicatorSet(q, np.flatnonzero(row)) for row in rows[~sparse]):
+        total += (difference_rep(B) if negate else sum_rep(B, 2)).square_sum()
+    sparse &= sizes > 0
+    x = np.nonzero(rows[sparse])[1]
+    return total + sum(_square_sum(block) for block in _pair_counts(x, sizes[sparse], q, negate))
 
 
 def _shift_stack(rows: np.ndarray, depth: int):
@@ -126,27 +123,28 @@ def _cube_stack(a: np.ndarray, depth: int):
 
 
 def _norm_by_shifts(a: np.ndarray, k: int) -> int:
-    """U^k by the shift recursion, rows scored by autocorrelation."""
+    """U^k by the shift recursion, rows scored by difference counts."""
     if k == 1:
         return int(np.count_nonzero(a)) ** 2
-    return sum(_autocorrelation_energy(rows) for rows in _shift_stack(a[None, :], k - 2))
+    return sum(_stack_energy(rows, negate=True) for rows in _shift_stack(a[None, :], k - 2))
 
 
 def _norm_by_cubes(a: np.ndarray, k: int) -> int:
-    """U^k by direct cube rows over every shift tuple, rows scored by self-convolution."""
+    """U^k by direct cube rows over every shift tuple, rows scored by sum counts."""
     if k == 1:
         return int(np.count_nonzero(a)) ** 2
-    return sum(_convolution_energy(rows) for rows in _cube_stack(a, k - 2))
+    return sum(_stack_energy(rows, negate=False) for rows in _cube_stack(a, k - 2))
 
 
 def shift_counts(A: IndicatorSet) -> np.ndarray:
-    """#(A ∩ (A - s)) for every s in Z_q, as one int64 array."""
-    f = _as_float(_indicator(A)[None, :])
-    return _window_products(f, f)[0]
+    """#(A ∩ (A - s)) for every s in Z_q, as one int64 array: the count of a - b = -s."""
+    return difference_rep(A).counts[-np.arange(A.q) % A.q]
 
 
 def _work_estimate(A: IndicatorSet, k: int) -> int:
-    return A.q ** max(k - 1, 0) * max(A.cardinality, 1)
+    """q^(k-2) rows, each the AND of 2^(k-2) shifts, scored over min(|A|^2, _pair_limit(q)) pairs."""
+    d = max(k - 2, 0)
+    return A.q**d * (2**d * A.q + min(A.cardinality**2, _pair_limit(A.q)))
 
 
 def gowers_norm(A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET) -> int:

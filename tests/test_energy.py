@@ -1,6 +1,9 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import modroots.energy as energy
 from modroots.convolve import cyclic_convolve
@@ -225,3 +228,46 @@ def test_pair_route_choice_follows_q():
     assert energy._by_pairs(128, 1024) and energy._by_pairs(128, 20011)
     # below NAIVE_THRESHOLD the convolution costs q^2, not q log q
     assert energy._by_pairs(90, 307) and not energy._by_pairs(200, 509)
+
+
+@st.composite
+def _ragged_stacks(draw):
+    """(q, rows): rows of members mod q, among them empty, one-member and full rows."""
+    q = draw(st.one_of(st.integers(1, 12), st.integers(13, 200_000)))
+    kinds = draw(st.lists(st.sampled_from(["empty", "one", "full", "random"]), max_size=8))
+    member = st.integers(0, q - 1)
+    rows = []
+    for kind in kinds:
+        if kind == "empty":
+            rows.append([])
+        elif kind == "one":
+            rows.append([draw(member)])
+        elif kind == "full" and q <= 60:
+            rows.append(list(range(q)))
+        else:
+            rows.append(sorted(draw(st.sets(member, max_size=30))))
+    return q, rows
+
+
+@given(_ragged_stacks(), st.booleans(), st.sampled_from([1, 7, 64, 1 << 22]))
+@example((5, [[0, 1, 2], [3], [], [0, 1, 2, 3, 4], [4]]), True, 7)  # the bins split the stack
+@example((2, [[0, 1], [0, 1], [1]]), False, 7)  # the pairs split it after one row
+@settings(max_examples=80, deadline=None)
+def test_pair_counts_match_python_counts(stack, negate, limit):
+    q, rows = stack
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    x = np.array([a for r in rows for a in r], dtype=np.int64)
+    with mock.patch.multiple(energy, _BINCOUNT_PAIR_LIMIT=limit, _PAIR_BATCH=limit):
+        blocks = list(energy._pair_counts(x, sizes, q, negate))
+    lo = 0
+    for block in blocks:
+        pairs = int((sizes[lo : lo + len(block)] ** 2).sum())
+        assert block.dtype == np.int64 and block.shape[1] == q
+        assert len(block) == 1 or max(len(block) * q, pairs) <= limit
+        lo += len(block)
+    got = np.concatenate(blocks) if blocks else np.zeros((0, q), dtype=np.int64)
+    assert got.shape == (len(rows), q)
+    expect = Counter(
+        (r, (a - b if negate else a + b) % q) for r, row in enumerate(rows) for a in row for b in row
+    )
+    assert {(int(r), int(s)): int(got[r, s]) for r, s in zip(*np.nonzero(got))} == expect

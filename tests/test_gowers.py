@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modroots.gowers as gowers
 from algebra_oracles import fourier_u2, set_norms
-from modroots.energy import energy_of
+from modroots.convolve import NAIVE_THRESHOLD
+from modroots.energy import _pair_limit, energy_of
 from modroots.errors import BudgetExceededError
 from modroots.gowers import character_lemma_report, gowers_norm, shift_counts, shift_intersection
+from modroots.modular import primes_in
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
@@ -115,11 +119,24 @@ def test_u3_recursion_identity_property(q, seed):
         assert gowers_norm(A, 3) == 0
 
 
+_PRIMES = primes_in(2, 20011)
+
+
 @st.composite
 def _subsets(draw, qmax=37):
-    """Subsets of Z_q, q <= qmax, weighted towards the empty set, singletons and Z_q."""
+    """Subsets of Z_q, q <= qmax, weighted towards the empty set, singletons and Z_q,
+    and two large-q kinds: sparse sets mod a prime up to 20011, and sets mod
+    q in (512, 1100] dense enough that their dense rows take the float FFT."""
+    kind = draw(st.sampled_from(["empty", "singleton", "full", "random", "sparse", "mid-density"]))
+    if kind == "sparse":
+        q = draw(st.sampled_from(_PRIMES))
+        return IndicatorSet(q, draw(st.sets(st.integers(0, q - 1), max_size=40)))
+    if kind == "mid-density":
+        q = draw(st.integers(NAIVE_THRESHOLD + 1, 1100))
+        n = draw(st.integers(math.isqrt(_pair_limit(q)) + 1, q // 3))  # A itself is a dense row
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        return IndicatorSet(q, rng.choice(q, n, replace=False))
     q = draw(st.integers(1, qmax))
-    kind = draw(st.sampled_from(["empty", "singleton", "full", "random"]))
     if kind == "empty":
         return IndicatorSet(q, [])
     if kind == "singleton":
@@ -133,8 +150,9 @@ def _subsets(draw, qmax=37):
 @example(IndicatorSet(37, range(37)), 4)
 @example(IndicatorSet(37, range(0, 37, 2)), 4)
 @example(IndicatorSet(36, [0, 1, 5, 11, 17, 30]), 4)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_array_routes_match_set_routes(A, k):
+    k = min(k, 3) if A.q > 37 else k  # U^4 past q = 37 is beyond the set routes and the budget
     by_recursion, by_squares = set_norms(A, k)
     assert by_recursion == by_squares == gowers_norm(A, k)
     if A.cardinality:
@@ -143,13 +161,13 @@ def test_array_routes_match_set_routes(A, k):
 
 
 @given(_subsets())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_u2_matches_fourier_identity(A):
     assert gowers_norm(A, 2) == fourier_u2(A)
 
 
 @given(_subsets())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_shift_counts_match_shift_intersections(A):
     counts = shift_counts(A)
     assert counts.dtype == np.int64 and counts.shape == (A.q,)
