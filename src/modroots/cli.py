@@ -209,7 +209,6 @@ def cmd_sweep(args, rng):
         seed=args.seed if args.seed is not None else cfg.get("seed", 0),
         parallelism=args.threads or cfg.get("parallelism", 1),
         budgets=cfg.get("budgets", {}),
-        row_timing=args.row_timing or cfg.get("row_timing", False),
     )
     result = run_sweep(config)
     if args.out:
@@ -294,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None, help="JSON config file")
     s.add_argument("--grid", action="append", default=None, metavar="key=value",
                    help="grid axis (repeatable): key=1,2,3 or key=lo:hi:step")
-    s.add_argument("--row-timing", action="store_true", help="record per-row wall time")
 
     return p
 

@@ -223,7 +223,7 @@ class RatioReport:
 
 def bilinear_bound_ratio(query: BilinearQuery) -> RatioReport:
     """|W| over its envelope (sup-norm-1 weights assumed; o(1) factors dropped)."""
-    if max(abs(x) for x in query.alpha + query.beta) > 1 + 1e-12:
+    if max((abs(x) for x in query.alpha + query.beta), default=0) > 1 + 1e-12:
         raise ValueError("weights must have sup norm <= 1")
     w = bilinear_root_sum(query)
     env = bilinear_envelope(query.q, query.M, query.N)
@@ -231,7 +231,9 @@ def bilinear_bound_ratio(query: BilinearQuery) -> RatioReport:
 
 
 def smoothed_bound_ratio(a, h, M, q, alpha, bump: SmoothBump, r: int = 2) -> RatioReport:
-    if max(abs(x) for x in alpha) > 1 + 1e-12:
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if max((abs(x) for x in alpha), default=0) > 1 + 1e-12:
         raise ValueError("weights must have sup norm <= 1")
     v = smoothed_root_sum(a, h, M, q, alpha, bump)
     env = smoothed_envelope(q, M, bump.N, r)

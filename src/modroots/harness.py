@@ -4,8 +4,8 @@ Hard-assertion checks (identities and theorem-true inequalities) set pass
 flags; ratio checks only record measured/bound/ratio.  Reports are
 deterministic for a fixed (config, seed) regardless of worker count: every
 grid cell draws its randomness from a child stream keyed by (seed, cell
-ordinal), rows are emitted in sorted parameter order, and per-row wall time
-is suppressed by default (timings live in the manifest).
+ordinal), rows are emitted in sorted parameter order, and the per-row `ms`
+column is always 0 (timings live in the manifest).
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class SweepConfig:
     seed: int = 0
     parallelism: int = 1
     budgets: dict = field(default_factory=dict)
-    row_timing: bool = False
 
 
 @dataclass
@@ -67,7 +66,6 @@ class ReportRow:
     bound: object
     ratio: object
     passed: object  # bool for hard assertions, None for ratio-only rows
-    ms: int
 
 
 @dataclass
@@ -177,6 +175,8 @@ def _check_e2k_set_doubling(params, rng, budgets):
     k, N = params["k"], params["N"]
     if not 2 <= N <= q // 4:
         raise InfeasibleCellError("need 2 <= N <= q/4")
+    if k < 1:
+        raise InfeasibleCellError("k must be >= 1")
     L_target = params.get("L", 2)
     try:
         inst = doubling_instance(L_target, N, q, rng)
@@ -223,6 +223,10 @@ def _check_lattice_geometry(params, rng, budgets):
     d = params["d"]
     qmax = params.get("qmax", 10**4)
     wmax = params.get("wmax", 1000)
+    if d not in (2, 3):
+        raise InfeasibleCellError("d must be 2 or 3")
+    if qmax < 3 or wmax < 1:
+        raise InfeasibleCellError("need qmax >= 3 and wmax >= 1")
     q = _random_prime(rng, qmax)
     coeffs = tuple(rng.randint(1, q - 1) for _ in range(d))
     ws = tuple(_random_width(rng, wmax) for _ in range(d))
@@ -254,6 +258,8 @@ def _check_lattice_geometry(params, rng, budgets):
 def _check_trichotomy(params, rng, budgets):
     qmax = params.get("qmax", 5000)
     boxmax = params.get("boxmax", 12)
+    if qmax < 3 or boxmax < 1:
+        raise InfeasibleCellError("need qmax >= 3 and boxmax >= 1")
     q = _random_prime(rng, qmax)
     a, b, c = (rng.randint(1, q - 1) for _ in range(3))
     L, M, N = (rng.randint(1, boxmax) for _ in range(3))
@@ -263,8 +269,10 @@ def _check_trichotomy(params, rng, budgets):
 
 def _check_prodpoly_vanishing(params, rng, budgets):
     k = params["k"]
-    F = product_poly(k)
     xmax = params.get("xmax", 50)
+    if k < 2 or xmax < 1:
+        raise InfeasibleCellError("need k >= 2 and xmax >= 1")
+    F = product_poly(k)
     x1, x2, x3 = (rng.randint(1, xmax) for _ in range(3))
     x4 = x1 + x2 - x3
     if x4 == 0:
@@ -285,6 +293,8 @@ def _check_prodpoly_vanishing(params, rng, budgets):
 
 def _check_tk_growth(params, rng, budgets):
     k, N = params["k"], params["N"]
+    if k < 2 or N < 1:
+        raise InfeasibleCellError("need k >= 2 and N >= 1")
     t = count_box_zeros(k, N, budget=budgets.get("tk", 2 * 10**7))
     return CellResult(measured=t, bound=N**2, ratio=t / N**2)
 
@@ -292,8 +302,8 @@ def _check_tk_growth(params, rng, budgets):
 def _check_w_ratio(params, rng, budgets):
     q = _require_prime(params)
     M, N = params["M"], params["N"]
-    if M > q / 2 or N > q / 2:
-        raise InfeasibleCellError("requires M, N <= q/2")
+    if not (1 <= M <= q / 2 and 1 <= N <= q / 2):
+        raise InfeasibleCellError("requires 1 <= M, N <= q/2")
     a = rng.randint(1, q - 1)
     h = rng.randint(0, q - 1)
     alpha = tuple(float(rng.choice([-1, 1])) for _ in dyadic_range(M))
@@ -305,10 +315,12 @@ def _check_w_ratio(params, rng, budgets):
 def _check_v_ratio(params, rng, budgets):
     q = _require_prime(params)
     M, N, r = params["M"], params["N"], params.get("r", 2)
-    if not M < N:
-        raise InfeasibleCellError("requires M < N")
+    if not 1 <= M < N:
+        raise InfeasibleCellError("requires 1 <= M < N")
     if M * N > q:
         raise InfeasibleCellError("requires M*N <= q")
+    if r < 1:
+        raise InfeasibleCellError("r must be >= 1")
     a = rng.randint(1, q - 1)
     h = rng.randint(0, q - 1)
     alpha = tuple(float(rng.choice([-1, 1])) for _ in dyadic_range(M))
@@ -319,8 +331,10 @@ def _check_v_ratio(params, rng, budgets):
 def _check_salie_moment(params, rng, budgets):
     q = _require_prime(params)
     U0, r = params["U0"], params.get("r", 2)
-    if U0 > q:
-        raise InfeasibleCellError("requires U0 <= q")
+    if not 0 <= U0 <= q:
+        raise InfeasibleCellError("requires 0 <= U0 <= q")
+    if r < 1:
+        raise InfeasibleCellError("r must be >= 1")
     c = rng.randint(1, q - 1)
     rep = char_inverse_moment(c, U0, r, q)
     return CellResult(measured=rep.moment, bound=rep.envelope, ratio=rep.ratio)
@@ -329,6 +343,8 @@ def _check_salie_moment(params, rng, budgets):
 def _check_gamma_ratio(params, rng, budgets):
     q = _require_prime(params)
     P = params["P"]
+    if P < 1:
+        raise InfeasibleCellError("P must be >= 1")
     ratio = prime_roots_ratio(q, P)
     return CellResult(measured=ratio, bound=1.0, ratio=ratio)
 
@@ -484,7 +500,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 bound=res.bound,
                 ratio=res.ratio,
                 passed=res.passed,
-                ms=ms if config.row_timing else 0,
             )
         )
 
@@ -496,7 +511,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             "seed": config.seed,
             "parallelism": config.parallelism,
             "budgets": config.budgets,
-            "row_timing": config.row_timing,
         },
         "version": __version__,
         "bound_formula": BOUND_FORMULAS.get(config.check),
@@ -539,7 +553,7 @@ def render_csv(rows) -> str:
     writer.writerow(["check", "params", "measured", "bound", "ratio", "pass", "ms"])
     for r in rows:
         writer.writerow(
-            [r.check, _fmt_params(r.params), _fmt(r.measured), _fmt(r.bound), _fmt(r.ratio), _fmt(r.passed), str(r.ms)]
+            [r.check, _fmt_params(r.params), _fmt(r.measured), _fmt(r.bound), _fmt(r.ratio), _fmt(r.passed), "0"]
         )
     return buf.getvalue()
 
@@ -553,7 +567,7 @@ def render_json(rows) -> str:
             "bound": _fmt(r.bound),
             "ratio": _fmt(r.ratio),
             "pass": _fmt(r.passed),
-            "ms": str(r.ms),
+            "ms": "0",  # timings live in the manifest; the column keeps the report layout
         }
         for r in rows
     ]

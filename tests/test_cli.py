@@ -105,6 +105,13 @@ def test_sweep_wraparound_doubling_cell_is_skip_row(tmp_path, capsys):
     assert sum("skip=" in p for p in params) == 1 and len(params) == 4
 
 
+def test_sweep_out_of_range_parameter_is_skip_row(capsys):
+    code = main(["sweep", "--check", "gamma-ratio", "--grid", "q=7", "--grid", "P=0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "gamma-ratio,P=0;q=7;skip=InfeasibleCellError,,,,,0" in out.splitlines()
+
+
 def test_sweep_config_error(capsys):
     code = main(["sweep", "--check", "salie-moment", "--grid", "bogus=1"])
     capsys.readouterr()

@@ -1,8 +1,9 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modroots.equidist import (
     DiscrepancyResult,
@@ -12,6 +13,7 @@ from modroots.equidist import (
     prime_roots_envelope,
     prime_roots_ratio,
 )
+from modroots.modular import primes_in, sqrt_mod
 from modroots.rng import SplitMix64
 
 
@@ -47,6 +49,18 @@ def pair_scan(P: PointMultiset) -> DiscrepancyResult:
         if de > best:
             best, witness = de, f"deficit ({vals[i]}, 1)"
     return DiscrepancyResult(best, witness)
+
+
+def oracle_prime_roots(q, P):
+    """The per-prime Fraction loop: a Fraction x/q per root, gathered by PointMultiset.of."""
+    points = []
+    certs = []
+    for p in primes_in(2, P) if P >= 2 else []:
+        for x in sqrt_mod(p % q, q):
+            points.append(Fraction(x, q))
+            certs.append((x, p))
+    ms = PointMultiset.of(points)
+    return ms, certs, discrepancy(ms)
 
 
 def grid_oracle(ms: PointMultiset, refine=Fraction(1, 10**6)) -> Fraction:
@@ -212,3 +226,37 @@ def test_prime_roots_scan_matches_pair_scan():
     for q, P in ((101, 40), (1009, 251), (4999, 912)):
         ms = prime_roots_discrepancy(q, P).points
         assert discrepancy(ms) == pair_scan(ms)
+
+
+_SMALL_PRIMES = primes_in(2, 2 * 10**4)
+
+
+@st.composite
+def _prime_and_bound(draw):
+    # q = 3 (mod 4) takes the one-power root, q = 1 (mod 8) the full Tonelli-Shanks loop
+    residue, modulus = draw(st.sampled_from([(3, 4), (1, 8), (5, 8), (2, 2**20)]))
+    q = draw(st.sampled_from([p for p in _SMALL_PRIMES if p % modulus == residue]))
+    return q, draw(st.integers(-1, 3 * q))
+
+
+@given(_prime_and_bound())
+@example((2, 5))
+@example((7, 7))  # p = q: the root 0
+@example((17, 51))  # q = 1 (mod 8), and past q the primes repeat residues
+@example((19997, 59991))
+@settings(max_examples=60, deadline=None)
+def test_prime_roots_match_fraction_oracle(qP):
+    q, P = qP
+    res = prime_roots_discrepancy(q, P)
+    ms, certs, expected = oracle_prime_roots(q, P)
+    assert res.points.denom == q and res.points.nums.dtype == np.int64
+    assert res.points.values == ms.values
+    assert res.points.mults.tolist() == ms.mults.tolist()
+    assert res.certificates.dtype == np.int64 and res.certificates.shape == (len(certs), 2)
+    assert [tuple(c) for c in res.certificates.tolist()] == certs
+    assert res.result == expected
+    assert res.points.export_lines() == "\n".join(
+        f"{v.numerator} {v.denominator} {m}" for v, m in zip(ms.values, ms.mults.tolist())
+    )
+    if len(ms.values) <= 60:
+        assert res.result == pair_scan(ms)

@@ -225,6 +225,16 @@ def test_ratio_reports():
         bilinear_bound_ratio(BilinearQuery(5, 7, M, N, q, (2.0,) * 8, (0.0,) * 8))
 
 
+def test_ratio_edge_parameters():
+    # r = 0 is a bad parameter, not an envelope to divide by; M = 1 has no m ~ M
+    with pytest.raises(ValueError, match="r must be >= 1"):
+        smoothed_bound_ratio(5, 7, 8, 499, tuple([1.0] * 4), SmoothBump(32), r=0)
+    vrep = smoothed_bound_ratio(5, 7, 1, 499, (), SmoothBump(32), r=2)
+    assert vrep.value == 0 and vrep.ratio == 0
+    wrep = bilinear_bound_ratio(BilinearQuery(5, 7, 1, 1, 101, (), ()))
+    assert wrep.value == 0 and wrep.ratio == 0
+
+
 def test_weight_length_validation():
     with pytest.raises(ValueError):
         BilinearQuery(1, 0, 8, 8, 31, (1.0,), (1.0,) * 4)

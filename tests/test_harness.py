@@ -116,8 +116,8 @@ def test_ratio_checks_record_only():
         ("e2k-average", {"k": [3], "N": [2], "Q": [40]}),
         ("e2k-set-doubling", {"q": [10007], "k": [3], "N": [16], "trial": [1]}),
         ("tk-growth", {"k": [3], "N": [5, 8]}),
-        ("w-ratio", {"q": [101], "M": [8], "N": [8], "trial": [1]}),
-        ("v-ratio", {"q": [499], "M": [4], "N": [32], "trial": [1]}),
+        ("w-ratio", {"q": [101], "M": [1, 8], "N": [8], "trial": [1]}),
+        ("v-ratio", {"q": [499], "M": [1, 4], "N": [32], "trial": [1]}),
         ("salie-moment", {"q": [101], "U0": [4], "r": [2], "trial": [1]}),
         ("gamma-ratio", {"q": [101], "P": [40]}),
     ]:
@@ -145,6 +145,29 @@ def test_budget_exhaustion_becomes_skip_row():
          "InfeasibleCellError", "need Q >= 2 and 1 <= N <= Q"),
         (SweepConfig("e2k-average", {"k": [3], "N": [1], "Q": [1]}, seed=1),
          "InfeasibleCellError", "need Q >= 2 and 1 <= N <= Q"),
+        (SweepConfig("gamma-ratio", {"q": [7], "P": [0]}), "InfeasibleCellError", "P must be >= 1"),
+        (SweepConfig("tk-growth", {"k": [3], "N": [0]}), "InfeasibleCellError", "need k >= 2 and N >= 1"),
+        (SweepConfig("tk-growth", {"k": [1], "N": [3]}), "InfeasibleCellError", "need k >= 2 and N >= 1"),
+        (SweepConfig("prodpoly-vanishing", {"k": [1]}), "InfeasibleCellError", "need k >= 2 and xmax >= 1"),
+        (SweepConfig("prodpoly-vanishing", {"k": [2], "xmax": [0]}),
+         "InfeasibleCellError", "need k >= 2 and xmax >= 1"),
+        (SweepConfig("e2k-set-doubling", {"q": [10007], "k": [0], "N": [8]}),
+         "InfeasibleCellError", "k must be >= 1"),
+        (SweepConfig("w-ratio", {"q": [101], "M": [0], "N": [8]}),
+         "InfeasibleCellError", "requires 1 <= M, N <= q/2"),
+        (SweepConfig("v-ratio", {"q": [499], "M": [0], "N": [8]}), "InfeasibleCellError", "requires 1 <= M < N"),
+        (SweepConfig("salie-moment", {"q": [101], "U0": [-1]}), "InfeasibleCellError", "requires 0 <= U0 <= q"),
+        (SweepConfig("lattice-geometry", {"d": [4]}), "InfeasibleCellError", "d must be 2 or 3"),
+        (SweepConfig("lattice-geometry", {"d": [2], "qmax": [2]}),
+         "InfeasibleCellError", "need qmax >= 3 and wmax >= 1"),
+        (SweepConfig("lattice-geometry", {"d": [3], "wmax": [0]}),
+         "InfeasibleCellError", "need qmax >= 3 and wmax >= 1"),
+        (SweepConfig("trichotomy", {"qmax": [2]}), "InfeasibleCellError", "need qmax >= 3 and boxmax >= 1"),
+        (SweepConfig("trichotomy", {"boxmax": [0]}), "InfeasibleCellError", "need qmax >= 3 and boxmax >= 1"),
+        (SweepConfig("v-ratio", {"q": [499], "M": [4], "N": [32], "r": [0]}),
+         "InfeasibleCellError", "r must be >= 1"),
+        (SweepConfig("salie-moment", {"q": [101], "U0": [4], "r": [0]}),
+         "InfeasibleCellError", "r must be >= 1"),
     ],
 )
 def test_skip_row_message_goes_to_the_manifest(config, reason, message):
