@@ -2,24 +2,22 @@
 
 For each k the grouped product over k-th roots of unity
 
-    prod_{w2, w3} ((X1 + w2*X2 - w3*X3)^k - X4^k)
+    G(X1, X2, X3, X4) = prod_{w2, w3} ((X1 + w2*X2 - w3*X3)^k - X4^k)
 
-expands, over Z[w]/Phi_k, to a polynomial whose coefficients are rational
-integers and whose exponents are all divisible by k; dividing the exponents
-by k yields an integer polynomial F of homogeneous degree k^2 with
-F(u^k, v^k, x^k, y^k) = 0 whenever u + v = x + y, over any commutative ring.
+is a polynomial in X1^k, ..., X4^k with rational integer coefficients: it
+is fixed by X2 -> w*X2, X3 -> w*X3 and the Galois group, and homogeneous of
+degree k^3.  Writing Yi = Xi^k gives an integer polynomial F of homogeneous
+degree k^2 with F(u^k, v^k, x^k, y^k) = 0 whenever u + v = x + y, over any
+commutative ring.
 
-The expansion is dense int64 array arithmetic modulo a few pool primes.  It
-is dehomogenised by X1 = 1 (the X1 exponent is k^3 minus the others), keeps
-the X4 axis in powers of X4^k, and works in Z[x]/(x^k - 1), where
-multiplying by w^j rolls the coordinate axis; Phi_k divides x^k - 1, so
-reducing mod Phi_k at the end gives the Z[w]/Phi_k expansion.  The prime
-count comes from an a-priori bound on every coordinate (the product of the
-factors' l1 norms), so the CRT rebuild is exact.  The expansion asserts that
-every non-constant w-coordinate rebuilds to 0 (integrality), that exponents
-are divisible by k and that the X1 exponent is never negative (homogeneity);
-for k <= 3 the grouped product is cross-checked against the full product of
-k^3 linear factors.
+F is found by evaluation and interpolation (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 5 and 10).  For a pool prime p = 1 (mod k)
+every k-th root of unity lies in F_p: G(1, b, c, d) mod p is evaluated in
+int64 on a grid of k^2 + 1 nodes per variable with distinct k-th powers,
+and three Vandermonde solves give F(1, Y2, Y3, Y4) mod p.  CRT rebuilds
+the coefficients under an a-priori bound.  Three checks guard the route:
+Y-degree at most k^2 (homogeneity), agreement with G modulo a spare prime
+outside the CRT set (Schwartz-Zippel) and, for k <= 3, grouped = full.
 
 count_box_zeros_upto adds the 2n^2 - n diagonal zeros in closed form and
 screens the rest of the box by one exact float64 tensor contraction modulo a
@@ -28,6 +26,7 @@ prime; every screened primitive zero is confirmed by exact evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,10 +35,12 @@ import numpy as np
 
 from .errors import BudgetExceededError, CapacityError
 from .modular import is_prime
+from .rng import SplitMix64
 
 DEFAULT_K_CAP = 5
 DEFAULT_ZERO_BUDGET = 2 * 10**7  # grid tuples per count_box_zeros call
 _FULL_CROSS_CHECK_CAP = 3
+_CHECK_POINTS = 3  # Schwartz-Zippel points modulo the spare prime
 _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 _SCREEN_CHUNK = 1 << 20  # grid values per screening temporary
 
@@ -55,123 +56,6 @@ def _prime_pool() -> tuple:
     return tuple(pool)
 
 
-@lru_cache(maxsize=32)
-def cyclotomic_poly(k: int) -> tuple:
-    """Coefficients of the k-th cyclotomic polynomial, low degree first, monic."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # (x^k - 1) / prod of Phi_d over proper divisors d of k, by exact division
-    num = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            den = list(cyclotomic_poly(d))
-            num = _poly_divexact(num, den)
-    return tuple(num)
-
-
-def _poly_divexact(num: list, den: list) -> list:
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        c //= den[-1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    if any(rem):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
-@lru_cache(maxsize=32)
-def _reduction_rows(k: int) -> np.ndarray:
-    """[m, u] = coefficient of x^u in x^m mod Phi_k, for m = 0..k-1."""
-    phi_poly = cyclotomic_poly(k)
-    phi = len(phi_poly) - 1
-    rows = []
-    cur = [1] + [0] * (phi - 1)
-    for _ in range(k):
-        rows.append(cur)
-        top = cur[-1]  # x * cur, with x^phi = -(low coefficients of Phi_k)
-        cur = [0] + cur[:-1]
-        cur = [c - top * t for c, t in zip(cur, phi_poly)]
-    return np.array(rows, dtype=np.int64)
-
-
-def _shift_sum(parts) -> np.ndarray:
-    """sum of sign * x^j * X2^o2 X3^o3 X4^o4 * poly over parts (poly, (o2, o3, o4), sign, j).
-
-    A poly is an int64 array [prime, t, e2, e3, e4] over Z[x]/(x^k - 1): x^j
-    moves coordinate t to t + j mod k.  Nothing is reduced mod the primes.
-    """
-    first = parts[0][0]
-    k = first.shape[1]
-    shape = np.max([np.add(poly.shape[2:], off) for poly, off, _, _ in parts], axis=0)
-    out = np.zeros((first.shape[0], k, *shape), dtype=np.int64)
-    for poly, (o2, o3, o4), sign, j in parts:
-        n2, n3, n4 = poly.shape[2:]
-        view = out[:, :, o2 : o2 + n2, o3 : o3 + n3, o4 : o4 + n4]
-        for dst, src in ((view[:, j:], poly[:, : k - j]), (view[:, :j], poly[:, k - j :])):
-            if sign > 0:
-                dst += src
-            else:
-                dst -= src
-    return out
-
-
-def _one(k: int, primes: np.ndarray) -> np.ndarray:
-    poly = np.zeros((len(primes), k, 1, 1, 1), dtype=np.int64)
-    poly[:, 0] = 1
-    return poly
-
-
-def _expand_grouped(k: int, primes: np.ndarray) -> np.ndarray:
-    """prod over (w2, w3) of ((1 + w2 X2 - w3 X3)^k - Y) with Y = X4^k, mod each prime.
-
-    Grouping the triple product over the first root of unity gives the factor
-    prod_w (w*Z - W) = (-1)^(k+1) * (Z^k - W^k); across the k^2 remaining
-    (w2, w3) pairs the prefactor aggregates to (-1)^((k+1)*k^2) = +1, so no
-    global sign is applied (asserted against the full product for small k).
-    Entries stay below 3^k * p + p < 2^40 between reductions.
-    """
-    pcol = primes[:, None, None, None, None]
-    poly = _one(k, primes)
-    for i2 in range(k):
-        for i3 in range(k):
-            power = poly
-            for _ in range(k):
-                power = _shift_sum(
-                    [(power, (0, 0, 0), 1, 0), (power, (1, 0, 0), 1, i2), (power, (0, 1, 0), -1, i3)]
-                )
-            poly = _shift_sum([(power, (0, 0, 0), 1, 0), (poly, (0, 0, 1), -1, 0)])
-            poly %= pcol
-    return poly
-
-
-def _expand_full(k: int, primes: np.ndarray) -> np.ndarray:
-    """prod over (w1, w2, w3) of (w1 + w2 X2 - w3 X3 - X4), mod each prime."""
-    pcol = primes[:, None, None, None, None]
-    poly = _one(k, primes)
-    for i1 in range(k):
-        for i2 in range(k):
-            for i3 in range(k):
-                poly = _shift_sum(
-                    [(poly, (0, 0, 0), 1, i1), (poly, (1, 0, 0), 1, i2),
-                     (poly, (0, 1, 0), -1, i3), (poly, (0, 0, 1), -1, 0)]
-                )
-                poly %= pcol
-    return poly
-
-
-def _reduce(poly: np.ndarray, k: int, primes: np.ndarray) -> np.ndarray:
-    """Coordinates [prime, e2, e3, e4, u] over Z[w]/Phi_k, mod each prime."""
-    red = np.tensordot(poly, _reduction_rows(k), axes=([1], [0]))
-    return red % primes[:, None, None, None, None]
-
-
 def _crt(residues: np.ndarray, primes: tuple) -> list:
     """Balanced CRT rebuild of each column of residues [prime, i], as Python ints."""
     modulus = math.prod(primes)
@@ -182,36 +66,149 @@ def _crt(residues: np.ndarray, primes: tuple) -> list:
     return [c - modulus if c > modulus // 2 else c for c in (total % modulus).tolist()]
 
 
-def _primes_for(bound: int) -> tuple:
-    """Pool primes whose product exceeds 2 * bound + 1: balanced rebuild of |c| <= bound."""
+def _coefficient_bound(k: int) -> int:
+    """A bound on |coefficient| of the grouped product, and for k <= 3 of the full one.
+
+    Expanded over Z[x]/(x^k - 1) with w -> x, every monomial's coordinates
+    have l1 norm at most the product of the factors' l1 norms, and the
+    integer coefficient is that coordinate vector evaluated at |w| = 1.
+    """
+    bound = (3**k + 1) ** (k * k)
+    if k <= _FULL_CROSS_CHECK_CAP:
+        bound = max(bound, 4 ** (k**3))
+    return bound
+
+
+def _primes_for(bound: int, k: int) -> tuple:
+    """(primes, spare): pool primes p = 1 (mod k) whose product exceeds 2 * bound + 1,
+    so a balanced rebuild of |c| <= bound is exact, and the next such prime."""
     primes, modulus = [], 1
     for p in _prime_pool():
+        if (p - 1) % k:
+            continue
+        if modulus > 2 * bound + 1:
+            return tuple(primes), p
         primes.append(p)
         modulus *= p
-        if modulus > 2 * bound + 1:
-            return tuple(primes)
     raise CapacityError("coefficient bound exceeds the CRT prime pool")
 
 
-def _collapse(k: int, red: np.ndarray, primes: tuple) -> "IntPoly":
-    """Assert integrality, k-divisible exponents and homogeneity; divide exponents by k."""
-    if red[..., 1:].any():
-        raise ArithmeticError(f"non-integer coefficient in expansion (k={k})")
-    const = red[..., 0]
-    e2, e3, y = np.nonzero(const.any(axis=0))
-    bad = np.flatnonzero((e2 % k) | (e3 % k))
-    if len(bad):
-        i = bad[0]
-        raise ArithmeticError(f"exponent {(int(e2[i]), int(e3[i]), k * int(y[i]))} not divisible by k={k}")
-    e1 = k**3 - e2 - e3 - k * y
-    if (e1 < 0).any():
-        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
-    coeffs = _crt(const[:, e2, e3, y], primes)
-    exps = np.stack([e1 // k, e2 // k, e3 // k, y], axis=1).tolist()
-    poly = IntPoly.of({tuple(e): c for e, c in zip(exps, coeffs)})
-    if poly.homogeneous_degree() != k * k:
-        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
-    return poly
+def _root_of_unity(k: int, p: int) -> int:
+    """A residue of exact multiplicative order k modulo p (k divides p - 1)."""
+    factors = [r for r in range(2, k + 1) if k % r == 0 and is_prime(r)]
+    for z in range(2, p):
+        w = pow(z, (p - 1) // k, p)
+        if all(pow(w, k // r, p) != 1 for r in factors):
+            return w
+    raise ArithmeticError(f"no element of order {k} modulo {p}")
+
+
+def _nodes(k: int, p: int) -> tuple:
+    """(t, y): k^2 + 1 residues t whose k-th powers y = t^k mod p are distinct."""
+    ys, t = {}, 1  # y -> the first t with t^k = y
+    while len(ys) <= k * k:
+        ys.setdefault(pow(t, k, p), t)
+        t += 1
+    return np.array(list(ys.values()), dtype=np.int64), np.array(list(ys), dtype=np.int64)
+
+
+def _grouped_values(k: int, p: int, w: int, b, c, d) -> np.ndarray:
+    """G(1, b, c, d) mod p, broadcast over int64 residue arrays; w has order k.
+
+    Grouping the full product over its first root of unity gives the factor
+    prod_w (Z - w*X4) = Z^k - X4^k and a prefactor that aggregates to
+    (-1)^((k+1)*k^2) = +1 across the k^2 pairs, so no sign is applied
+    (checked against the full product for small k).  Every product of two
+    residues is below 2^62.
+    """
+    ws = [pow(w, i, p) for i in range(k)]
+    wb = [wi * b % p for wi in ws]
+    wc = [wi * c % p for wi in ws]
+    dk = _power(d, k, p)
+    out = 1
+    for x, y in itertools.product(wb, wc):
+        out = out * ((_power((1 + x - y) % p, k, p) - dk) % p) % p
+    return out
+
+
+def _full_values(k: int, p: int, w: int, b, c, d) -> np.ndarray:
+    """prod over (w1, w2, w3) of (w1 + w2*b - w3*c - d) mod p, broadcast like _grouped_values."""
+    ws = [pow(w, i, p) for i in range(k)]
+    out = 1
+    for w1, w2, w3 in itertools.product(ws, repeat=3):
+        out = out * ((w1 + w2 * b - w3 * c - d) % p) % p
+    return out
+
+
+def _power(x, e: int, p: int):
+    out = x
+    for _ in range(e - 1):
+        out = out * x % p
+    return out
+
+
+def _vandermonde_inverse(y: np.ndarray, p: int) -> np.ndarray:
+    """inv[e, i] with sum_i inv[e, i] * y_i^f = [e == f] mod p.
+
+    Row e holds the Y^e coefficients of the Lagrange basis: L_i(Y) is
+    M(Y) / (Y - y_i) over M'(y_i), with M(Y) = prod_j (Y - y_j); the
+    quotients come from one synthetic division for every i at once.
+    """
+    n = len(y)
+    master = np.zeros(n + 1, dtype=np.int64)  # low degree first
+    master[0] = 1
+    den = np.ones(n, dtype=np.int64)  # M'(y_i) = prod_{j != i} (y_i - y_j)
+    for yj in y.tolist():
+        master = (np.roll(master, 1) - yj * master) % p
+        den = den * np.where(y == yj, 1, y - yj) % p
+    quot = np.zeros((n, n), dtype=np.int64)  # [i, e]
+    quot[:, n - 1] = master[n]
+    for e in range(n - 1, 0, -1):
+        quot[:, e - 1] = (master[e] + y * quot[:, e]) % p
+    inv_den = np.array([pow(x, -1, p) for x in den.tolist()], dtype=np.int64)
+    return (quot * inv_den[:, None] % p).T
+
+
+def _contract(vals: np.ndarray, inv: np.ndarray, p: int) -> np.ndarray:
+    """sum_i inv[e, i] * vals[i, ...] mod p, with the e axis moved to the back.
+
+    inv is split into 16-bit limbs, so with residues below 2^31 every partial
+    sum of n terms stays below n * 2^47 < 2^63.
+    """
+    lo = np.tensordot(vals, inv & 0xFFFF, axes=([0], [1]))
+    hi = np.tensordot(vals, inv >> 16, axes=([0], [1])) % p
+    return (lo + (hi << 16)) % p
+
+
+def _interpolate(k: int, p: int) -> np.ndarray:
+    """Coefficients [e2, e3, e4] of F(1, Y2, Y3, Y4) mod p, each exponent up to k^2."""
+    w = _root_of_unity(k, p)
+    t, y = _nodes(k, p)
+    vals = _grouped_values(k, p, w, t[:, None, None], t[None, :, None], t[None, None, :])
+    inv = _vandermonde_inverse(y, p)
+    for _ in range(3):  # contract b, c, d in turn; each exponent axis moves to the back
+        vals = _contract(vals, inv, p)
+    return vals
+
+
+def _check_spare_prime(F: "IntPoly", k: int, p: int) -> None:
+    """F(1, x2^k, x3^k, x4^k) = G(1, x2, x3, x4) mod p at a few fixed points."""
+    rng = SplitMix64(k)
+    xs = np.array([[rng.randint(1, p - 1) for _ in range(3)] for _ in range(_CHECK_POINTS)], dtype=np.int64)
+    expected = _grouped_values(k, p, _root_of_unity(k, p), xs[:, 0], xs[:, 1], xs[:, 2])
+    for x, g in zip(xs.tolist(), expected.tolist()):
+        if F.evaluate((1, *(pow(v, k, p) for v in x)), mod=p) != g:
+            raise ArithmeticError(f"expansion disagrees with the product modulo the spare prime {p} (k={k})")
+
+
+def _check_full(k: int, primes: tuple) -> None:
+    """Grouped = full product on the simplex b + c + d <= k^3, unisolvent for degree k^3."""
+    grid = np.indices((k**3 + 1,) * 3, dtype=np.int64).reshape(3, -1)
+    b, c, d = grid[:, grid.sum(axis=0) <= k**3]
+    for p in primes:
+        w = _root_of_unity(k, p)
+        if not np.array_equal(_grouped_values(k, p, w, b, c, d), _full_values(k, p, w, b, c, d)):
+            raise ArithmeticError(f"grouped and full expansions disagree at k={k}")
 
 
 @dataclass(frozen=True)
@@ -256,9 +253,11 @@ class IntPoly:
         return degs.pop() if len(degs) == 1 else None
 
     def evaluate(self, n, mod=None) -> int:
-        """Exact value at an integer 4-tuple, optionally reduced mod m."""
+        """Exact value at an integer 4-tuple, optionally reduced mod m >= 1."""
         if len(n) != 4:
             raise ValueError("needs a 4-tuple")
+        if mod is not None and mod < 1:
+            raise ValueError(f"modulus must be >= 1, got {mod}")
         pows = [dict() for _ in range(4)]
         total = 0
         for e, c in self.terms:
@@ -305,22 +304,18 @@ def product_poly(k: int) -> IntPoly:
         raise ValueError("k must be >= 2")
     if k > DEFAULT_K_CAP:
         raise CapacityError(f"k={k} above construction cap {DEFAULT_K_CAP}")
-    # every coordinate is at most (l1 of a factor)^(factors) times the largest reduction entry
-    row_peak = int(np.abs(_reduction_rows(k)).max())
-    bound = row_peak * (3**k + 1) ** (k * k)
-    full = k <= _FULL_CROSS_CHECK_CAP
-    if full:
-        bound = max(bound, row_peak * 4 ** (k**3))
-    primes = _primes_for(bound)
-    pcol = np.array(primes, dtype=np.int64)
-    grouped = _reduce(_expand_grouped(k, pcol), k, pcol)
-    if full:
-        expanded = _reduce(_expand_full(k, pcol), k, pcol)
-        off_k = np.ones(expanded.shape[3], dtype=bool)
-        off_k[::k] = False
-        if expanded[:, :, :, off_k].any() or not np.array_equal(expanded[:, :, :, ::k], grouped):
-            raise ArithmeticError(f"grouped and full expansions disagree at k={k}")
-    return _collapse(k, grouped, primes)
+    primes, spare = _primes_for(_coefficient_bound(k), k)
+    coeffs = np.stack([_interpolate(k, p) for p in primes])  # [prime, e2, e3, e4]
+    e2, e3, e4 = np.nonzero(coeffs.any(axis=0))
+    if (e2 + e3 + e4 > k * k).any():
+        raise ArithmeticError(f"expansion not homogeneous of degree k^2 (k={k})")
+    values = _crt(coeffs[:, e2, e3, e4], primes)
+    exps = np.stack([k * k - e2 - e3 - e4, e2, e3, e4], axis=1).tolist()
+    F = IntPoly.of({tuple(e): c for e, c in zip(exps, values)})
+    _check_spare_prime(F, k, spare)
+    if k <= _FULL_CROSS_CHECK_CAP:
+        _check_full(k, primes)
+    return F
 
 
 def classic_square_poly() -> IntPoly:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from modroots.prodpoly import IntPoly, _prime_pool, cyclotomic_poly, product_poly
+from modroots.prodpoly import IntPoly, _prime_pool, product_poly
 from modroots.sets import IndicatorSet
 
 
@@ -88,6 +88,37 @@ def fourier_u2(A: IndicatorSet) -> int:
 
 # ---------------------------------------------------------------------------
 # product polynomial as dicts over Z[w]/Phi_k
+
+
+@lru_cache(maxsize=32)
+def cyclotomic_poly(k: int) -> tuple:
+    """Coefficients of the k-th cyclotomic polynomial, low degree first, monic."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # (x^k - 1) / prod of Phi_d over proper divisors d of k, by exact division
+    num = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            den = list(cyclotomic_poly(d))
+            num = _poly_divexact(num, den)
+    return tuple(num)
+
+
+def _poly_divexact(num: list, den: list) -> list:
+    out = [0] * (len(num) - len(den) + 1)
+    rem = list(num)
+    for i in range(len(out) - 1, -1, -1):
+        c = rem[i + len(den) - 1]
+        if c % den[-1] != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        c //= den[-1]
+        out[i] = c
+        if c:
+            for j, dj in enumerate(den):
+                rem[i + j] -= c * dj
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -99,7 +99,7 @@ def test_criterion_03_product_poly_regression_and_vanishing():
 
     screen_primes = _prime_pool()[:3]
     for k in (3, 4):
-        F = product_poly(k)  # construction asserts integrality + exponent divisibility
+        F = product_poly(k)  # construction checks homogeneity and a spare prime
         ok = ok and F.homogeneous_degree() == k * k
         n_trials = 10**4
         x1 = np.array([rng.randint(1, 60) for _ in range(n_trials)], dtype=np.int64)

@@ -49,6 +49,11 @@ def test_poly_subcommand(capsys):
     assert code == 0 and out == "0"
     code, out = run(capsys, "poly", "--op", "export", "--k", "2")
     assert len(out.splitlines()) == 35
+    for mod in ("0", "-7"):
+        code = main(["poly", "--op", "eval", "--k", "2", "--point", "1,2,3,4", "--mod", mod])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("input error: ") and "modulus must be >= 1" in captured.err
 
 
 def test_discrepancy_subcommand(capsys):

@@ -97,6 +97,10 @@ def test_input_validation():
         PointMultiset.of([Fraction(3, 2)])
     with pytest.raises(ValueError):
         PointMultiset.of([Fraction(-1, 7)])
+    with pytest.raises(ValueError):
+        PointMultiset.of([Fraction(1)])
+    with pytest.raises(ValueError):
+        PointMultiset.of([1])
 
 
 def test_reflection_invariance():

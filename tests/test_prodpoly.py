@@ -1,3 +1,4 @@
+import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -8,8 +9,8 @@ import modroots.prodpoly as prodpoly
 from algebra_oracles import (
     _cyc_context,
     _cyc_mul,
-    _omega_powers,
     batch_values_mod,
+    cyclotomic_poly,
     dict_product_poly,
     screened_box_zeros_upto,
 )
@@ -19,7 +20,6 @@ from modroots.prodpoly import (
     classic_square_poly,
     count_box_zeros,
     count_box_zeros_upto,
-    cyclotomic_poly,
     from_text,
     product_poly,
     to_text,
@@ -110,7 +110,6 @@ def test_batch_values_match_scalar():
     F3 = product_poly(3)
     rng = SplitMix64(44)
     cols = [np.array([rng.randint(1, 50) for _ in range(200)], dtype=np.int64) for _ in range(4)]
-    p = 2_130_706_433 if False else 1_114_112_001  # any modulus works; pick odd prime-ish
     p = 999_999_937
     got = batch_values_mod(F3, cols, p)
     for i in range(0, 200, 37):
@@ -181,6 +180,10 @@ def test_int_poly_algebra():
     assert (U + V - U) == V
     assert (U * V).evaluate((3, 5, 0, 0)) == 15
     assert U.scale(4).evaluate((2, 0, 0, 0)) == 8
+    assert U.evaluate((3, 5, 0, 0), mod=1) == 0
+    for mod in (0, -7):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            U.evaluate((3, 5, 0, 0), mod=mod)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -189,6 +192,14 @@ def test_array_expansion_matches_dict_routes(k):
     assert F == dict_product_poly(k)
     if k <= 3:
         assert F == dict_product_poly(k, full=True)
+
+
+def test_k5_matches_the_dense_expansion_digest():
+    # the dict oracle takes over a minute at k = 5; the digest is the dense expansion's
+    text = to_text(product_poly(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e29f829a7bad6898d04058d12ab218fbe7f3bf0b04f06c213292ffd78edf428c"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -208,50 +219,70 @@ def test_zero_counts_match_full_screening_k4(N):
     assert count_box_zeros_upto(4, N) == list(_screened(4, 8)[:N])
 
 
-def test_reduction_rows_are_powers_mod_cyclotomic():
-    for k in (2, 3, 4, 5, 6, 12):
-        assert prodpoly._reduction_rows(k).tolist() == [list(w) for w in _omega_powers(k)]
-
-
 def test_expansion_assertions_fire(monkeypatch):
-    real = prodpoly._reduce
-    cases = (
-        # a nonzero w-coordinate: not a rational integer
-        (lambda k: (0, 0, 0, 0, 1), "non-integer coefficient"),
-        # X2^1: exponent not divisible by k
-        (lambda k: (slice(None), 1, 0, 0, 0), "not divisible by k"),
-        # X2^(k^3) X3^k: total degree above k^3 leaves a negative X1 exponent
-        (lambda k: (slice(None), k**3, k, 0, 0), "not homogeneous"),
-    )
+    real = prodpoly._grouped_values
     for k in (3, 4):
-        for where, message in cases:
-            def broken(poly, k, primes, where=where):
-                red = real(poly, k, primes).copy()
-                red[where(k)] = 1
-                return red
+        _, spare = prodpoly._primes_for(prodpoly._coefficient_bound(k), k)
 
+        def high_degree(k, p, w, b, c, d):
+            # + b^(k^3) c^k = Y2^(k^2) Y3: Y-degree k^2 + 1 leaves a negative X1 exponent
+            return (real(k, p, w, b, c, d) + prodpoly._power(b, k**3, p) * prodpoly._power(c, k, p)) % p
+
+        def off_by_one_but_spare(k, p, w, b, c, d):
+            # every CRT prime sees G + 1, the spare prime sees G
+            return (real(k, p, w, b, c, d) + (p != spare)) % p
+
+        for broken, message in (
+            (high_degree, "not homogeneous"),
+            (off_by_one_but_spare, f"disagrees with the product modulo the spare prime {spare}"),
+        ):
             with monkeypatch.context() as m:
-                m.setattr(prodpoly, "_reduce", broken)
-                m.setattr(prodpoly, "_FULL_CROSS_CHECK_CAP", 0)
+                m.setattr(prodpoly, "_grouped_values", broken)
                 with pytest.raises(ArithmeticError, match=message):
                     prodpoly.product_poly.__wrapped__(k)
+    # too few CRT primes rebuild wrong coefficients, which the spare prime sees
+    monkeypatch.setattr(prodpoly, "_coefficient_bound", lambda k: 1)
+    with pytest.raises(ArithmeticError, match="modulo the spare prime"):
+        prodpoly.product_poly.__wrapped__(4)
 
 
 def test_grouped_full_mismatch_raises(monkeypatch):
-    monkeypatch.setattr(prodpoly, "_expand_full", lambda k, primes: prodpoly._one(k, primes))
+    monkeypatch.setattr(prodpoly, "_full_values", lambda k, p, w, b, c, d: np.ones_like(b))
     with pytest.raises(ArithmeticError, match="grouped and full expansions disagree"):
         prodpoly.product_poly.__wrapped__(3)
 
 
 def test_crt_prime_count_covers_the_bound():
-    for bound in (1, 2**30, 2**61, 2**62, 82**16, 244**25):
-        primes = prodpoly._primes_for(bound)
-        modulus = int(np.prod([int(p) for p in primes], dtype=object))
-        assert modulus > 2 * bound + 1
-        assert modulus // primes[-1] <= 2 * bound + 1  # no prime more than needed
-    primes = prodpoly._primes_for(2**61)
+    for k in (2, 3, 4, 5):
+        pool = [p for p in prodpoly._prime_pool() if (p - 1) % k == 0]
+        for bound in (1, 2**30, 2**61, 2**62, 82**16, 244**25):
+            primes, spare = prodpoly._primes_for(bound, k)
+            assert [*primes, spare] == pool[: len(primes) + 1]  # the spare is outside the CRT set
+            modulus = int(np.prod([int(p) for p in primes], dtype=object))
+            assert modulus > 2 * bound + 1
+            assert modulus // primes[-1] <= 2 * bound + 1  # no prime more than needed
+    with pytest.raises(CapacityError):
+        prodpoly._primes_for(2**40000, 5)
+    primes, _ = prodpoly._primes_for(2**61, 2)
     residues = np.array([[p - 1, 1, 0] for p in primes], dtype=np.int64)
     assert prodpoly._crt(residues, primes) == [-1, 1, 0]
+
+
+def test_interpolation_pieces():
+    for k in (2, 3, 4, 5):
+        primes, spare = prodpoly._primes_for(prodpoly._coefficient_bound(k), k)
+        for p in (*primes, spare):
+            w = prodpoly._root_of_unity(k, p)
+            assert [pow(w, j, p) == 1 for j in range(1, k + 1)] == [False] * (k - 1) + [True]
+            t, y = prodpoly._nodes(k, p)
+            assert len(set(y.tolist())) == len(y) == k * k + 1
+            assert y.tolist() == [pow(x, k, p) for x in t.tolist()]
+            inv = prodpoly._vandermonde_inverse(y, p).tolist()
+            vander = [[pow(x, e, p) for e in range(len(y))] for x in y.tolist()]
+            for e, row in enumerate(inv):
+                assert [sum(a * v[f] for a, v in zip(row, vander)) % p for f in range(len(y))] == [
+                    int(f == e) for f in range(len(y))
+                ]
 
 
 def test_screen_prime_keeps_float_sums_exact():
