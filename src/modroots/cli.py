@@ -3,7 +3,9 @@
 Subcommands mirror the module operations: energy, gowers, lattice, poly,
 expsum, discrepancy, sweep.  Sweeps read JSON configs (--config) with flags
 taking precedence; exit codes: 0 all hard assertions passed, 2 at least one
-failed, 3 config or input error.
+failed, 3 config or input error, or a computation refused by a capacity cap,
+a work budget or a degenerate input (CapacityError, BudgetExceededError,
+DegenerateError).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .energy import EnergyQuery, prime_averaged_energy, set_energy, tuple_energy
 from .equidist import PointMultiset, discrepancy, prime_roots_discrepancy, prime_roots_ratio
-from .errors import ConfigError
+from .errors import BudgetExceededError, CapacityError, ConfigError, DegenerateError
 from .expsums import (
     BilinearQuery,
     SmoothBump,
@@ -159,8 +161,7 @@ def cmd_expsum(args, rng):
         rep = char_inverse_moment(args.c, args.U0, args.r, args.q)
         print(f"moment={rep.moment:.12g} envelope={rep.envelope:.12g} ratio={rep.ratio:.12g}")
     elif args.op == "gauss":
-        value, _ = gauss_sum(args.a, args.h, args.q)
-        print(f"{value:.12g}")
+        print(f"{gauss_sum(args.a, args.h, args.q):.12g}")
     return 0
 
 
@@ -318,6 +319,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:  # malformed input, e.g. a coefficient sharing a factor with q
         print(f"input error: {exc}", file=sys.stderr)
+        return 3
+    except (CapacityError, BudgetExceededError, DegenerateError) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -16,6 +16,16 @@ minima lift them.  The residue walk visits the min(q, 2*b_f + 1) residues that
 the narrowest bound b_f meets, never all of [0, q): the dual minima lift them,
 and trichotomy case (iii) compares their balanced lifts with the exact integer
 thresholds floor(4320*MN/K), so no product can wrap int64.
+
+Trichotomy case (ii), lambda_1 <= 1 < lambda_2, is read from the box's own
+points: it holds iff the box is not degenerate, 1 < K <= 2*w_2 + 1 (w_2 the
+second-largest half-width) and every box point is parallel to one nonzero box
+point.  Collinear box points are the 2T + 1 multiples of one primitive u.  If u
+lay on the widest axis alone it would be a multiple of q there, so that width
+would be at least q, and the free tuple with one coordinate 1 and the other 0
+would lift to a box point off the line.  Hence u has a nonzero free coordinate,
+whose width is at most w_2, and T <= w_2.  So box_points lists at most 2*w_2 + 1 points, no more than the free
+volume count_points has already walked: no LLL and no radius box.
 """
 
 from __future__ import annotations
@@ -557,6 +567,10 @@ def trichotomy_check(
     """Which of the three lemma cases hold for the lattice a*l + b*m + c*n = 0 (mod q)
     and the box |l| <= N, |m| <= M, |n| <= L.
 
+    Case (ii) holds iff the box is not degenerate, 1 < K <= 2*w_2 + 1 for the
+    second-largest half-width w_2, and every box point is parallel to one
+    nonzero box point (see the module docstring for the bound on K).
+
     Case (iii) asks for lambda in F_q^* whose balanced lifts of (a, b, c)*lambda
     are at most floor(4320*MN/K), floor(4320*LN/K), floor(4320*LM/K), walking the
     residues of the narrowest; the constants 640 and 4320 are verbatim.
@@ -572,11 +586,12 @@ def trichotomy_check(
 
     case_i = K < max(Fraction(640 * L * M * N, q), 1)
 
-    if box.degenerate:
-        case_ii = False
-    else:
-        minima = successive_minima(lat, box, budget=budget)
-        case_ii = minima.lambdas[0] <= 1 < minima.lambdas[1]
+    # collinear box points are the 2T + 1 multiples of one u, with T <= w_2
+    case_ii = False
+    if not box.degenerate and 1 < K <= 2 * sorted((L, M, N))[1] + 1:
+        pts = box_points(lat, [N, M, L], budget)
+        v = pts[pts.any(axis=1)][0]
+        case_ii = not _independent_rows([v.tolist()], pts).any()
 
     # bal * K <= n iff bal <= n // K (K >= 1: the origin is counted); bal < q
     caps = [min(4320 * n // K, q) for n in (M * N, L * N, L * M)]

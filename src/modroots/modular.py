@@ -360,11 +360,9 @@ def unit_roots(q: int) -> np.ndarray:
 
 
 def gauss_sum(b: int, h: int, q):
-    """sum_x e_q(b*x^2 + h*x): closed-form value plus a cross-checked flag.
-
-    Returns (value, closed_form) where value = eps_q * chi(b) * sqrt(q) *
-    e_q(-h^2 * (4b)^{-1}) and closed_form records that the closed form agreed
-    with direct summation to relative tolerance COMPLEX_RTOL.
+    """sum_x e_q(b*x^2 + h*x) by its closed form eps_q * chi(b) * sqrt(q) *
+    e_q(-h^2 * (4b)^{-1}), cross-checked against direct summation: ArithmeticError
+    unless they agree to relative tolerance COMPLEX_RTOL.
     """
     q = _as_q(q)
     b %= q
@@ -392,4 +390,4 @@ def gauss_sum(b: int, h: int, q):
             f"gauss sum cross-check failed at (b={b}, h={h}, q={q}): "
             f"direct={direct}, closed={closed}"
         )
-    return closed, True
+    return closed

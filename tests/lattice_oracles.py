@@ -7,7 +7,8 @@ scoring loop over Python tuples, a dual enumeration that walks every lambda in
 [0, q) with a Python stack, and trichotomy case (iii) scanning every lambda in
 [1, q).  They are slow but share no arithmetic with modroots.lattice's LLL,
 walks and minima, so the property tests compare the production routes against
-them.
+them.  Trichotomy case (ii) has two: a walk over the whole box with integer
+cross products, and the retired route through successive_minima.
 """
 
 import math
@@ -21,6 +22,7 @@ from modroots.lattice import (
     CongruenceLattice,
     DualLattice,
     MinimaResult,
+    successive_minima,
 )
 
 
@@ -227,3 +229,39 @@ def oracle_case_dual_point(a: int, b: int, c: int, L: int, M: int, N: int, q: in
         if ok:
             return True
     return False
+
+
+def oracle_case_one_short(a: int, b: int, c: int, L: int, M: int, N: int, q: int) -> bool:
+    """Trichotomy case (ii), lambda_1 <= 1 < lambda_2, for the box |l| <= N,
+    |m| <= M, |n| <= L: every (l, m, n) in the box with a*l + b*m + c*n = 0 (mod q)
+    is visited, and the case holds iff some is nonzero and every cross product
+    with the first nonzero one vanishes.  False for a degenerate box."""
+    if min(L, M, N) == 0:
+        return False
+    first = None
+    for v in product(range(-N, N + 1), range(-M, M + 1), range(-L, L + 1)):
+        if (a * v[0] + b * v[1] + c * v[2]) % q or not any(v):
+            continue
+        if first is None:
+            first = v
+        elif (
+            first[1] * v[2] - first[2] * v[1],
+            first[2] * v[0] - first[0] * v[2],
+            first[0] * v[1] - first[1] * v[0],
+        ) != (0, 0, 0):
+            return False
+    return first is not None
+
+
+def minima_case_one_short(a: int, b: int, c: int, L: int, M: int, N: int, q: int):
+    """Trichotomy case (ii) as lambda_1 <= 1 < lambda_2 of successive_minima, the
+    route trichotomy_check used to take; None once its radius box exceeds the
+    budget.  False for a degenerate box."""
+    box = BoxBody((N, M, L))
+    if box.degenerate:
+        return False
+    try:
+        lambdas = successive_minima(CongruenceLattice((a, b, c), q), box).lambdas
+    except BudgetExceededError:
+        return None
+    return lambdas[0] <= 1 < lambdas[1]

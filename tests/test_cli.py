@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from modroots.cli import main
 
 
@@ -44,6 +46,29 @@ def test_lattice_input_errors_exit_three(capsys):
         assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        # the minima's radius box at q = 100003 still asks for 1.8 * 10^9 free tuples
+        (("lattice", "--op", "minima", "--q", "100003", "--coeffs", "1,2,3", "--widths", "100,100,100"),
+         "BudgetExceededError"),
+        (("poly", "--op", "construct", "--k", "6"), "CapacityError"),
+        (("expsum", "--op", "gauss", "--q", "2", "--a", "1"), "DegenerateError"),
+    ],
+)
+def test_refused_computations_exit_three(capsys, argv, error):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"{error}: ") and len(captured.err.splitlines()) == 1
+
+
+def test_trichotomy_at_large_q_exits_zero(capsys):
+    code, out = run(capsys, "lattice", "--op", "trichotomy", "--q", "100003", "--a", "1", "--b", "2",
+                    "--c", "3", "--L", "100", "--M", "100", "--N", "100")
+    assert code == 0 and out.startswith("K=13467 ") and "one_short=False" in out
+
+
 def test_poly_subcommand(capsys):
     code, out = run(capsys, "poly", "--op", "eval", "--k", "3", "--point", "1,8,1,8")
     assert code == 0 and out == "0"
@@ -66,6 +91,8 @@ def test_discrepancy_subcommand(capsys):
 def test_expsum_subcommand(capsys):
     code, out = run(capsys, "expsum", "--op", "salie", "--q", "101", "--U0", "5", "--r", "2", "--c", "1")
     assert code == 0 and "ratio=" in out
+    code, out = run(capsys, "expsum", "--op", "gauss", "--q", "5", "--a", "1")
+    assert code == 0 and out == "2.2360679775+0j"
 
 
 def test_sweep_subcommand(tmp_path, capsys):

@@ -32,8 +32,10 @@ from lattice_oracles import (
     dual_candidate_count,
     independent,
     integral_gso,
+    minima_case_one_short,
     oracle_box_points,
     oracle_case_dual_point,
+    oracle_case_one_short,
     oracle_dual_minima,
     oracle_successive_minima,
     rational_lll,
@@ -398,9 +400,52 @@ def test_box_points_huge_lift_count_raises_before_allocating():
     assert peak < 8
 
 
-def test_trichotomy_with_a_huge_lift_count_raises_budget_error():
-    with pytest.raises(BudgetExceededError, match="lifted points"):
-        trichotomy_check(860, 385, 1999, 878850195129962102, 3, 3, 2777)
+def _no_minima(*args, **kwargs):
+    raise AssertionError("trichotomy_check must not reach the minima route")
+
+
+@pytest.mark.parametrize(
+    "args, K, sparse, dual_point",
+    [
+        # 1.9 * 10^15 lifts along the wide side: case (ii) needs none of them
+        ((860, 385, 1999, 878850195129962102, 3, 3, 2777), 31014518949490921, True, False),
+        # the minima's radius boxes would hold 1.8 * 10^9 and 4.4 * 10^9 points
+        ((1, 2, 3, 100, 100, 100, 100003), 13467, False, True),
+        ((1, 1, 1, 4, 4, 4, 100003), 61, False, True),
+    ],
+    ids=["huge-lift-count", "q100003-box100", "q100003-box4"],
+)
+def test_trichotomy_returns_where_the_minima_cannot(args, K, sparse, dual_point):
+    with mock.patch.object(lattice, "successive_minima", _no_minima), \
+            mock.patch.object(lattice, "_lll", _no_minima):
+        res = trichotomy_check(*args)
+    assert res == lattice.TrichotomyResult(K, sparse, False, dual_point, False)
+
+
+@st.composite
+def small_trichotomy(draw):
+    q = draw(st.integers(2, 19))
+    units = [x for x in range(1, q) if math.gcd(x, q) == 1]
+    a, b, c = (draw(st.sampled_from(units)) for _ in range(3))
+    # narrow sides give K = 1 and the positives, wide ones boxes past q
+    L, M, N = (draw(st.integers(1, 2) | st.integers(0, q + 2)) for _ in range(3))
+    return a, b, c, L, M, N, q
+
+
+@given(small_trichotomy())
+@settings(max_examples=150, deadline=None)
+@example((1, 2, 4, 1, 1, 1, 13))  # K = 1: no nonzero box point
+@example((1, 1, 1, 0, 1, 1, 7))  # degenerate, though its 3 points are collinear
+@example((7, 2, 6, 1, 1, 1, 11))  # positive: K = 3
+@example((8, 1, 16, 3, 3, 1, 17))  # positive with K = 7 > 2 * (narrowest width) + 1
+@example((10, 8, 7, 2, 2, 1, 13))  # negative with K = 5 <= 2 * w_2 + 1
+@example((1, 1, 1, 2, 2, 9, 7))  # negative: the widest side is past q
+def test_case_one_short_matches_the_box_walk(instance):
+    with mock.patch.object(lattice, "successive_minima", _no_minima), \
+            mock.patch.object(lattice, "_lll", _no_minima):
+        got = trichotomy_check(*instance).case_one_short
+    assert got == oracle_case_one_short(*instance)
+    assert minima_case_one_short(*instance) in (got, None)
 
 
 def test_count_points_past_int64():
