@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError
-from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, primes_in, sqrt_mod
+from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, primes_in, root_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +136,13 @@ def prime_roots_discrepancy(q, P: int) -> PrimeRootsResult:
     q = _as_q(q)
     if P > PRIME_SWEEP_CAP:
         raise CapacityError(f"P exceeds sieve capacity {PRIME_SWEEP_CAP}")
-    roots = []
-    primes = []
-    for p in primes_in(2, P) if P >= 2 else []:
-        xs = sqrt_mod(p % q, q)
-        roots += xs
-        primes += [p] * len(xs)
-    certs = np.stack([np.array(roots, dtype=np.int64), np.array(primes, dtype=np.int64)], axis=1)
-    ms = _multiset(q, roots)
+    primes = np.array(primes_in(2, P) if P >= 2 else [], dtype=np.int64)
+    units = primes[primes != q]
+    solvable, rows = root_rows(units % q, 2, q)
+    certs = np.stack([rows.ravel(), np.repeat(units[solvable], rows.shape[1])], axis=1).astype(np.int64)
+    if q <= P:  # x^2 = q has the one root 0
+        certs = np.insert(certs, np.searchsorted(certs[:, 1], q), (0, q), axis=0)
+    ms = _multiset(q, certs[:, 0])
     return PrimeRootsResult(q, P, ms, certs, discrepancy(ms))
 
 

@@ -83,8 +83,7 @@ def bilinear_root_sum(query: BilinearQuery) -> complex:
 class SmoothBump:
     """phi(x) = exp(1 - 1/(1 - t^2)) with t = (2x - 3N)/N, supported on (N, 2N).
 
-    The support condition holds exactly; the derivative decay constants
-    C_j = sup |phi^(j)(x)| * x^j are finite and measured numerically.
+    The support condition holds exactly: phi is 0 outside (N, 2N), positive inside, and 1 at 3N/2.
     """
 
     N: int
@@ -98,28 +97,6 @@ class SmoothBump:
     def support(self) -> range:
         """Integer support: n in (N, 2N)."""
         return range(self.N + 1, 2 * self.N)
-
-    def derivative_constants(self, max_order: int = 4, grid: int = 2000) -> list:
-        """Measured C_j = max over the support grid of |phi^(j)(x)| * x^j, j = 0..max_order."""
-        xs = np.linspace(self.N, 2 * self.N, grid)
-        h = (xs[1] - xs[0]) / 8.0
-        consts = []
-        for j in range(max_order + 1):
-            vals = np.array([self._derivative(x, j, h) for x in xs])
-            consts.append(float(np.max(np.abs(vals) * xs**j)))
-        return consts
-
-    def _derivative(self, x: float, j: int, h: float) -> float:
-        if j == 0:
-            return self(x)
-        coeffs = {
-            1: ([-0.5, 0.5], [-1, 1]),
-            2: ([1.0, -2.0, 1.0], [-1, 0, 1]),
-            3: ([-0.5, 1.0, -1.0, 0.5], [-2, -1, 1, 2]),
-            4: ([1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2]),
-        }
-        cs, offs = coeffs[j]
-        return sum(c * self(x + o * h) for c, o in zip(cs, offs)) / h**j
 
 
 def smoothed_root_sum(a: int, h: int, M: int, q, alpha, bump: SmoothBump) -> complex:

@@ -1,6 +1,6 @@
 """Prime-field arithmetic: primality, prime enumeration, k-th roots, characters, Gauss sums.
 
-Every power and root query below ROOT_TABLE_CAP reads one discrete-log table
+Dense power and root queries below ROOT_TABLE_CAP read one discrete-log table
 per prime, index_table(q): a primitive root g, pw[i] = g^i and ind[x] =
 log_g x as read-only int32 arrays, built in O(q) by block doubling and cached
 per q (the cache is bounded by the residues it holds, not by its entries;
@@ -9,8 +9,9 @@ Powers, inverses and the quadratic character are exponent arithmetic on it:
 x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
 With g_k = gcd(k, q-1) and h = (q-1)/g_k, x^k = v has roots only when g_k
 divides ind v, and they are pw[(ind v / g_k) (k/g_k)^-1 mod h + i h] for
-i < g_k; so kth_roots costs O(g_k) and preimage_set O(g_k N), whatever the
-dilate j.  Above the cap only square roots are supported (Tonelli-Shanks).
+i < g_k; so preimage_set costs O(g_k N), whatever the dilate j.  Sparse root
+queries (kth_roots, the roots of primes) read root_rows at any prime q:
+square-and-multiply over an array, with no q-sized table.
 """
 
 from __future__ import annotations
@@ -121,20 +122,24 @@ def _as_q(q) -> int:
     return q
 
 
+def _prime_factors(n: int) -> dict:
+    """{p: v_p(n)} for n >= 1, by trial division."""
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
 def _primitive_root(q: int) -> int:
     """The least generator of F_q^* (trial division of q - 1, q <= ROOT_TABLE_CAP)."""
     if q == 2:
         return 1
-    n, factors, p = q - 1, [], 2
-    while p * p <= n:
-        if n % p == 0:
-            factors.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        factors.append(n)
-    g = 2
+    g, factors = 2, _prime_factors(q - 1)
     while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
         g += 1
     return g
@@ -253,54 +258,73 @@ def kth_root_set(vs, k: int, q) -> np.ndarray:
     return np.sort(roots)
 
 
-def sqrt_mod(a: int, q) -> list:
-    """Solutions of x^2 = a (mod q) for prime q, via Tonelli-Shanks. Sorted."""
+def _power(x: np.ndarray, e: int, q: int) -> np.ndarray:
+    """x^e mod q elementwise by square-and-multiply, for an integer e >= 0."""
+    out = np.ones_like(x)
+    for bit in bin(e)[2:]:  # left to right
+        out = out * out % q
+        if bit == "1":
+            out = out * x % q
+    return out
+
+
+def _sylow_root(a: np.ndarray, l: int, e: int, q: int):
+    """(x, w): x holds an l^e-th root of each unit in a that has one, by Adleman-Manders-Miller,
+    and w has order l^e; l is a prime and l^e divides q - 1 = l^s t, t prime to l.
+
+    z = c^t, c no l-th power, generates the l-Sylow subgroup.  With l^e u = 1 (mod t) and
+    y = a^(u-1), x = y a has x^(l^e) = a b, b = y^(l^e) a^(l^e - 1) = z^L, and l^e | L if a
+    has a root.  Round i = e..s-1 reads the base-l digit d_i of L from b^(l^(s-1-i)) =
+    zeta^(d_i), zeta = z^(l^(s-1)), and clears it by x <- x z^(-d_i l^(i-e)).
+    """
+    n, s, t, c = q - 1, 0, q - 1, 2
+    while t % l == 0:
+        s, t = s + 1, t // l
+    while pow(c, n // l, q) == 1:
+        c += 1
+    z, y = pow(c, t, q), _power(a, (pow(l**e, -1, t) - 1) % t, q)
+    x, b = y * a % q, _power(y, l**e, q) * _power(a, l**e - 1, q) % q
+    zeta = np.array([pow(z, j * l ** (s - 1), q) for j in range(l)], dtype=a.dtype)
+    for i in range(e, s):
+        d = np.argmax(_power(b, l ** (s - 1 - i), q)[:, None] == zeta, axis=1)
+        step = np.array([pow(z, -j * l ** (i - e), q) for j in range(l)], dtype=a.dtype)[d]
+        x, b = x * step % q, b * _power(step, l**e, q) % q
+    return x, pow(z, l ** (s - e), q)
+
+
+def root_rows(vs, k: int, q):
+    """(solvable, rows) for nonzero residues vs, as IndexTable.roots with no q-sized table;
+    each row is ascending, int64 for q < 2^31 (products of two residues stay below 2^62) and
+    Python ints above.  One _sylow_root pass per prime l | g_k gives a g_k-th root, its
+    (k/g_k)^-1 mod (q-1)/g_k power x is a k-th root if any, and x times the g_k-th roots of
+    unity are all of them; solvable is the exact test x^k = v.
+    """
     q = _as_q(q)
-    a %= q
-    if a == 0:
-        return [0]
-    if q == 2:
-        return [a]
-    if pow(a, (q - 1) // 2, q) != 1:
-        return []
-    if q % 4 == 3:
-        x = pow(a, (q + 1) // 4, q)
-        return sorted({x, q - x})
-    # factor q-1 = d * 2^s with d odd
-    d, s = q - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    z = 2
-    while pow(z, (q - 1) // 2, q) != q - 1:
-        z += 1
-    c = pow(z, d, q)
-    x = pow(a, (d + 1) // 2, q)
-    t = pow(a, d, q)
-    m = s
-    while t != 1:
-        i, e = 0, t
-        while e != 1:
-            e = e * e % q
-            i += 1
-        b = pow(c, 1 << (m - i - 1), q)
-        x = x * b % q
-        c = b * b % q
-        t = t * c % q
-        m = i
-    return sorted({x, q - x})
+    n, g = q - 1, math.gcd(k, q - 1)
+    vs = np.asarray(vs, dtype=np.int64).astype(np.int64 if q < 1 << 31 else object)
+    x, omega = vs, 1
+    for l, e in _prime_factors(g).items():
+        x, w = _sylow_root(x, l, e, q)
+        omega = omega * w % q  # of order g once every l is done
+    x = _power(x, pow(k // g, -1, n // g), q)
+    solvable = _power(x, k % n, q) == vs
+    unity = np.array([pow(omega, j, q) for j in range(g)], dtype=x.dtype)
+    return solvable, np.sort(x[solvable, None] * unity % q, axis=1)
+
+
+def sqrt_mod(a: int, q) -> list:
+    """The sorted solutions of x^2 = a (mod q) for prime q."""
+    return sorted(kth_roots(a, 2, q))
 
 
 def kth_roots(a: int, k: int, q) -> set:
-    """The set { x in Z_q : x^k = a (mod q) }."""
+    """The set { x in Z_q : x^k = a (mod q) }, from root_rows for every prime q."""
     q = _as_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if q > ROOT_TABLE_CAP:
-        if k != 2:
-            raise CapacityError("k-th roots above the table cap supported only for k = 2")
-        return set(sqrt_mod(a, q))
-    return set(kth_root_set([a % q], k, q).tolist())
+    if a % q == 0:
+        return {0}
+    return set(root_rows([a % q], k, q)[1].ravel().tolist())
 
 
 def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:

@@ -6,9 +6,10 @@ j*x^k = v (mod q), rebuilt for every dilate j; a coset scan that
 materialises the k-th power subgroup as a set; the power map by
 square-and-multiply over the whole residue vector and its stable argsort by
 value (the sorted residue map); the root-sum table scattered by np.add.at;
-and the moment window summed by np.roll.  They are slow but independent of
-modular.index_table, so the property tests compare every consumer of the
-table against them.  all_j_max_energy is the oracle for the coset reduction
+the moment window summed by np.roll; and the scalar Tonelli-Shanks square
+root.  They are slow but independent of modular.index_table and
+modular.root_rows, so the property tests compare every consumer of either
+against them.  all_j_max_energy is the oracle for the coset reduction
 of max_energy_over_j: it scans every dilate j with the production energy.
 """
 
@@ -163,3 +164,40 @@ def roll_moment(c: int, U0: int, r: int, q: int) -> float:
     for u in range(1, U0 + 1):
         inner += np.roll(w, -u)
     return float(np.sum(np.abs(inner) ** (2 * r)))
+
+
+def tonelli_shanks(a: int, q: int) -> list:
+    """The sorted solutions of x^2 = a (mod q) for prime q, by scalar Tonelli-Shanks."""
+    a %= q
+    if a == 0:
+        return [0]
+    if q == 2:
+        return [a]
+    if pow(a, (q - 1) // 2, q) != 1:
+        return []
+    if q % 4 == 3:
+        x = pow(a, (q + 1) // 4, q)
+        return sorted({x, q - x})
+    # factor q-1 = d * 2^s with d odd
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    z = 2
+    while pow(z, (q - 1) // 2, q) != q - 1:
+        z += 1
+    c = pow(z, d, q)
+    x = pow(a, (d + 1) // 2, q)
+    t = pow(a, d, q)
+    m = s
+    while t != 1:
+        i, e = 0, t
+        while e != 1:
+            e = e * e % q
+            i += 1
+        b = pow(c, 1 << (m - i - 1), q)
+        x = x * b % q
+        c = b * b % q
+        t = t * c % q
+        m = i
+    return sorted({x, q - x})

@@ -20,6 +20,11 @@ def test_energy_subcommand(capsys):
     assert out == "1,3,4,6"
 
 
+def test_roots_above_the_table_cap(capsys):
+    code, out = run(capsys, "energy", "--op", "roots", "--q", "67108879", "--k", "3", "--j", "125")
+    assert code == 0 and out == "5,17982324,49126550"
+
+
 def test_gowers_subcommand(capsys):
     code, out = run(capsys, "gowers", "--op", "norm", "--q", "7", "--members", "1,3,4,6", "--k", "2")
     assert code == 0 and out == "44"

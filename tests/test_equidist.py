@@ -13,8 +13,10 @@ from modroots.equidist import (
     prime_roots_envelope,
     prime_roots_ratio,
 )
-from modroots.modular import primes_in, sqrt_mod
+from modroots.modular import primes_in
 from modroots.rng import SplitMix64
+
+from residue_oracles import tonelli_shanks
 
 
 def pair_scan(P: PointMultiset) -> DiscrepancyResult:
@@ -52,11 +54,11 @@ def pair_scan(P: PointMultiset) -> DiscrepancyResult:
 
 
 def oracle_prime_roots(q, P):
-    """The per-prime Fraction loop: a Fraction x/q per root, gathered by PointMultiset.of."""
+    """The per-prime Fraction loop over Tonelli-Shanks roots, gathered by PointMultiset.of."""
     points = []
     certs = []
     for p in primes_in(2, P) if P >= 2 else []:
-        for x in sqrt_mod(p % q, q):
+        for x in tonelli_shanks(p, q):
             points.append(Fraction(x, q))
             certs.append((x, p))
     ms = PointMultiset.of(points)
@@ -237,7 +239,7 @@ _SMALL_PRIMES = primes_in(2, 2 * 10**4)
 
 @st.composite
 def _prime_and_bound(draw):
-    # q = 3 (mod 4) takes the one-power root, q = 1 (mod 8) the full Tonelli-Shanks loop
+    # q = 3 (mod 4) reads no digit of the 2-Sylow logarithm in root_rows, q = 1 (mod 8) two or more
     residue, modulus = draw(st.sampled_from([(3, 4), (1, 8), (5, 8), (2, 2**20)]))
     q = draw(st.sampled_from([p for p in _SMALL_PRIMES if p % modulus == residue]))
     return q, draw(st.integers(-1, 3 * q))
@@ -248,6 +250,8 @@ def _prime_and_bound(draw):
 @example((7, 7))  # p = q: the root 0
 @example((17, 51))  # q = 1 (mod 8), and past q the primes repeat residues
 @example((19997, 59991))
+@example((2147483659, 300))  # root_rows on object arrays
+@example((2**61 - 1, 300))
 @settings(max_examples=60, deadline=None)
 def test_prime_roots_match_fraction_oracle(qP):
     q, P = qP

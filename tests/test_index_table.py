@@ -1,10 +1,13 @@
-"""The discrete-log table and every query that reads it, against the routes it replaced.
+"""The discrete-log table and every query that reads it, against the routes it replaced,
+and the table-free root kernel root_rows against the table and Tonelli-Shanks.
 
-The oracles in residue_oracles.py share no arithmetic with modular.index_table:
-Python pow, square-and-multiply tables, the sorted residue map, Tonelli-Shanks,
-the np.add.at root-sum table and the np.roll moment window.  The moduli cover
-q = 2 (where x = -x), q = 3, q = 65537 (q - 1 = 2^16), primes on both sides of
-2^21 and every g_k = gcd(k, q - 1) in {1, 2, 3, 4, 6}.
+The oracles in residue_oracles.py share no arithmetic with modular.index_table
+or modular.root_rows: Python pow, square-and-multiply tables, the sorted
+residue map, Tonelli-Shanks, the np.add.at root-sum table and the np.roll
+moment window.  The moduli cover q = 2 (where x = -x), q = 3, q = 65537
+(q - 1 = 2^16), primes on both sides of 2^21 and every g_k = gcd(k, q - 1) in
+{1, 2, 3, 4, 6}; root_rows also meets q = 2^31 - 1, the first q past it,
+2^61 - 1 and a 62-bit q whose 2- and 3-Sylow subgroups are deep.
 """
 
 import math
@@ -12,7 +15,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modroots.energy import prime_averaged_energy, set_energy
 from modroots.errors import CapacityError
@@ -28,7 +31,8 @@ from modroots.modular import (
     kth_root_set,
     kth_roots,
     preimage_set,
-    sqrt_mod,
+    primes_in,
+    root_rows,
     unit_roots,
 )
 from modroots.sets import IndicatorSet
@@ -40,6 +44,7 @@ from residue_oracles import (
     sorted_kth_roots,
     sorted_residue_map,
     square_multiply_table,
+    tonelli_shanks,
 )
 
 # q - 1 = 2^16; 2^21 - 9 (q - 1 = 2 * 1048571); 2^21 + 17 (q - 1 = 48 * 43691)
@@ -113,7 +118,7 @@ def test_preimage_matches_mask_route(q, k, j, n):
 @given(st.sampled_from([3, 5, 13, 65537, 2097143, 2097169]), st.integers(0, 2**40))
 @settings(max_examples=60, deadline=None)
 def test_square_roots_match_tonelli_shanks(q, a):
-    assert kth_roots(a, 2, q) == set(sqrt_mod(a, q))
+    assert kth_roots(a, 2, q) == set(tonelli_shanks(a, q))
 
 
 @given(st.sampled_from(EDGE[:8]), st.integers(0, 2**62), st.integers(0, 2**62))
@@ -158,7 +163,6 @@ def test_capacity_error_before_anything_is_allocated():
     calls = [
         lambda: index_table(q),
         lambda: kth_root_set([1], 2, q),
-        lambda: kth_roots(5, 3, q),
         lambda: preimage_set(1, 2, q, q),
         lambda: set_energy(one, 3, q),
         lambda: CharacterTable.build(q),
@@ -175,6 +179,79 @@ def test_capacity_error_before_anything_is_allocated():
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # a q-length array would be 256 MiB or more
+
+
+def test_kth_roots_above_the_cap_build_no_table():
+    tracemalloc.start()
+    try:
+        roots = kth_roots(125, 3, ABOVE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ABOVE_CAP == 67108879 and roots == {5, 17982324, 49126550}
+    assert peak < 1 << 20
+
+
+_KERNEL_PRIMES = primes_in(2, 10**5)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(q, k) with k = 2..6 on primes below 10^5, favouring the deep Sylow subgroups where
+    gcd(g_k, (q - 1)/g_k) > 1 and the digit rounds run, beside their coprime side."""
+    residue, modulus, ks = draw(st.sampled_from([
+        (0, 1, range(2, 7)),  # any prime, mostly the coprime side
+        (1, 8, (2, 4)),
+        (1, 9, (3, 6)),
+        (1, 25, (5,)),
+        (3, 4, (2,)),  # g = 2 and (q - 1)/2 odd
+        (5, 8, (4,)),  # g = 4 and (q - 1)/4 odd
+        (4, 9, (3,)),  # g = 3 and (q - 1)/3 prime to 3
+    ]))
+    q = draw(st.sampled_from([p for p in _KERNEL_PRIMES if p % modulus == residue]))
+    return q, draw(st.sampled_from(ks))
+
+
+@given(_kernel_cases(), st.lists(st.integers(1, 2**40), min_size=1, max_size=40))
+@example((2, 2), [1])
+@example((3, 2), [1, 2])
+@example((3, 6), [1, 2])
+@example((2, 5), [1])
+@example((65537, 4), [3, 9, 81, 6561])  # q - 1 = 2^16
+@settings(max_examples=120, deadline=None)
+def test_root_rows_match_the_table(qk, raw):
+    q, k = qk
+    units = [v % (q - 1) + 1 for v in raw]
+    vs = np.array(units + [pow(x, k, q) for x in units], dtype=np.int64)  # the k-th powers have roots
+    solvable, rows = root_rows(vs, k, q)
+    want_solvable, want_rows = index_table(q).roots(vs, k)
+    assert np.array_equal(solvable, want_solvable)
+    assert rows.dtype == np.int64 and np.array_equal(rows, np.sort(want_rows, axis=1))
+
+
+# 2^31 - 1: the last int64 q (there g_3 = 3 and v_3(q - 1) = 2, so k = 3 reads a digit);
+# 2147483659: the first object-array q; 2^61 - 1; 2305843009224652801: q - 1 = 2^11 3^4 5^2 7 17 p,
+# several digit rounds on object arrays whose squares pass 2^63
+WORD_EDGE = [2**31 - 1, 2147483659, 2**61 - 1, 2305843009224652801]
+
+
+@given(st.sampled_from(WORD_EDGE), st.integers(2, 6), st.lists(st.integers(1, 2**62), min_size=1, max_size=20))
+@example(2**31 - 1, 3, [2, 3, 5])
+@settings(max_examples=60, deadline=None)
+def test_root_rows_at_word_edges(q, k, raw):
+    xs = [x % (q - 1) + 1 for x in raw]
+    vs = [pow(x, k, q) for x in xs] + xs
+    solvable, rows = root_rows(vs, k, q)
+    assert rows.dtype == (np.int64 if q < 2**31 else object)
+    g = math.gcd(k, q - 1)
+    assert solvable.tolist() == [pow(v, (q - 1) // g, q) == 1 for v in vs]  # Euler's criterion
+    assert rows.shape == (int(solvable.sum()), g)
+    got = dict(zip([v for v, ok in zip(vs, solvable) if ok], rows.tolist()))
+    for v, row in got.items():
+        assert row == sorted(set(row)) and all(pow(x, k, q) == v for x in row)
+        if k == 2:
+            assert row == tonelli_shanks(v, q)
+    assert all(x in got[v] for x, v in zip(xs, vs))
 
 
 def test_cache_is_bounded_by_residues_not_by_count():
