@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError
-from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, primes_in, root_rows
+from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, prime_array, root_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +136,7 @@ def prime_roots_discrepancy(q, P: int) -> PrimeRootsResult:
     q = _as_q(q)
     if P > PRIME_SWEEP_CAP:
         raise CapacityError(f"P exceeds sieve capacity {PRIME_SWEEP_CAP}")
-    primes = np.array(primes_in(2, P) if P >= 2 else [], dtype=np.int64)
+    primes = prime_array(2, P) if P >= 2 else np.zeros(0, dtype=np.int64)
     units = primes[primes != q]
     solvable, rows = root_rows(units % q, 2, q)
     certs = np.stack([rows.ravel(), np.repeat(units[solvable], rows.shape[1])], axis=1).astype(np.int64)

@@ -6,17 +6,26 @@ gowers_norm unfolds that recursion down to U^2 along two independent routes,
 each over a stack of boolean rows of length q, and asserts they agree:
 
   * the shift route builds the rows by repeated shift-intersection,
-    B -> B & roll(B, -s) for every s, dropping empty rows, and scores a row by
-    its difference counts: U^2(B) = E(B) = sum_d #{(x, y) in B^2 : x - y = d}^2;
-  * the cube route builds the row of every shift tuple (s_1..s_(k-2))
+    B -> B & roll(B, -s), dropping empty rows, and scores a row by its
+    difference counts: U^2(B) = E(B) = sum_d #{(x, y) in B^2 : x - y = d}^2;
+  * the cube route builds the row of each shift tuple (s_1..s_(k-2))
     directly, as the product of the indicator over the 2^(k-2) vertices
     x + eps.s, and scores a row by its sum counts, whose square sum is E(B) too.
 
+Both routes fold s with -s.  B ∩ (B + s) is a translate of B ∩ (B - s), and
+negating one cube shift translates the cube row, so each shift runs over
+s = 0..q//2 only, with weight 1 for s = 0 and s = q/2 (q even), their own
+negatives, and 2 for every other s; a row's weight is the product over its
+shifts, and each depth level keeps about half the rows.  The fold is shared,
+so the cross-check cannot see a wrong weight; the unfolded routes are the
+oracles of tests/algebra_oracles.py.
+
 Sparse rows (energy._by_pairs) are scored all at once by the ragged pair
 bincount energy._pair_counts, dense rows one by one by difference_rep or
-sum_rep through cyclic_convolve, a row past q/2 members by its complement.
-U^k costs about q^(k-2) (2^(k-2) q + min(|A|^2, energy._pair_limit(q))), the
-work estimate held to the budget.  character_lemma_report checks the two
+sum_rep through cyclic_convolve, a row past q/2 members by its complement;
+the weighted sum of the row energies is one exact dot.  U^k costs about
+(q//2 + 1)^(k-2) (2^(k-2) q + min(|A|^2, energy._pair_limit(q))), the work
+estimate held to the budget.  character_lemma_report checks the two
 norm/energy inequalities in exact integer arithmetic, computing each U^m once.
 """
 
@@ -31,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .energy import _by_pairs, _pair_counts, _pair_limit, difference_rep, sum_rep
 from .errors import BudgetExceededError
-from .sets import IndicatorSet, _exact_dot
+from .sets import _WORD_CAP, IndicatorSet, _exact_dot
 
 DEFAULT_K_CAP = 4
 DEFAULT_WORK_BUDGET = 10**9
@@ -66,74 +75,101 @@ def _shifted(rows: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([rows, rows], axis=1), q, axis=1)[:, :q]
 
 
-def _square_sum(c: np.ndarray) -> int:
-    c = c.ravel()
-    return _exact_dot(c, c, int(c.max(initial=0)) ** 2)
+def _fold_weights(q: int) -> np.ndarray:
+    """The weight of each folded shift s = 0..q//2, one per pair {s, -s}.
+
+    The rows of s and -s are translates, so the pair counts twice, and s = 0
+    and s = q/2 (q even), their own negatives, once.
+    """
+    s = np.arange(q // 2 + 1, dtype=np.int64)
+    return np.where((s == 0) | (2 * s == q), 1, 2)
 
 
-def _stack_energy(rows: np.ndarray, negate: bool) -> int:
-    """sum over the rows B of E(B), the square sum of B's difference (negate) or sum counts.
+def _stack_energy(rows: np.ndarray, weights: np.ndarray, negate: bool) -> int:
+    """sum of weight * E(B) over the rows B: E(B) squares B's difference (negate) or sum counts.
 
     A row past q/2 members is scored by its complement C: either count of B is
-    that of C plus m = 2|B| - q, so E(B) = E(C) + m (q m + 2|C|^2).
+    that of C plus m = 2|B| - q, so E(B) = E(C) + m (q m + 2|C|^2).  Row
+    energies are at most q^3: int64 below 2^63, Python ints above.
     """
     q = rows.shape[1]
+    energies = np.zeros(len(rows), dtype=np.int64 if 2 * q**3 < _WORD_CAP else object)
     sizes = np.count_nonzero(rows, axis=1)
     flip = 2 * sizes > q
     m, c = 2 * sizes[flip] - q, q - sizes[flip]
-    total = _exact_dot(m, q * m + 2 * c * c, 2 * q**3)
+    energies[flip] = m.astype(energies.dtype) * (q * m + 2 * c * c)
     rows, sizes[flip] = rows ^ flip[:, None], c
     sparse = _by_pairs(sizes, q)
-    for B in (IndicatorSet(q, np.flatnonzero(row)) for row in rows[~sparse]):
-        total += (difference_rep(B) if negate else sum_rep(B, 2)).square_sum()
+    for r in np.flatnonzero(~sparse).tolist():
+        B = IndicatorSet(q, np.flatnonzero(rows[r]))
+        energies[r] += (difference_rep(B) if negate else sum_rep(B, 2)).square_sum()
     sparse &= sizes > 0
-    x = np.nonzero(rows[sparse])[1]
-    return total + sum(_square_sum(block) for block in _pair_counts(x, sizes[sparse], q, negate))
+    if sparse.any():
+        x = np.nonzero(rows[sparse])[1]
+        blocks = _pair_counts(x, sizes[sparse], q, negate)
+        energies[sparse] += np.concatenate([np.einsum("rs,rs->r", b, b) for b in blocks])
+    bound = int(energies.max(initial=0)) * int(weights.max(initial=0))
+    return _exact_dot(energies, weights, bound)
 
 
-def _shift_stack(rows: np.ndarray, depth: int):
-    """Chunks of the nonempty rows B & roll(B, -s_1) & ..., `depth` shifts deep."""
+def _shift_stack(rows: np.ndarray, weights: np.ndarray, depth: int):
+    """Chunks (rows, weights) of the nonempty rows B & roll(B, -s_1) & ..., `depth` shifts deep.
+
+    Each s_i runs over 0..q//2 and multiplies the row's weight by its _fold_weights.
+    """
     if depth == 0:
-        yield rows
+        yield rows, weights
         return
     q = rows.shape[1]
-    step, s_step = max(1, _CHUNK // (q * q)), min(q, max(1, _CHUNK // q))
+    shift_weights = _fold_weights(q)
+    h = len(shift_weights)
+    step, s_step = max(1, _CHUNK // (q * h)), min(h, max(1, _CHUNK // q))
     for i in range(0, len(rows), step):
-        block = rows[i : i + step]
-        for s in range(0, q, s_step):
-            grown = (block[:, None, :] & _shifted(block)[:, s : s + s_step]).reshape(-1, q)
-            yield from _shift_stack(grown[grown.any(axis=1)], depth - 1)
+        block = _shifted(rows[i : i + step])[:, :h]  # [r, s, x] = row r at x + s
+        for s in range(0, h, s_step):
+            grown = (block[:, 0, None] & block[:, s : s + s_step]).reshape(-1, q)
+            w = np.outer(weights[i : i + step], shift_weights[s : s + s_step]).ravel()
+            keep = grown.any(axis=1)
+            yield from _shift_stack(grown[keep], w[keep], depth - 1)
 
 
 def _cube_stack(a: np.ndarray, depth: int):
-    """Chunks of the rows prod_eps a[x + eps.s], one per shift tuple s in Z_q^depth."""
-    q = len(a)
+    """Chunks (rows, weights) of the rows prod_eps a[x + eps.s], each s_i in 0..q//2.
+
+    A row's weight is the product of the _fold_weights of its shifts.
+    """
     if depth == 0:
-        yield a[None, :]
+        yield a[None, :], np.ones(1, dtype=np.int64)
         return
+    q = len(a)
+    shift_weights = _fold_weights(q)
+    h = len(shift_weights)
     eps = np.array(list(product((0, 1), repeat=depth)), dtype=np.int64)  # [v, i]
     # [u, x] = a[x + u mod q] for u = 0..depth*q, which covers every eps.s
     shifted = sliding_window_view(np.tile(a, depth + 1), q)
     step = max(1, _CHUNK // (len(eps) * q))
-    total = q**depth
+    total = h**depth
     for start in range(0, total, step):
         flat = np.arange(start, min(start + step, total), dtype=np.int64)
-        shifts = np.stack([(flat // q**i) % q for i in range(depth)], axis=1)  # [r, i]
-        yield shifted[shifts @ eps.T].all(axis=1)  # vertex rows [r, v, x], ANDed over v
+        shifts = np.stack([(flat // h**i) % h for i in range(depth)], axis=1)  # [r, i]
+        # vertex rows [r, v, x], ANDed over v
+        yield shifted[shifts @ eps.T].all(axis=1), shift_weights[shifts].prod(axis=1)
 
 
 def _norm_by_shifts(a: np.ndarray, k: int) -> int:
     """U^k by the shift recursion, rows scored by difference counts."""
     if k == 1:
         return int(np.count_nonzero(a)) ** 2
-    return sum(_stack_energy(rows, negate=True) for rows in _shift_stack(a[None, :], k - 2))
+    stack = _shift_stack(a[None, :], np.ones(1, dtype=np.int64), k - 2)
+    return sum(_stack_energy(rows, weights, negate=True) for rows, weights in stack)
 
 
 def _norm_by_cubes(a: np.ndarray, k: int) -> int:
-    """U^k by direct cube rows over every shift tuple, rows scored by sum counts."""
+    """U^k by direct cube rows over the folded shift tuples, rows scored by sum counts."""
     if k == 1:
         return int(np.count_nonzero(a)) ** 2
-    return sum(_stack_energy(rows, negate=False) for rows in _cube_stack(a, k - 2))
+    stack = _cube_stack(a, k - 2)
+    return sum(_stack_energy(rows, weights, negate=False) for rows, weights in stack)
 
 
 def shift_counts(A: IndicatorSet) -> np.ndarray:
@@ -142,9 +178,10 @@ def shift_counts(A: IndicatorSet) -> np.ndarray:
 
 
 def _work_estimate(A: IndicatorSet, k: int) -> int:
-    """q^(k-2) rows, each the AND of 2^(k-2) shifts, scored over min(|A|^2, _pair_limit(q)) pairs."""
+    """(q//2 + 1)^(k-2) folded rows, each the AND of 2^(k-2) shifts, scored over
+    min(|A|^2, _pair_limit(q)) pairs."""
     d = max(k - 2, 0)
-    return A.q**d * (2**d * A.q + min(A.cardinality**2, _pair_limit(A.q)))
+    return (A.q // 2 + 1) ** d * (2**d * A.q + min(A.cardinality**2, _pair_limit(A.q)))
 
 
 def gowers_norm(A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET) -> int:

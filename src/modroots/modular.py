@@ -67,6 +67,11 @@ def is_prime(n: int) -> bool:
 
 def primes_in(lo: int, hi: int) -> list:
     """Ascending list of primes in the closed range [lo, hi]."""
+    return prime_array(lo, hi).tolist()
+
+
+def prime_array(lo: int, hi: int) -> np.ndarray:
+    """Ascending int64 array of the primes in the closed range [lo, hi], by a segmented sieve."""
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
     if hi >= WORD_CAP:
@@ -74,7 +79,7 @@ def primes_in(lo: int, hi: int) -> list:
     if hi > SIEVE_CAP:
         raise CapacityError(f"sieve capped at {SIEVE_CAP}")
     if hi < 2:
-        return []
+        return np.zeros(0, dtype=np.int64)
     root = math.isqrt(hi)
     base = np.ones(root + 1, dtype=bool)
     base[:2] = False
@@ -84,7 +89,7 @@ def primes_in(lo: int, hi: int) -> list:
     base_primes = np.nonzero(base)[0]
     lo = max(lo, 2)
 
-    out: list = []
+    out = []
     seg_size = max(1 << 18, root + 1)
     for start in range(lo, hi + 1, seg_size):
         stop = min(start + seg_size - 1, hi)
@@ -97,8 +102,8 @@ def primes_in(lo: int, hi: int) -> list:
             seg[first - start :: p] = False
         if start <= 1:
             seg[: 2 - start] = False
-        out.extend((start + np.nonzero(seg)[0]).tolist())
-    return out
+        out.append(start + np.flatnonzero(seg))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)

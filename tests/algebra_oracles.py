@@ -6,16 +6,23 @@ shift tuple, both bottoming out in a pair-difference bincount); the product
 polynomial expanded as dicts of packed exponents over Z[w]/Phi_k, grouped and
 full; the term-by-term evaluation of a polynomial mod p at a batch of
 4-tuples; and the box-zero count that screens the whole grid per n1 and
-confirms every candidate, diagonal ones included, by exact evaluation.  They share no
-arithmetic with modroots.gowers and modroots.prodpoly's kernels, so the
-property tests compare the production routes against them.
+confirms every candidate, diagonal ones included, by exact evaluation.  They
+share no arithmetic with modroots.gowers and modroots.prodpoly's kernels, so
+the property tests compare the production routes against them.
+
+One exception: the Gowers row stacks over every shift in Z_q, which the
+folded stacks (shifts 0..q//2, weighted) replaced, score their rows with
+modroots.gowers._stack_energy at weight 1, so they check the fold alone.
 """
 
 import math
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from modroots.gowers import _shifted, _stack_energy
 from modroots.prodpoly import IntPoly, _prime_pool, product_poly
 from modroots.sets import IndicatorSet
 
@@ -78,6 +85,57 @@ def set_norms(A: IndicatorSet, k: int) -> tuple:
     """U^k of A by the recursion route and by the square-sum route."""
     members = set(A.members.tolist())
     return _norm_recursive(members, A.q, k), _norm_square_sum(members, A.q, k)
+
+
+_ROW_CHUNK = 1 << 20  # entries per temporary of the unfolded row stacks
+
+
+def _unit_energy(rows: np.ndarray, negate: bool) -> int:
+    return _stack_energy(rows, np.ones(len(rows), dtype=np.int64), negate)
+
+
+def _full_shift_stack(rows: np.ndarray, depth: int):
+    """Chunks of the nonempty rows B & roll(B, -s_1) & ..., every s_i in Z_q."""
+    if depth == 0:
+        yield rows
+        return
+    q = rows.shape[1]
+    step, s_step = max(1, _ROW_CHUNK // (q * q)), min(q, max(1, _ROW_CHUNK // q))
+    for i in range(0, len(rows), step):
+        block = rows[i : i + step]
+        for s in range(0, q, s_step):
+            grown = (block[:, None, :] & _shifted(block)[:, s : s + s_step]).reshape(-1, q)
+            yield from _full_shift_stack(grown[grown.any(axis=1)], depth - 1)
+
+
+def _full_cube_stack(a: np.ndarray, depth: int):
+    """Chunks of the rows prod_eps a[x + eps.s], one per shift tuple s in Z_q^depth."""
+    q = len(a)
+    if depth == 0:
+        yield a[None, :]
+        return
+    eps = np.array(list(product((0, 1), repeat=depth)), dtype=np.int64)  # [v, i]
+    shifted = sliding_window_view(np.tile(a, depth + 1), q)  # [u, x] = a[x + u mod q]
+    step = max(1, _ROW_CHUNK // (len(eps) * q))
+    total = q**depth
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total), dtype=np.int64)
+        shifts = np.stack([(flat // q**i) % q for i in range(depth)], axis=1)  # [r, i]
+        yield shifted[shifts @ eps.T].all(axis=1)
+
+
+def full_shift_norm(a: np.ndarray, k: int) -> int:
+    """U^k of the indicator a by the shift recursion over every shift, unfolded."""
+    if k == 1:
+        return int(np.count_nonzero(a)) ** 2
+    return sum(_unit_energy(rows, True) for rows in _full_shift_stack(a[None, :], k - 2))
+
+
+def full_cube_norm(a: np.ndarray, k: int) -> int:
+    """U^k of the indicator a by the cube rows of every shift tuple, unfolded."""
+    if k == 1:
+        return int(np.count_nonzero(a)) ** 2
+    return sum(_unit_energy(rows, False) for rows in _full_cube_stack(a, k - 2))
 
 
 def fourier_u2(A: IndicatorSet) -> int:

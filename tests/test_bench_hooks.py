@@ -18,12 +18,14 @@ from modroots.harness import SweepConfig, run_sweep
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 # the harness no longer imports shift_intersection: it reads gowers.shift_counts;
 # energy no longer imports residue_map: roots and preimages read modular.index_table;
-# equidist no longer imports sqrt_mod: the roots of all primes come from one root_rows call
+# equidist no longer imports sqrt_mod: the roots of all primes come from one root_rows call,
+# nor primes_in: it reads the sieve's int64 array from modular.prime_array
 ALREADY_ABSENT = {
     "modroots.expsums.kth_roots",
     "modroots.harness.shift_intersection",
     "modroots.energy.residue_map",
     "modroots.equidist.sqrt_mod",
+    "modroots.equidist.primes_in",
 }
 
 

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modroots.gowers as gowers
-from algebra_oracles import fourier_u2, set_norms
+from algebra_oracles import fourier_u2, full_cube_norm, full_shift_norm, set_norms
 from modroots.convolve import NAIVE_THRESHOLD
 from modroots.energy import _pair_limit, energy_of
 from modroots.errors import BudgetExceededError
@@ -104,6 +105,44 @@ def test_budget_and_cap():
         gowers_norm(A, 9)
 
 
+def test_budget_holds_the_folded_row_count():
+    # (q//2 + 1)^(k-2) rows of 2^(k-2) shifts, scored over min(|A|^2, _pair_limit(q)) pairs
+    A = IndicatorSet.of(97, range(50))
+    assert gowers._work_estimate(A, 4) == 49**2 * (4 * 97 + min(50**2, _pair_limit(97)))
+    for k in (1, 2, 3, 4):
+        estimate = gowers._work_estimate(A, k)
+        assert gowers_norm(A, k, budget=estimate) == set_norms(A, k)[0]
+        with pytest.raises(BudgetExceededError):
+            gowers_norm(A, k, budget=estimate - 1)
+
+
+def _count_square_sum(row: np.ndarray, negate: bool) -> int:
+    """E(B) of the row B as a Python int, from the pairs of B or, for B past q/2
+    members, of its complement C: either count of B is that of C plus q - 2|C|."""
+    q = len(row)
+    big = 2 * np.count_nonzero(row) > q
+    S = np.flatnonzero(~row if big else row)
+    pairs = (S[:, None] + (q - S if negate else S)) % q
+    counts = np.bincount(pairs.ravel(), minlength=q) + (q - 2 * len(S) if big else 0)
+    return sum(c * c for c in counts.tolist())
+
+
+@pytest.mark.parametrize("negate", [True, False])
+@pytest.mark.parametrize("q, weight", [(61, 2**60), (2**21 + 1, 2)])
+def test_stack_energy_past_the_word(q, weight, negate):
+    # q = 2^21 + 1 makes E(Z_q) = q^3 pass 2^63 by itself; at q = 61 the weight does
+    rng = np.random.default_rng(q)
+    rows = np.zeros((4, q), dtype=bool)
+    rows[0] = True
+    rows[1] = True
+    rows[1, rng.choice(q, 5, replace=False)] = False  # complement of a sparse set
+    rows[2, rng.choice(q, 5, replace=False)] = True
+    weights = np.array([weight, weight, 1, weight], dtype=np.int64)  # row 3 is empty
+    expect = sum(w * _count_square_sum(row, negate) for row, w in zip(rows, weights.tolist()))
+    assert expect >= 2**63
+    assert gowers._stack_energy(rows, weights, negate) == expect
+
+
 @given(st.integers(3, 19), st.integers(0, 2**62))
 @settings(max_examples=30, deadline=None)
 def test_u3_recursion_identity_property(q, seed):
@@ -158,6 +197,26 @@ def test_array_routes_match_set_routes(A, k):
     if A.cardinality:
         a = gowers._indicator(A)
         assert gowers._norm_by_shifts(a, k) == gowers._norm_by_cubes(a, k) == by_recursion
+
+
+@given(_subsets(), st.integers(1, 4), st.one_of(st.none(), st.integers(1, 6)))
+@example(IndicatorSet(1, [0]), 4, None)
+@example(IndicatorSet(2, [0, 1]), 4, 1)
+@example(IndicatorSet(2, [1]), 3, None)
+@example(IndicatorSet(12, [0, 1, 6, 7, 9]), 4, None)  # s = q/2 is its own negative
+@example(IndicatorSet(13, [0, 1, 3, 4, 9]), 4, 4)  # slices of 4 of the 7 half shifts
+@example(IndicatorSet(1451, range(0, 1451, 7)), 3, None)  # default slices of 722 of 726
+@settings(max_examples=60, deadline=None)
+def test_folded_routes_match_unfolded_routes(A, k, per_slice):
+    # per_slice shrinks _CHUNK to that many rows of length q, so a slice of
+    # shifts can end past q//2 and must be cut there
+    k = min(k, 3) if A.q > 37 else k
+    a = gowers._indicator(A)
+    chunk = gowers._CHUNK if per_slice is None else per_slice * A.q
+    with mock.patch.object(gowers, "_CHUNK", chunk):
+        expect = full_shift_norm(a, k)
+        assert full_cube_norm(a, k) == expect
+        assert gowers._norm_by_shifts(a, k) == gowers._norm_by_cubes(a, k) == expect
 
 
 @given(_subsets())

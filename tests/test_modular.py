@@ -15,6 +15,7 @@ from modroots.modular import (
     kth_root_set,
     kth_roots,
     preimage_set,
+    prime_array,
     primes_in,
     sqrt_mod,
 )
@@ -27,6 +28,8 @@ def test_primes_in_examples():
     assert primes_in(8, 10) == []
     assert primes_in(0, 1) == []
     assert primes_in(97, 97) == [97]
+    # the sieve's own array, empty or spanning several segments, is int64
+    assert prime_array(0, 1).dtype == prime_array(8, 10).dtype == prime_array(1, 10**6).dtype == np.int64
 
 
 def test_primes_in_million_against_plain_sieve():
