@@ -2,20 +2,28 @@
 and the classical inequality checks (Minkowski's second theorem, the counting
 bound, Mahler transference) plus the short-dual-point trichotomy.
 
-All minima are exact rationals.  Enumeration radii are certified by the
-max box-norm of an LLL-reduced basis (d independent vectors), so the greedy
-extraction below sees every candidate vector.  LLL is integral (Cohen, GTM 138,
-§2.6): integer Gram determinants in place of a rational Gram-Schmidt.  Norms
-are compared as integers scaled by an lcm of the widths, in int64 arrays while
-they stay below 2^63 and in object arrays above.
+All minima are exact rationals.  One integral LLL reduction B of the primal
+basis (weights 1/w_i^2; Cohen, GTM 138, §2.6: integer Gram determinants in
+place of a rational Gram-Schmidt) serves both sides: |det B| = q, so the
+dual's integer basis q*B^{-T} is adj(B)^T up to sign.  Each side's radius is
+the largest norm of a row of its basis (d independent vectors), so the greedy
+extraction below sees every candidate vector.  Norms are compared as integers
+scaled by an lcm of the widths, in int64 arrays while they stay below 2^63 and
+in object arrays above.
 
-One chunked walk per side.  The primal walk enumerates a box's free
-coordinates in blocks of at most _CHUNK tuples and solves the congruence for
-the widest one: point counts sum its residue classes, box points and primal
-minima lift them.  The residue walk visits the min(q, 2*b_f + 1) residues that
-the narrowest bound b_f meets, never all of [0, q): the dual minima lift them,
-and trichotomy case (iii) compares their balanced lifts with the exact integer
-thresholds floor(4320*MN/K), so no product can wrap int64.
+Two walks over the box, and one over the reduced basis.  The primal walk
+enumerates a box's free coordinates in blocks of at most _CHUNK tuples and
+solves the congruence for the widest one: point counts sum its residue
+classes, box points lift them.  The residue walk visits the min(q, 2*b_f + 1)
+residues that the narrowest bound b_f meets, never all of [0, q): trichotomy
+case (iii) compares their balanced lifts with the exact integer thresholds
+floor(4320*MN/K), so no product can wrap int64.  Both minima enumerate
+v = c . basis in reduced coordinates (Fincke and Pohst, Math. Comp. 44, 1985;
+Cohen, GTM 138, §2.7): c = v . adj / det bounds each coefficient over the
+radius box (a sum over the box's coordinates; for the dual's l1 body a max over
+its vertices), the widest coefficient is solved per tuple of the others as the
+intersection of d intervals, and the candidates come in arrays of at most
+_CHUNK rows, however long one interval is.
 
 Trichotomy case (ii), lambda_1 <= 1 < lambda_2, is read from the box's own
 points: it holds iff the box is not degenerate, 1 < K <= 2*w_2 + 1 (w_2 the
@@ -37,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetExceededError, CapacityError
+from .errors import BudgetExceededError, CapacityError, DegenerateError
 
 DEFAULT_ENUM_BUDGET = 10**7
 _CHUNK = 1 << 13  # elements per enumeration chunk (64 KiB as int64)
@@ -185,28 +193,6 @@ def _primal_walk(lat: CongruenceLattice, bounds: list, budget: int):
         yield s, axes, res.ravel()
 
 
-def _lifted_blocks(lat: CongruenceLattice, bounds: list, budget: int):
-    """The box's lattice points as (n, d) int64 arrays: the lifts of consecutive
-    walk blocks, joined until they reach _CHUNK points (sparse lifts would
-    otherwise cost the minima one greedy pass per block).  The lifts count
-    against the budget too: BudgetExceededError before a block is expanded
-    once the points lifted so far exceed it."""
-    batch, size, lifted = [], 0, 0
-    for s, axes, res in _primal_walk(lat, bounds, budget):
-        classes = _class_counts(res, bounds[s], lat.q)
-        lifted += _lift_total(classes[1], bounds[s], lat.q)
-        if lifted > budget:
-            raise BudgetExceededError(f"{lifted} lifted points exceed budget {budget}")
-        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-        batch.append(np.stack(_expand_classes(grid, res, classes, lat.q, s), axis=1))
-        size += len(batch[-1])
-        if size >= _CHUNK:
-            pts, batch, size = np.concatenate(batch), [], 0
-            yield pts
-    if batch:
-        yield np.concatenate(batch)
-
-
 def count_points(lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """#(lattice ∩ box), origin included: walk the free coordinates and count
     the solutions of the congruence for the remaining one."""
@@ -220,9 +206,20 @@ def count_points(lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENU
 
 
 def box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET) -> np.ndarray:
-    """All lattice points v with |v_i| <= bounds_i, as an (n, d) int64 array."""
-    pieces = list(_lifted_blocks(lat, [int(b) for b in bounds], budget))
-    return np.concatenate(pieces) if pieces else np.empty((0, lat.d), dtype=np.int64)
+    """All lattice points v with |v_i| <= bounds_i, as an (n, d) int64 array: the
+    lifts of the walk's blocks.  The lifts count against the budget too:
+    BudgetExceededError before a block is expanded once the points lifted so far
+    exceed it."""
+    bounds = [int(b) for b in bounds]
+    pieces, lifted = [], 0
+    for s, axes, res in _primal_walk(lat, bounds, budget):
+        classes = _class_counts(res, bounds[s], lat.q)
+        lifted += _lift_total(classes[1], bounds[s], lat.q)
+        if lifted > budget:
+            raise BudgetExceededError(f"{lifted} lifted points exceed budget {budget}")
+        grid = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+        pieces.append(np.stack(_expand_classes(grid, res, classes, lat.q, s), axis=1))
+    return np.concatenate(pieces)
 
 
 def _residue_walk(coeffs, q: int, bounds: list, step: int):
@@ -370,6 +367,133 @@ class MinimaResult:
     degenerate: bool = False
 
 
+# ---------------------------------------------------------------------------
+# enumeration in the reduced basis
+
+
+def _adjugate(rows: list) -> tuple:
+    """(adj, |det|) for the integer matrix adj with rows @ adj = det(rows) * I
+    (d = 2 or 3): for d = 3 column j of adj is the cross product of rows j+1
+    and j+2 (mod 3)."""
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        adj = [[e, -b], [-c, a]]
+    else:
+        cols = [
+            [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+            for u, v in ((rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3))
+        ]
+        adj = [list(r) for r in zip(*cols)]
+    return adj, abs(sum(x * row[0] for x, row in zip(rows[0], adj)))
+
+
+def _basis_points(basis: list, caps: list, bounds: list, budget: int):
+    """The points v = c . basis with |v_i| <= bounds_i, for the coefficient
+    vectors c with |c_j| <= caps_j, in (n, d) arrays of at most _CHUNK rows.
+
+    The widest coefficient s is solved, not walked: for each tuple of the others
+    (the outer box, in blocks of at most _CHUNK tuples) with partial sum u, the t
+    with |u_i + t * basis[s][i]| <= bounds_i for every i form one interval, the
+    intersection of d.  A long interval is expanded over several arrays.  The
+    budget counts the outer volume, checked before anything is allocated, plus
+    the lifts, checked per block before it is expanded."""
+    d = len(basis)
+    s = max(range(d), key=caps.__getitem__)
+    outer = [j for j in range(d) if j != s]
+    volume = math.prod(2 * caps[j] + 1 for j in outer)
+    if volume > budget:
+        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
+    # bounds_i + max |u_i| bounds every |u_i|, |t * basis[s][i]| and interval end
+    # below, so an interval length is at most twice the largest of these plus 1
+    reach = [b + sum(caps[j] * abs(basis[j][i]) for j in outer) for i, b in enumerate(bounds)]
+    dtype = np.int64 if 2 * max(reach + [caps[s]]) + 1 < _WORD_CAP else object
+    rows = np.array([basis[j] for j in outer], dtype=dtype)
+    step = np.array(basis[s], dtype=dtype)
+    # blocks of whole rows of the last outer coefficient, or of one row's pieces
+    steps = [max(1, _CHUNK // (2 * caps[outer[-1]] + 1))] * (d - 2) + [_CHUNK]
+    lifted = 0
+    for starts in product(*(range(-caps[j], caps[j] + 1, st) for j, st in zip(outer, steps))):
+        u = np.zeros((1, d), dtype=dtype)  # c_outer . rows over the block, row-major
+        for lo, st, j, r in zip(starts, steps, outer, rows):
+            c = np.arange(lo, min(lo + st, caps[j] + 1)).astype(dtype)
+            u = (u[:, None, :] + c[None, :, None] * r).reshape(-1, d)
+        lo = np.full(len(u), -caps[s], dtype=dtype)
+        hi = np.full(len(u), caps[s], dtype=dtype)
+        for b, bound, ui in zip(basis[s], bounds, u.T):
+            if b > 0:
+                lo = np.maximum(lo, -((bound + ui) // b))
+                hi = np.minimum(hi, (bound - ui) // b)
+            elif b < 0:
+                lo = np.maximum(lo, -((bound - ui) // -b))
+                hi = np.minimum(hi, (bound + ui) // -b)
+            else:
+                hi = np.where(np.abs(ui) <= bound, hi, lo - 1)
+        counts = np.maximum(hi - lo + 1, 0)
+        lifted += _lift_total(counts, caps[s], 1)
+        if volume + lifted > budget:
+            raise BudgetExceededError(
+                f"enumeration volume {volume} plus {lifted} lifts exceeds budget {budget}"
+            )
+        counts = counts.astype(np.int64)
+        ends = np.cumsum(counts)
+        for first in range(0, int(ends[-1]), _CHUNK):
+            k = np.arange(first, min(first + _CHUNK, int(ends[-1])))
+            row = np.searchsorted(ends, k, side="right")
+            t = lo[row] + (k - ends[row] + counts[row])
+            yield u[row] + t[:, None] * step
+
+
+def _reduce(lat: CongruenceLattice, box: BoxBody) -> list:
+    """The lattice basis LLL-reduced for the box: weights 1 / w_i^2."""
+    return _lll(lat.basis(), [1 / (wi * wi) for wi in box.half_widths])
+
+
+def _primal_picks(reduced: list, box: BoxBody, budget: int) -> tuple:
+    """The witnesses of the box's minima as (scaled, v) picks, and the denominator
+    P with lambda = scaled / P: scaled = max_i |v_i| * r_i * (P / p_i) for the
+    half-widths w_i = p_i / r_i.  The radius is the largest scaled norm of a
+    reduced row, and c = v . adj / det bounds |c_j| over the radius box."""
+    w = box.half_widths
+    P = math.lcm(*(wi.numerator for wi in w))
+    mult = [wi.denominator * (P // wi.numerator) for wi in w]
+    radius = max(max(abs(x) * m for x, m in zip(row, mult)) for row in reduced)
+    bounds = [radius // m for m in mult]
+    adj, det = _adjugate(reduced)
+    caps = [sum(b * abs(row[j]) for b, row in zip(bounds, adj)) // det for j in range(len(w))]
+    mult = np.array(mult, dtype=np.int64 if radius < _WORD_CAP else object)
+    picks: list = []
+    for pts in _basis_points(reduced, caps, bounds, budget):
+        scaled = (np.abs(pts) * mult).max(axis=1)
+        nonzero = scaled > 0
+        picks = _greedy_minima(scaled[nonzero], pts[nonzero], picks)
+    return picks, P
+
+
+def _dual_picks(reduced: list, box: BoxBody, budget: int) -> tuple:
+    """The witnesses m of the dual body's minima as (scaled, m) picks, and the
+    denominator q*R with lambda = scaled / (q*R): scaled = sum_i |m_i| * p_i * (R / r_i).
+
+    The dual needs no reduction of its own: q * B^{-T} = adj(B)^T / (det / q) is
+    adj(B)^T up to sign, a basis of q * (dual lattice), and its rows certify the
+    radius.  m = c . adj^T has c_j = (m . B_j) / det, whose largest |c_j| over the
+    body sum_i mult_i |m_i| <= radius is at a vertex (radius / mult_i) e_i."""
+    w = box.half_widths
+    R = math.lcm(*(wi.denominator for wi in w))
+    mult = [wi.numerator * (R // wi.denominator) for wi in w]
+    adj, det = _adjugate(reduced)
+    dual = [list(col) for col in zip(*adj)]
+    limit = max(sum(abs(x) * m for x, m in zip(row, mult)) for row in dual)
+    bounds = [limit // m for m in mult]
+    caps = [max(limit * abs(x) // (m * det) for x, m in zip(row, mult)) for row in reduced]
+    mult = np.array(mult, dtype=np.int64 if limit * len(w) < _WORD_CAP else object)
+    picks: list = []
+    for pts in _basis_points(dual, caps, bounds, budget):
+        scaled = (np.abs(pts) * mult).sum(axis=1)
+        keep = (scaled <= limit) & (scaled > 0)
+        picks = _greedy_minima(scaled[keep], pts[keep], picks)
+    return picks, det * R
+
+
 def successive_minima(
     lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
 ) -> MinimaResult:
@@ -378,21 +502,8 @@ def successive_minima(
         raise ValueError("dimension mismatch")
     if box.degenerate:
         return MinimaResult((), (), degenerate=True)
-    d = lat.d
-    w = box.half_widths
-    # scaled integer norms: |v_i| * r_i * (P / p_i), lambda = scaled / P
-    P = math.lcm(*(wi.numerator for wi in w))
-    mult = [wi.denominator * (P // wi.numerator) for wi in w]
-    reduced = _lll(lat.basis(), [1 / (wi * wi) for wi in w])
-    radius = max(max(abs(x) * m for x, m in zip(row, mult)) for row in reduced)  # scaled
-    score_dtype = np.int64 if radius < _WORD_CAP else object
-    picks: list = []
-    for pts in _lifted_blocks(lat, [radius // m for m in mult], budget):
-        pts = pts.astype(score_dtype, copy=False)
-        scaled = (np.abs(pts) * np.array(mult, dtype=score_dtype)).max(axis=1)
-        nonzero = scaled > 0
-        picks = _greedy_minima(scaled[nonzero], pts[nonzero], picks)
-    return _minima_result(picks, d, P, "enumeration radius")
+    picks, P = _primal_picks(_reduce(lat, box), box, budget)
+    return _minima_result(picks, lat.d, P, "enumeration radius")
 
 
 def _minima_result(picks: list, d: int, denom: int, route: str) -> MinimaResult:
@@ -451,52 +562,14 @@ def dual_lattice(lat: CongruenceLattice) -> DualLattice:
 def dual_minima(
     lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
 ) -> MinimaResult:
-    """Successive minima of the dual body {sum w_i|x_i| <= 1} w.r.t. the dual lattice.
-
-    The candidates q*x = m with m_i = a_i*lambda (mod q) inside the certified
-    box are the lifts of the residue walk's columns, chunk by chunk.
-    """
+    """Successive minima of the dual body {sum w_i|x_i| <= 1} w.r.t. the dual lattice,
+    enumerated in the basis dual to the primal reduced basis."""
     if box.d != lat.d:
         raise ValueError("dimension mismatch")
     if box.degenerate:
         return MinimaResult((), (), degenerate=True)
-    d, q, w = lat.d, lat.q, box.half_widths
-    # scaled integer norms: sum |m_i| * w_i * R, the dual norm of m/q is scaled / (q*R)
-    R = math.lcm(*(wi.denominator for wi in w))
-    mult = [wi.numerator * (R // wi.denominator) for wi in w]
-    reduced = _lll(DualLattice(lat).integer_basis(), [wi * wi for wi in w])
-    limit = max(sum(abs(x) * m for x, m in zip(row, mult)) for row in reduced)  # scaled radius
-    bounds = [limit // m for m in mult]
-    if max(bounds) + q >= _WORD_CAP:
-        raise CapacityError(f"dual enumeration at q={q}, bounds={bounds} overflows int64")
-    score_dtype = np.int64 if sum(b * m for b, m in zip(bounds, mult)) < _WORD_CAP else object
-    per_class = math.prod(2 * bi // q + 1 for bi in bounds)  # candidates per residue, at most
-
-    if min(q, 2 * min(bounds) + 1) * per_class > budget:  # else the count cannot exceed it
-        total = 0
-        for res in _residue_walk(lat.coeffs, q, bounds, _CHUNK):
-            counts = [_class_counts(ri, bi, q)[1] for ri, bi in zip(res, bounds)]
-            if per_class * _CHUNK >= _WORD_CAP:  # the products of counts could wrap int64
-                counts[0] = counts[0].astype(object)
-            total += int(math.prod(counts).sum())
-            if total > budget:
-                raise BudgetExceededError("dual enumeration exceeds budget")
-
-    picks: list = []
-    for cols in _residue_walk(lat.coeffs, q, bounds, max(1, _CHUNK // per_class)):
-        for i in range(d):  # replace residue column i by its lifts
-            classes = _class_counts(cols[i], bounds[i], q)
-            cols = _expand_classes(cols[:i] + cols[i + 1:], cols[i], classes, q, i)
-            if not len(cols[i]):
-                break
-        else:
-            scaled = np.zeros(len(cols[0]), dtype=score_dtype)
-            for col, m in zip(cols, mult):
-                scaled += np.abs(col).astype(score_dtype, copy=False) * m
-            keep = (scaled <= limit) & (scaled > 0)
-            pts = np.stack([col[keep] for col in cols], axis=1)
-            picks = _greedy_minima(scaled[keep], pts, picks)
-    return _minima_result(picks, d, q * R, "dual enumeration radius")
+    picks, qR = _dual_picks(_reduce(lat, box), box, budget)
+    return _minima_result(picks, lat.d, qR, "dual enumeration radius")
 
 
 # ---------------------------------------------------------------------------
@@ -523,27 +596,43 @@ class GeometryReport:
 def verify_geometry(
     lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
 ) -> GeometryReport:
-    d = lat.d
-    minima = successive_minima(lat, box, budget=budget)
-    dual = dual_minima(lat, box, budget=budget)
-    lam, dlam = minima.lambdas, dual.lambdas
-
-    prod = math.prod(lam, start=Fraction(1))
-    rhs = Fraction(math.factorial(d), 2**d) * box.volume() / lat.q
-    minkowski_ok = 1 / prod <= rhs
-    minkowski_slack = rhs * prod
-
+    """Both minima from one reduction, the point count, and Minkowski's second
+    theorem, the counting bound and transference, each compared as an integer
+    inequality on the scaled norms: lambda_j = s_j / P, lambda*_j = t_j / (q*R)
+    and w_i = p_i / r_i."""
+    if box.d != lat.d:
+        raise ValueError("dimension mismatch")
+    if box.degenerate:
+        raise DegenerateError("the geometry checks need every half-width positive")
+    d, q, w = lat.d, lat.q, box.half_widths
+    reduced = _reduce(lat, box)
+    primal, P = _primal_picks(reduced, box, budget)
+    dual, qR = _dual_picks(reduced, box, budget)
+    minima = _minima_result(primal, d, P, "enumeration radius")
+    dual_result = _minima_result(dual, d, qR, "dual enumeration radius")
+    s, t = [x for x, _ in primal], [x for x, _ in dual]
+    fact, prod_s = math.factorial(d), math.prod(s)
     K = count_points(lat, box, budget=budget)
-    bound = math.prod((Fraction(2 * (j + 1)) / lam[j] + 1 for j in range(d)), start=Fraction(1))
-    counting_ok = K <= bound
 
-    fact = math.factorial(d)
-    slacks = tuple(lam[j] * dlam[d - j - 1] / fact for j in range(d))
-    transference_ok = all(s <= 1 for s in slacks)
+    # Minkowski: prod(lambda) * d! * vol / (2^d q) >= 1
+    lhs = fact * math.prod(wi.numerator for wi in w) * prod_s
+    rhs = q * P**d * math.prod(wi.denominator for wi in w)
+    # counting: K <= prod_j (2(j+1) / lambda_j + 1)
+    bound_num = math.prod(2 * (j + 1) * P + sj for j, sj in enumerate(s))
+    # transference: lambda_j * lambda*_{d-1-j} <= d!
+    cross = [sj * tj for sj, tj in zip(s, reversed(t))]
+    top = fact * P * qR
 
     return GeometryReport(
-        minima, dual, K, bound, minkowski_ok, minkowski_slack, counting_ok,
-        transference_ok, slacks,
+        minima=minima,
+        dual=dual_result,
+        point_count=K,
+        count_bound=Fraction(bound_num, prod_s),
+        minkowski_ok=lhs >= rhs,
+        minkowski_slack=Fraction(lhs, rhs),
+        counting_ok=K * prod_s <= bound_num,
+        transference_ok=all(c <= top for c in cross),
+        transference_slacks=tuple(Fraction(c, top) for c in cross),
     )
 
 

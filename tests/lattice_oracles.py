@@ -5,10 +5,14 @@ rational Gram-Schmidt recomputed after every step, the full integral
 Gram-Schmidt that integral LLL recomputed after every swap, a box walk and
 scoring loop over Python tuples, a dual enumeration that walks every lambda in
 [0, q) with a Python stack, and trichotomy case (iii) scanning every lambda in
-[1, q).  They are slow but share no arithmetic with modroots.lattice's LLL,
-walks and minima, so the property tests compare the production routes against
-them.  Trichotomy case (ii) has two: a walk over the whole box with integer
-cross products, and the retired route through successive_minima.
+[1, q).  The radius-box minima are the route the reduced-basis kernel replaced;
+for d = 2 the dual also has a box walk of q * (dual lattice) that works at any
+q, and verify_geometry's rational formulas and the dual kernel's budget count
+are recomputed with Fractions.  They are slow but share no arithmetic with
+modroots.lattice's LLL, walks and minima, so the property tests compare the
+production routes against them.  Trichotomy case (ii) has two: a walk over the
+whole box with integer cross products, and the retired route through
+successive_minima.
 """
 
 import math
@@ -129,7 +133,8 @@ def _greedy(scored: list, d: int, denom: int) -> MinimaResult:
 def oracle_box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM_BUDGET) -> list:
     """Every lattice point with |v_i| <= bounds_i as a tuple of Python ints: each
     tuple of the coordinates other than the widest, s, with every lift of the
-    residue the congruence forces on v_s.  The free volume obeys the budget."""
+    residue the congruence forces on v_s.  The free volume obeys the budget, and
+    so does the number of points, counted before a tuple's lifts are listed."""
     d, q = lat.d, lat.q
     s = max(range(d), key=lambda i: bounds[i])
     free = [i for i in range(d) if i != s]
@@ -140,7 +145,10 @@ def oracle_box_points(lat: CongruenceLattice, bounds, budget: int = DEFAULT_ENUM
     pts = []
     for vals in product(*(range(-bounds[i], bounds[i] + 1) for i in free)):
         r = -inv * sum(lat.coeffs[i] * v for i, v in zip(free, vals)) % q
-        for x in range(-bounds[s] + (r + bounds[s]) % q, bounds[s] + 1, q):
+        lifts = range(-bounds[s] + (r + bounds[s]) % q, bounds[s] + 1, q)
+        if len(pts) + len(lifts) > budget:
+            raise BudgetExceededError(f"more than {budget} lifted points")
+        for x in lifts:
             v = list(vals)
             v.insert(s, x)
             pts.append(tuple(v))
@@ -183,10 +191,49 @@ def _dual_lifts(lat: CongruenceLattice, box: BoxBody):
     return radius, lifts
 
 
+def inverse(rows: list) -> list:
+    """The inverse of a nonsingular integer matrix as Fractions, by Gauss-Jordan."""
+    d = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(rows)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(d):
+            if r != col and aug[r][col]:
+                aug[r] = [x - aug[r][col] * y for x, y in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
 def dual_candidate_count(lat: CongruenceLattice, box: BoxBody) -> int:
-    """The number of candidates the dual enumeration charges against its budget."""
-    _, lifts = _dual_lifts(lat, box)
-    return sum(math.prod(len(c) for c in lifts(lam)) for lam in range(lat.q))
+    """The number of candidates the dual enumeration charges against its budget:
+    in the basis D = q * B^{-T} dual to the rationally reduced primal basis B,
+    the box of coefficient tuples c with |c_j| <= max_i (radius / mult_i) * |(D^{-1})_ij|
+    (radius the largest scaled dual norm of a row of D), solved for its widest
+    coordinate s: the outer volume, plus, per outer tuple, the number of t with
+    every |(c . D)_i| <= radius // mult_i, counted one t at a time."""
+    q, w = lat.q, box.half_widths
+    B = rational_lll(lat.basis(), [1 / (wi * wi) for wi in w])
+    D = [[q * x for x in col] for col in zip(*inverse(B))]
+    assert all(x.denominator == 1 for row in D for x in row)
+    D = [[int(x) for x in row] for row in D]
+    R = math.lcm(*(wi.denominator for wi in w))
+    mult = [wi.numerator * (R // wi.denominator) for wi in w]
+    radius = max(sum(abs(x) * m for x, m in zip(row, mult)) for row in D)
+    bounds = [radius // m for m in mult]
+    Dinv = inverse(D)
+    d = lat.d
+    caps = [math.floor(max(Fraction(radius, m) * abs(Dinv[i][j]) for i, m in enumerate(mult))) for j in range(d)]
+    s = caps.index(max(caps))
+    outer = [j for j in range(d) if j != s]
+    total = math.prod(2 * caps[j] + 1 for j in outer)
+    for c in product(*(range(-caps[j], caps[j] + 1) for j in outer)):
+        u = [sum(cj * D[j][i] for cj, j in zip(c, outer)) for i in range(d)]
+        total += sum(
+            all(abs(ui + t * D[s][i]) <= bi for i, (ui, bi) in enumerate(zip(u, bounds)))
+            for t in range(-caps[s], caps[s] + 1)
+        )
+    return total
 
 
 def oracle_dual_minima(
@@ -215,6 +262,41 @@ def oracle_dual_minima(
             if scaled <= scaled_radius:
                 scored.append((scaled, m))
     return _greedy(scored, lat.d, q * R)
+
+
+def oracle_dual_minima_2d(
+    lat: CongruenceLattice, box: BoxBody, budget: int = DEFAULT_ENUM_BUDGET
+) -> MinimaResult:
+    """Dual minima for d = 2 at any q: q * (dual lattice) is the congruence
+    lattice a_1 m_0 - a_0 m_1 = 0 (mod q), so the Python box walk lists its points
+    inside the rational-LLL radius, and a Python scoring loop keeps those inside
+    the dual body."""
+    (a0, a1), q, w = lat.coeffs, lat.q, box.half_widths
+    radius, _ = _dual_lifts(lat, box)
+    bounds = [math.floor(radius * q / wi) for wi in w]
+    pts = oracle_box_points(CongruenceLattice((a1 % q, -a0 % q), q), bounds, budget=budget)
+    R = math.lcm(*(wi.denominator for wi in w))
+    mult = [wi.numerator * (R // wi.denominator) for wi in w]
+    scored = [(sum(abs(x) * m for x, m in zip(v, mult)), list(v)) for v in pts if any(v)]
+    return _greedy([t for t in scored if t[0] <= radius * q * R], 2, q * R)
+
+
+def oracle_geometry_checks(lat: CongruenceLattice, box: BoxBody, lam: tuple, dlam: tuple, K: int) -> dict:
+    """verify_geometry's Fractions and verdicts from the minima as Fractions, the
+    way it computed them before its integer inequalities."""
+    d = lat.d
+    prod = math.prod(lam, start=Fraction(1))
+    rhs = Fraction(math.factorial(d), 2**d) * box.volume() / lat.q
+    bound = math.prod((Fraction(2 * (j + 1)) / lam[j] + 1 for j in range(d)), start=Fraction(1))
+    slacks = tuple(lam[j] * dlam[d - j - 1] / math.factorial(d) for j in range(d))
+    return {
+        "count_bound": bound,
+        "minkowski_ok": 1 / prod <= rhs,
+        "minkowski_slack": rhs * prod,
+        "counting_ok": K <= bound,
+        "transference_ok": all(s <= 1 for s in slacks),
+        "transference_slacks": slacks,
+    }
 
 
 def oracle_case_dual_point(a: int, b: int, c: int, L: int, M: int, N: int, q: int, K: int) -> bool:

@@ -54,7 +54,7 @@ def test_lattice_input_errors_exit_three(capsys):
 @pytest.mark.parametrize(
     "argv, error",
     [
-        # the minima's radius box at q = 100003 still asks for 1.8 * 10^9 free tuples
+        # two very short vectors leave 7.5 * 10^8 candidates inside the radius at q = 100003
         (("lattice", "--op", "minima", "--q", "100003", "--coeffs", "1,2,3", "--widths", "100,100,100"),
          "BudgetExceededError"),
         (("poly", "--op", "construct", "--k", "6"), "CapacityError"),

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from modroots.errors import BudgetExceededError, CapacityError
+from modroots.errors import BudgetExceededError, CapacityError, DegenerateError
 from modroots.lattice import (
     BoxBody,
     CongruenceLattice,
@@ -20,7 +20,7 @@ from modroots.lattice import (
 from modroots.modular import primes_in
 from modroots.rng import SplitMix64
 
-from lattice_oracles import independent
+from lattice_oracles import independent, oracle_geometry_checks
 
 
 def L_x_eq_cy(c, q):
@@ -209,6 +209,27 @@ def test_geometry_randomized():
         )
         rep = verify_geometry(CongruenceLattice(coeffs, q), BoxBody(ws))
         assert rep.all_ok, (d, q, coeffs, ws)
+
+
+def test_geometry_inequalities_match_fraction_oracle():
+    # the integer inequalities give the Fractions and verdicts of the rational formulas
+    rng = SplitMix64(23)
+    for _ in range(150):
+        d = rng.choice([2, 3])
+        q = rng.choice(primes_in(3, 3000))
+        coeffs = tuple(rng.randint(1, q - 1) for _ in range(d))
+        ws = tuple(Fraction(rng.randint(1, 60), rng.choice([1, 2, 3, 4, 7])) for _ in range(d))
+        lat, box = CongruenceLattice(coeffs, q), BoxBody(ws)
+        rep = verify_geometry(lat, box)
+        expect = oracle_geometry_checks(lat, box, rep.minima.lambdas, rep.dual.lambdas, rep.point_count)
+        assert {key: getattr(rep, key) for key in expect} == expect
+        assert rep.minima == successive_minima(lat, box) and rep.dual == dual_minima(lat, box)
+        assert rep.point_count == count_points(lat, box)
+
+
+def test_geometry_of_a_degenerate_box_is_refused():
+    with pytest.raises(DegenerateError):
+        verify_geometry(L_x_eq_cy(2, 5), BoxBody((2, 0)))
 
 
 def test_budget_exceeded():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 from unittest import mock
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from modroots import lattice
-from modroots.errors import BudgetExceededError
+from modroots.errors import BudgetExceededError, CapacityError
 from modroots.lattice import (
     BoxBody,
     CongruenceLattice,
@@ -32,11 +33,13 @@ from lattice_oracles import (
     dual_candidate_count,
     independent,
     integral_gso,
+    inverse,
     minima_case_one_short,
     oracle_box_points,
     oracle_case_dual_point,
     oracle_case_one_short,
     oracle_dual_minima,
+    oracle_dual_minima_2d,
     oracle_successive_minima,
     rational_lll,
 )
@@ -172,11 +175,21 @@ def width(scale_bits, value, jitter_num, jitter_den):
     return Fraction(value * scale + jitter_num % scale, scale + jitter_den % scale)
 
 
-def outcome(fn, lat, box):
+def outcome(fn, lat, box, budget=10**5):
     try:
-        return fn(lat, box, budget=10**5)
-    except BudgetExceededError as exc:
+        return fn(lat, box, budget=budget)
+    except (BudgetExceededError, CapacityError) as exc:
         return type(exc)
+
+
+def assert_matches_oracle(fn, oracle, lat, box):
+    """fn at budget 10^5 equals the oracle at 10^7 wherever it returns, and
+    raises only where the oracle at 10^5 raises too."""
+    got = outcome(fn, lat, box)
+    if got is BudgetExceededError:
+        assert outcome(oracle, lat, box) is BudgetExceededError
+    else:
+        assert got == oracle(lat, box, budget=10**7)
 
 
 @given(
@@ -195,8 +208,8 @@ def test_minima_match_oracles(d, q, c, widths):
     coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
     lat = CongruenceLattice(coeffs, q)
     box = BoxBody(tuple(width(*w) for w in widths[:d]))
-    assert outcome(successive_minima, lat, box) == outcome(oracle_successive_minima, lat, box)
-    assert outcome(dual_minima, lat, box) == outcome(oracle_dual_minima, lat, box)
+    assert_matches_oracle(successive_minima, oracle_successive_minima, lat, box)
+    assert_matches_oracle(dual_minima, oracle_dual_minima, lat, box)
 
 
 @pytest.mark.parametrize("bits", [8, 40])
@@ -219,12 +232,12 @@ def test_minima_scaled_norms_across_word_boundary(bits):
        st.lists(st.fractions(Fraction(1, 4), 12, max_denominator=5), min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_dual_budget_boundary_matches_oracle(d, q, c, widths):
-    # the budget counts the same candidates as the per-lambda route: T passes, T - 1 raises
+    # the budget counts the outer box plus the exact lifts of each tuple: T passes, T - 1 raises
     coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
     lat, box = CongruenceLattice(coeffs, q), BoxBody(tuple(widths[:d]))
     assume(not box.degenerate)
     total = dual_candidate_count(lat, box)
-    assert dual_minima(lat, box, budget=total) == oracle_dual_minima(lat, box, budget=total)
+    assert dual_minima(lat, box, budget=total) == oracle_dual_minima(lat, box)
     with pytest.raises(BudgetExceededError):
         dual_minima(lat, box, budget=total - 1)
 
@@ -256,6 +269,142 @@ def test_dual_minima_large_q_is_sized_by_the_box():
 def test_dual_minima_budget_at_large_q():
     result, peak = peak_mib(dual_minima, CongruenceLattice((1, 3), 10**8 + 7), BoxBody((5, 7)))
     assert isinstance(result, BudgetExceededError)
+    assert peak < 8
+
+
+@contextmanager
+def kernel_arrays():
+    """Record (rows, dtype) of every array the reduced-basis kernel yields."""
+    kernel, arrays = lattice._basis_points, []
+
+    def recorded(*args):
+        for pts in kernel(*args):
+            arrays.append((len(pts), pts.dtype))
+            yield pts
+
+    with mock.patch.object(lattice, "_basis_points", recorded):
+        yield arrays
+
+
+def test_minima_large_q_is_sized_by_the_box():
+    # one short vector (-3, 1), and about 4.8 * 10^6 candidates inside the second radius
+    q = 10**7 + 19
+    result, peak = peak_mib(successive_minima, CongruenceLattice((1, 3), q), BoxBody((5, 7)))
+    # lambda_2 is the best (q - 3y, y): |q - 3y| / 5 = y / 7 at y = 7q/26, rounded up
+    assert result.lambdas == (Fraction(3, 5), Fraction(2692313, 7))
+    assert result.witnesses == ((-3, 1), (-1923080, -2692313))
+    assert peak < 8
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from(PRIMES),
+    st.integers(1, 2**64),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.integers(1, 6), st.integers(0, 2**40), st.integers(0, 2**40)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_dual_basis_is_the_adjugate_transpose(d, q, c, widths):
+    # adj(B)^T of the reduced primal basis B and the dual's own basis span one lattice
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
+    lat = CongruenceLattice(coeffs, q)
+    reduced = _lll(lat.basis(), [1 / (width(*x) ** 2) for x in widths[:d]])
+    adj, det = lattice._adjugate(reduced)
+    assert det == q
+    product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in reduced]
+    assert product in ([[q * (i == j) for j in range(d)] for i in range(d)],
+                       [[-q * (i == j) for j in range(d)] for i in range(d)])
+    dual = [list(col) for col in zip(*adj)]
+    ref = DualLattice(lat).integer_basis()
+    for a, b in ((dual, ref), (ref, dual)):  # a = X . b with X integral
+        X = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inverse(b))] for row in a]
+        assert all(x.denominator == 1 for row in X for x in row)
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from(PRIMES[:80]),
+    st.integers(1, 2**64),
+    st.lists(st.fractions(Fraction(1, 4), 12, max_denominator=5), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_minima_object_route_matches_oracles(d, q, c, widths):
+    # with the word cap at 2 every coordinate, bound and score goes to object arrays
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
+    lat, box = CongruenceLattice(coeffs, q), BoxBody(tuple(widths[:d]))
+    with mock.patch.object(lattice, "_WORD_CAP", 2), kernel_arrays() as arrays:
+        assert_matches_oracle(successive_minima, oracle_successive_minima, lat, box)
+        assert_matches_oracle(dual_minima, oracle_dual_minima, lat, box)
+    assert all(dtype == object for _, dtype in arrays)
+
+
+def valid_minima(result, norm, member):
+    """Witnesses in the lattice, independent, with norms equal to the ascending lambdas."""
+    wits = [list(v) for v in result.witnesses]
+    assert all(member(v) for v in wits)
+    assert all(independent(wits[:i], wits[i]) for i in range(len(wits)))
+    assert [norm(v) for v in wits] == list(result.lambdas) == sorted(result.lambdas)
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from([2**31 - 1, 2147483659, 2**61 - 1]),
+    st.integers(1, 2**64),
+    st.lists(
+        st.tuples(st.sampled_from([0, 1, 2, 8, 31, 62, 63, 64, 65]), st.integers(0, 2**65), st.integers(1, 4)),
+        min_size=3,
+        max_size=3,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_minima_at_large_q_are_exact_or_refused(d, q, c, widths):
+    # half-widths from 1 to 2^64 at q near 2^31 and 2^61: c . B products, bounds
+    # and scores on both sides of 2^63 go to object arrays or raise, never wrap
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d))
+    lat = CongruenceLattice(coeffs, q)
+    box = BoxBody(tuple(Fraction(1 + v % (1 << bits), den) for bits, v, den in widths[:d]))
+    primal = outcome(successive_minima, lat, box, 10**4)
+    dual = outcome(dual_minima, lat, box, 10**4)
+    assert CapacityError not in (primal, dual)
+    expect = outcome(oracle_successive_minima, lat, box, 10**4)
+    if expect is not BudgetExceededError:
+        assert primal in (expect, BudgetExceededError)
+    if primal is not BudgetExceededError:
+        valid_minima(primal, box.norm, lat.contains)
+    if dual is not BudgetExceededError:
+        member = dual_lattice(lat).contains
+        valid_minima(dual, lambda m: box.dual_norm(m) / q, lambda m: member([Fraction(x, q) for x in m]))
+    if d == 2:
+        expect = outcome(oracle_dual_minima_2d, lat, box, 10**4)
+        if expect is not BudgetExceededError:
+            assert dual in (expect, BudgetExceededError)
+
+
+@pytest.mark.parametrize(
+    "q, coeffs, widths",
+    [
+        (2**61 - 1, (1, 12345678901), (1, 2**64)),  # primal bound 2^64, dual bound 1.9 * 10^19
+        (2**61 - 1, (1, 987654321987), (3, 2**63 + 7)),  # dual bound 3.8 * 10^18
+    ],
+)
+def test_minima_past_the_word_match_oracles(q, coeffs, widths):
+    # radius-box bounds past 2^62: the kernel's coordinates go to object arrays
+    lat, box = CongruenceLattice(coeffs, q), BoxBody(widths)
+    with kernel_arrays() as arrays:
+        primal, dual = successive_minima(lat, box, 10**4), dual_minima(lat, box, 10**4)
+    assert object in [dtype for _, dtype in arrays]
+    assert primal == oracle_successive_minima(lat, box, 10**4)
+    assert dual == oracle_dual_minima_2d(lat, box, 10**4)
+
+
+@pytest.mark.parametrize("fn", [successive_minima, dual_minima])
+def test_minima_past_the_word_at_q_near_2_to_the_31_are_refused(fn):
+    # bounds past 2^62 at q = 2^31 - 1 leave about 2^31 lifts per outer tuple
+    result, peak = peak_mib(fn, CongruenceLattice((1, 123456), 2**31 - 1), BoxBody((1, 2**64)))
+    assert isinstance(result, BudgetExceededError) and "lifts exceeds budget" in str(result)
     assert peak < 8
 
 
@@ -352,24 +501,22 @@ def test_case_dual_point_matches_scan(q, seeds, sides):
 )
 @settings(max_examples=80, deadline=None)
 def test_walks_across_chunk_boundaries(d, q, c, bounds, widths):
-    # blocks of 7 free tuples: pieces of one row, several rows, and residue chunks of 7
+    # blocks of 7 free or outer tuples: pieces of one row, several rows, residue
+    # chunks of 7, and reduced-basis candidates in arrays of at most 7
     coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
     lat, bounds, box = CongruenceLattice(coeffs, q), bounds[:d], BoxBody(tuple(widths[:d]))
     expect = sorted(oracle_box_points(lat, bounds))
-    with mock.patch.object(lattice, "_CHUNK", 7):
+    with mock.patch.object(lattice, "_CHUNK", 7), kernel_arrays() as arrays:
         for _, axes, res in lattice._primal_walk(lat, bounds, 10**7):
             assert len(res) == math.prod(map(len, axes)) <= 7
-        # joined lifts: at least 7 points but the last, under 7 plus one block's lifts
-        sizes = [len(pts) for pts in lattice._lifted_blocks(lat, bounds, 10**7)]
-        assert sum(sizes) == len(expect) and all(n >= 7 for n in sizes[:-1])
-        assert all(n < 7 + 7 * (2 * max(bounds) // q + 1) for n in sizes)
         assert count_points(lat, BoxBody(tuple(bounds))) == len(expect)
         assert sorted(map(tuple, box_points(lat, bounds).tolist())) == expect
-        assert outcome(successive_minima, lat, box) == outcome(oracle_successive_minima, lat, box)
-        assert outcome(dual_minima, lat, box) == outcome(oracle_dual_minima, lat, box)
+        assert_matches_oracle(successive_minima, oracle_successive_minima, lat, box)
+        assert_matches_oracle(dual_minima, oracle_dual_minima, lat, box)
         if d == 3 and q > 1:
             dual_point, scanned = case_dual_point_and_oracle(*coeffs, *bounds, q)
             assert dual_point == scanned
+    assert arrays and max(n for n, _ in arrays) <= 7
 
 
 @given(
