@@ -11,9 +11,14 @@ Two paths with identical output:
     arbitrary-precision entries), and each half is convolved the same way.
     Only operands in {-1, 0, 1} can fail for good, with CapacityError.
 
-The result is int64 when the a-priori bound min(|u|_1 max|v|, |v|_1 max|u|)
-is below 2^62 and an object array of exact Python ints above it.  The NTT+CRT
-route is the test oracle (tests/convolve_oracles.py).
+The float FFT, _float_convolve, works along the last axis: energy._pair_counts
+passes it whole blocks of 0/1 rows, one transform and one certificate a block,
+and reads the difference counts as correlations, from conj(rfft).
+
+cyclic_convolve's result is int64 when the a-priori bound
+min(|u|_1 max|v|, |v|_1 max|u|) is below 2^62 and an object array of exact
+Python ints above it.  The NTT+CRT route is the test oracle
+(tests/convolve_oracles.py).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .sets import _INT64_COUNT_CAP, _WORD_CAP, _as_array, _exact_dot, _exact_sum
+from .sets import _INT64_COUNT_CAP, _WORD_CAP, _as_array, _exact_sums
 
 NAIVE_THRESHOLD = 512
 _FLOAT_PEAK_CAP = 1 << 31  # float path inputs: entries (and their squares) fit exactly
@@ -61,40 +66,48 @@ def _narrow(x: np.ndarray, peak: int) -> np.ndarray:
     return x.astype(np.int64) if x.dtype == object and peak < _WORD_CAP else x
 
 
-def _float_convolve(u: np.ndarray, v: np.ndarray):
-    """Cyclic convolution of int64 arrays by float64 FFT, or None when uncertified.
+def _float_convolve(u: np.ndarray, v: np.ndarray, negate: bool = False):
+    """Cyclic convolutions of int64 rows by float64 FFT, along the last axis, or
+    None when uncertified.
 
-    The linear convolution is computed at length L = 2^ceil(log2(2q - 1)) and
-    each entry rounded, then folded mod q.  Percival's bound, counted over
-    log2(L) + 1 levels to cover the real-input packing of rfft, puts every
-    linear entry within |u| |v| f < 1/4 of its true value, so rounding is
-    exact.  Returns None when the bound fails, when an entry reaches 2^31, or
-    for object arrays; raises ArithmeticError when a certified result breaks
+    Row r of the result is w(d) = sum_x u_r(x) v_r(d - x mod q), or, when
+    negate, the correlation sum_x u_r(x) v_r(x - d), from conj(rfft(v)).  The
+    linear convolution is computed at length L = 2^ceil(log2(2q - 1)) and each
+    entry rounded, then folded mod q (a correlation's lag d - q sits at
+    L + d - q).  Percival's bound, counted over log2(L) + 1 levels to cover
+    the real-input packing of rfft and taken from the largest row norms of u
+    and v, puts every linear entry within |u| |v| f < 1/4 of its true value,
+    so rounding is exact; conjugation is exact and keeps the norms, so the
+    bound holds for the correlation too.  v is u costs one forward transform.
+    Returns None when the bound fails, when an entry reaches 2^31, or for
+    object arrays; raises ArithmeticError when a certified row breaks
     sum(w) = sum(u) * sum(v).
     """
-    q = len(u)
+    q = u.shape[-1]
     if u.dtype != np.int64 or v.dtype != np.int64:
         return None
     pu, pv = _peak(u), _peak(v)
     if max(pu, pv) >= _FLOAT_PEAK_CAP:
         return None
     L = _padded_length(q)
-    su = _exact_dot(u, u, pu * pu)
-    sv = su if v is u else _exact_dot(v, v, pv * pv)
+    su = max(_exact_sums(u * u, pu * pu))  # the largest row norms; squares below 2^62
+    sv = su if v is u else max(_exact_sums(v * v, pv * pv))
     if su * sv >= _norm_limit(L.bit_length()):
         return None
     fu = np.fft.rfft(u, L)
-    if v is u:
-        fu *= fu
-    else:
-        fu *= np.fft.rfft(v, L)
+    fv = fu if v is u else np.fft.rfft(v, L)
+    fu *= np.conj(fv) if negate else fv
+    del fv
     lin = np.fft.irfft(fu, L)
     del fu
     np.rint(lin, out=lin)
     # every rounded entry is an exact integer below 2^53, and so is each folded sum
-    lin[: q - 1] += lin[q : 2 * q - 1]
-    w = lin[:q].astype(np.int64)
-    if _exact_sum(w, _peak(w)) != _exact_sum(u, pu) * _exact_sum(v, pv):
+    if negate:
+        lin[..., 1:q] += lin[..., L - q + 1 :]
+    else:
+        lin[..., : q - 1] += lin[..., q : 2 * q - 1]
+    w = lin[..., :q].astype(np.int64)
+    if _exact_sums(w, _peak(w)) != [a * b for a, b in zip(_exact_sums(u, pu), _exact_sums(v, pv))]:
         raise ArithmeticError(f"certified float convolution of length {q} breaks sum(w) = sum(u) * sum(v)")
     return w
 

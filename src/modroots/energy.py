@@ -2,17 +2,18 @@
 
 tuple_energy computes the number of 2*nu tuples of elements of the preimage
 set A = {x in F_q^* : j*x^k in {1..N}} whose nu-fold sums agree mod q;
-set_energy is the nu = 2 case for a general target set.  The pair counts of
-sparse sets, here and in gowers.py, come from one kernel, _pair_counts; a set
-that fails _by_pairs goes to cyclic_convolve, which reaches every q.
+set_energy is the nu = 2 case for a general target set.  Every pair count,
+here and in gowers.py, comes from one kernel over a ragged stack of sets,
+_pair_counts: it routes each row by _by_pairs to a pair bincount (sparse) or
+to one certified float FFT a block of 0/1 rows (dense).  cyclic_convolve
+squares the pair counts for nu >= 3.
 
 max_energy_over_j and prime_averaged_energy read every coset of a prime at
 once.  With g_k = gcd(k, q - 1), j^-1 n is a k-th power iff
 ind n = ind j (mod g_k), so the classes c = ind n mod g_k split n = 1..N
 among the cosets, and E_k(N; j, q) depends only on the class of j.
-_coset_energies gathers each class's roots from index_table(q) and counts
-the pair sums of all sparse classes as one _pair_counts stack; a dense class
-goes through energy_of like any other set.
+_coset_energies gathers each class's roots from index_table(q) and scores
+all classes as one _pair_counts stack.
 """
 
 from __future__ import annotations
@@ -22,28 +23,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolve import NAIVE_THRESHOLD, cyclic_convolve
+from .convolve import _float_convolve, _padded_length, cyclic_convolve
 from .errors import CapacityError
 from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, index_table, kth_root_set, preimage_set, primes_in
-from .sets import IndicatorSet, RepFn
+from .sets import IndicatorSet, RepFn, _exact_dot
 
 # Representation counts of n elements mod q come from a bincount of the n^2
-# pairs or from cyclic_convolve, whichever the measured costs favour (2-vCPU
-# VM): the bincount takes about 8 ns a pair, and _PAIRS_PER_CALL pairs about
-# one cyclic_convolve call; the naive convolution (q <= NAIVE_THRESHOLD)
-# overtakes it near n^2 = q^2 / 8, the float FFT near n^2 = 7q..16q for
-# q = 10^3..4*10^5.  Pair arrays are capped at _BINCOUNT_PAIR_LIMIT entries
-# (32 MiB); a stack of sets goes in blocks of _PAIR_BATCH pairs, kept in cache.
+# pairs or from one float FFT of length L = 2^ceil(log2(2q - 1)), whichever the
+# measured costs favour (2-vCPU VM): the bincount takes about 8 ns a pair, and
+# overtakes the FFT near n^2 = 7q..16q for q = 10^3..4*10^5.  Pair arrays are
+# capped at _BINCOUNT_PAIR_LIMIT entries (32 MiB); a stack of sets goes in
+# blocks of _PAIR_BATCH pairs or FFT entries, kept in cache.
 _PAIRS_PER_RESIDUE = 16
-_PAIRS_PER_CALL = 1 << 12
 _BINCOUNT_PAIR_LIMIT = 1 << 22
 _PAIR_BATCH = 1 << 16
 
 
 def _pair_limit(q: int) -> int:
     """The most pairs a set mod q takes through the bincount."""
-    limit = max(q * q // 8, _PAIRS_PER_CALL) if q <= NAIVE_THRESHOLD else _PAIRS_PER_RESIDUE * q
-    return min(limit, _BINCOUNT_PAIR_LIMIT)
+    return min(_PAIRS_PER_RESIDUE * q, _BINCOUNT_PAIR_LIMIT)
 
 
 def _by_pairs(n, q: int):
@@ -53,35 +51,71 @@ def _by_pairs(n, q: int):
 def _pair_counts(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool = False):
     """Yields the pair counts of a ragged stack of sets mod q, as int64 blocks [b, q].
 
-    Row r is the next sizes[r] members of x, and counts its pairs (a, b) by
-    a + b mod q, or by a - b = a + (q - b) when negate.  A block's pairs are
-    one np.repeat of a and one gather of b, unpadded (a broadcast sum for one
-    row), and one np.bincount takes them with an offset of q bins a row.  A
-    block holds at most _PAIR_BATCH pairs and _BINCOUNT_PAIR_LIMIT bins, or
+    Row r is the next sizes[r] members of x, distinct, and counts its pairs
+    (a, b) by a + b mod q, or by a - b = a + (q - b) when negate.  A row that
+    passes _by_pairs is sparse: the pairs of a block's sparse rows are one
+    np.repeat of a and one gather of b, unpadded (a broadcast sum for one row),
+    and one np.bincount takes them with an offset of q bins a row.  The dense
+    rows of a block are scored by _dense_counts.  A block holds at most
+    _PAIR_BATCH pairs (a dense row counts L) and _BINCOUNT_PAIR_LIMIT bins, or
     one row.
     """
-    ends, pair_ends = sizes.cumsum(), (sizes * sizes).cumsum()
+    ends = sizes.cumsum()
+    sparse = _by_pairs(sizes, q)
+    kinds = sparse.tolist()  # per-block tests on a list cost no numpy call
+    cost = np.where(sparse, sizes * sizes, _padded_length(q)).cumsum()
     partner = q - x if negate else x
     lo, rows = 0, len(sizes)
     while lo < rows:
-        hi = int(pair_ends.searchsorted((pair_ends[lo - 1] if lo else 0) + _PAIR_BATCH, "right"))
+        hi = int(cost.searchsorted((cost[lo - 1] if lo else 0) + _PAIR_BATCH, "right"))
         hi = max(lo + 1, min(hi, lo + _BINCOUNT_PAIR_LIMIT // q))
         a, b = int(ends[lo] - sizes[lo]), int(ends[hi - 1])
-        if hi - lo == 1:
-            t = (x[a:b, None] + partner[a:b]).ravel()
+        n = sizes[lo:hi]
+        if not any(kinds[lo:hi]):
+            block = _dense_counts(x[a:b], n, q, negate)
         else:
-            n = sizes[lo:hi]
-            reps = n.repeat(n)  # each member pairs with every member of its row
-            # member i's pairs start at first[i], and its row's members at start[i]
-            first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
-            t = x[a:b].repeat(reps)
-            t += partner[a:b][np.arange(len(t)) - (first - start).repeat(reps)]
-        u = t.view(np.uint64)
-        np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
-        if hi - lo > 1:
-            t += (q * np.arange(hi - lo)).repeat(n * n)
-        yield np.bincount(t, minlength=(hi - lo) * q).reshape(hi - lo, q)
+            if hi - lo == 1:
+                t = (x[a:b, None] + partner[a:b]).ravel()
+            else:
+                m = n * sparse[lo:hi]  # each member of a sparse row pairs with every member of its row
+                reps = m.repeat(n)
+                # member i's pairs start at first[i], and its row's members at start[i]
+                first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
+                t = x[a:b].repeat(reps)
+                t += partner[a:b][np.arange(len(t)) - (first - start).repeat(reps)]
+            u = t.view(np.uint64)
+            np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
+            if hi - lo > 1:
+                t += (q * np.arange(hi - lo)).repeat(m * m)
+            block = np.bincount(t, minlength=(hi - lo) * q).reshape(hi - lo, q)
+            if not all(kinds[lo:hi]):
+                dense = ~sparse[lo:hi]
+                block[dense] = _dense_counts(x[a:b][dense.repeat(n)], n[dense], q, negate)
+        yield block
         lo = hi
+
+
+def _dense_counts(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool) -> np.ndarray:
+    """_pair_counts of dense rows as 0/1 rows, from F^2, or |F|^2 when negate, for
+    F their rfft of length L: one certified convolve._float_convolve for all of
+    them, CapacityError when Percival's bound fails."""
+    ind = np.zeros((len(sizes), q), dtype=np.int64)
+    ind[np.arange(len(sizes)).repeat(sizes), x] = 1
+    counts = _float_convolve(ind, ind, negate)
+    if counts is None:
+        raise CapacityError(f"0/1 rows of length {q} exceed the float error bound")
+    return counts
+
+
+def _pair_energies(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool = False) -> np.ndarray:
+    """The square sum sum_s r(s)^2 of each row's _pair_counts r: an int64 array
+    while q n^2 < 2^63 for the largest row size n (every r(s) <= n), else an
+    object array of exact Python ints."""
+    peak = int(sizes.max(initial=0))
+    blocks = _pair_counts(x, sizes, q, negate)
+    if q * peak * peak >= WORD_CAP:
+        return np.array([_exact_dot(r, r, peak * peak) for b in blocks for r in b], dtype=object)
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [np.einsum("rs,rs->r", b, b) for b in blocks])
 
 
 @dataclass(frozen=True)
@@ -112,8 +146,6 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
     if nu < 1:
         raise ValueError("nu must be >= 1")
     q = A.q
-    if A.cardinality == 0:
-        return RepFn(q, np.zeros(q, dtype=np.int64))
     if nu == 1:
         return RepFn(q, A.vector())
     if nu == 2:
@@ -127,12 +159,7 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
 
 def _pair_sum_counts(A: IndicatorSet, negate: bool = False):
     """The counts of a1 + a2 over (a1, a2) in A^2, or of a1 - a2 when negate."""
-    q, n = A.q, A.cardinality
-    if _by_pairs(n, q):
-        return next(_pair_counts(A.members, np.array([n]), q, negate))[0]
-    ind = A.vector()
-    # ind[-x mod q] for differences; the same array twice costs cyclic_convolve one rfft
-    return cyclic_convolve(ind, np.roll(ind[::-1], 1) if negate else ind)
+    return next(_pair_counts(A.members, np.array([A.cardinality]), A.q, negate))[0]
 
 
 def energy_of(A: IndicatorSet, nu: int = 2) -> int:
@@ -183,25 +210,15 @@ def _coset_energies(k: int, N: int, q: int) -> np.ndarray:
     j^-1 n is a k-th power iff ind n = ind j (mod g_k), so the classes
     c = ind n mod g_k split n = 1..min(N, q - 1) among the cosets, and the
     set of j = g^c is the g_k roots of x^k = g^(ind n - c) for each n of class
-    c: distinct and nonzero, so they need no dedup.  A class that fails
-    _by_pairs goes through energy_of, so memory stays bounded at N near q.
-    The classes are the rows of one _pair_counts stack, a dense one empty.
+    c: distinct and nonzero, so they need no dedup.  The classes are the rows
+    of one _pair_counts stack, held as one array of g_k * min(N, q - 1) roots.
     """
     table = index_table(q)
     gk = math.gcd(k, q - 1)
     iv = table.ind[1 : min(N, q - 1) + 1].astype(np.int64)
-    cls = iv % gk
-    sizes = np.bincount(cls, minlength=gk) * gk  # roots a class
-    energies = np.zeros(gk, dtype=np.int64 if int(sizes.max()) ** 3 < WORD_CAP else object)
-    sparse = _by_pairs(sizes, q)
-    for c in np.flatnonzero(~sparse).tolist():
-        roots = table.power_roots(iv[cls == c] // gk, k).ravel()
-        energies[c] = energy_of(IndicatorSet(q, np.sort(roots)))
-    iv = iv[sparse[cls]]
     iv = iv[np.argsort(iv % gk, kind="stable")]  # grouped by class
-    blocks = _pair_counts(table.power_roots(iv // gk, k).ravel(), sizes * sparse, q)
-    energies += np.concatenate([np.einsum("cs,cs->c", b, b) for b in blocks])  # dense rows add 0
-    return energies
+    sizes = np.bincount(iv % gk, minlength=gk) * gk  # roots a class
+    return _pair_energies(table.power_roots(iv // gk, k).ravel(), sizes, q)
 
 
 def max_energy_over_j(k: int, N: int, q):

@@ -20,10 +20,10 @@ shifts, and each depth level keeps about half the rows.  The fold is shared,
 so the cross-check cannot see a wrong weight; the unfolded routes are the
 oracles of tests/algebra_oracles.py.
 
-Sparse rows (energy._by_pairs) are scored all at once by the ragged pair
-bincount energy._pair_counts, dense rows one by one by difference_rep or
-sum_rep through cyclic_convolve, a row past q/2 members by its complement;
-the weighted sum of the row energies is one exact dot.  U^k costs about
+A stack's rows are scored all at once by energy._pair_counts, which counts
+sparse rows by a pair bincount and dense rows by one float FFT a block; a row
+past q/2 members is scored by its complement, and the weighted sum of the row
+energies is one exact dot.  U^k costs about
 (q//2 + 1)^(k-2) (2^(k-2) q + min(|A|^2, energy._pair_limit(q))), the work
 estimate held to the budget.  character_lemma_report checks the two
 norm/energy inequalities in exact integer arithmetic, computing each U^m once.
@@ -38,7 +38,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .energy import _by_pairs, _pair_counts, _pair_limit, difference_rep, sum_rep
+from .energy import _pair_energies, _pair_limit, difference_rep
 from .errors import BudgetExceededError
 from .sets import _WORD_CAP, IndicatorSet, _exact_dot
 
@@ -99,15 +99,8 @@ def _stack_energy(rows: np.ndarray, weights: np.ndarray, negate: bool) -> int:
     m, c = 2 * sizes[flip] - q, q - sizes[flip]
     energies[flip] = m.astype(energies.dtype) * (q * m + 2 * c * c)
     rows, sizes[flip] = rows ^ flip[:, None], c
-    sparse = _by_pairs(sizes, q)
-    for r in np.flatnonzero(~sparse).tolist():
-        B = IndicatorSet(q, np.flatnonzero(rows[r]))
-        energies[r] += (difference_rep(B) if negate else sum_rep(B, 2)).square_sum()
-    sparse &= sizes > 0
-    if sparse.any():
-        x = np.nonzero(rows[sparse])[1]
-        blocks = _pair_counts(x, sizes[sparse], q, negate)
-        energies[sparse] += np.concatenate([np.einsum("rs,rs->r", b, b) for b in blocks])
+    keep = sizes > 0
+    energies[keep] += _pair_energies(np.nonzero(rows[keep])[1], sizes[keep], q, negate)
     bound = int(energies.max(initial=0)) * int(weights.max(initial=0))
     return _exact_dot(energies, weights, bound)
 

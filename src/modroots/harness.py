@@ -331,6 +331,8 @@ def _check_v_ratio(params, rng, budgets):
 def _check_salie_moment(params, rng, budgets):
     q = _require_prime(params)
     U0, r = params["U0"], params.get("r", 2)
+    if q == 2:
+        raise InfeasibleCellError("the quadratic character needs odd q")
     if not 0 <= U0 <= q:
         raise InfeasibleCellError("requires 0 <= U0 <= q")
     if r < 1:

@@ -396,7 +396,9 @@ def _basis_points(basis: list, caps: list, bounds: list, budget: int):
     with |u_i + t * basis[s][i]| <= bounds_i for every i form one interval, the
     intersection of d.  A long interval is expanded over several arrays.  The
     budget counts the outer volume, checked before anything is allocated, plus
-    the lifts, checked per block before it is expanded."""
+    the lifts, summed over the blocks before the first is expanded: a refusal
+    stops at the first block that crosses it, and a box of one block computes
+    its intervals once."""
     d = len(basis)
     s = max(range(d), key=caps.__getitem__)
     outer = [j for j in range(d) if j != s]
@@ -411,8 +413,9 @@ def _basis_points(basis: list, caps: list, bounds: list, budget: int):
     step = np.array(basis[s], dtype=dtype)
     # blocks of whole rows of the last outer coefficient, or of one row's pieces
     steps = [max(1, _CHUNK // (2 * caps[outer[-1]] + 1))] * (d - 2) + [_CHUNK]
-    lifted = 0
-    for starts in product(*(range(-caps[j], caps[j] + 1, st) for j, st in zip(outer, steps))):
+
+    def intervals(starts):
+        """(u, lo, counts): the block's partial sums u, and t = lo .. lo + counts - 1."""
         u = np.zeros((1, d), dtype=dtype)  # c_outer . rows over the block, row-major
         for lo, st, j, r in zip(starts, steps, outer, rows):
             c = np.arange(lo, min(lo + st, caps[j] + 1)).astype(dtype)
@@ -428,12 +431,17 @@ def _basis_points(basis: list, caps: list, bounds: list, budget: int):
                 hi = np.minimum(hi, (bound + ui) // -b)
             else:
                 hi = np.where(np.abs(ui) <= bound, hi, lo - 1)
-        counts = np.maximum(hi - lo + 1, 0)
-        lifted += _lift_total(counts, caps[s], 1)
+        return u, lo, np.maximum(hi - lo + 1, 0)
+
+    blocks = list(product(*(range(-caps[j], caps[j] + 1, st) for j, st in zip(outer, steps))))
+    lifted = 0
+    for block in map(intervals, blocks):  # every block's lifts, before the first is expanded
+        lifted += _lift_total(block[2], caps[s], 1)
         if volume + lifted > budget:
             raise BudgetExceededError(
                 f"enumeration volume {volume} plus {lifted} lifts exceeds budget {budget}"
             )
+    for u, lo, counts in [block] if len(blocks) == 1 else map(intervals, blocks):
         counts = counts.astype(np.int64)
         ends = np.cumsum(counts)
         for first in range(0, int(ends[-1]), _CHUNK):

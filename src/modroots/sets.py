@@ -103,12 +103,14 @@ def _exact_dot(x: np.ndarray, y: np.ndarray, term_bound: int) -> int:
     return total
 
 
-def _exact_sum(x: np.ndarray, bound: int) -> int:
-    """sum x_i of an int64 array shorter than 2^31, exactly, given every |x_i| <= bound."""
-    if len(x) * bound < _WORD_CAP:
-        return int(x.sum())
+def _exact_sums(x: np.ndarray, bound: int) -> list:
+    """The sums along the last axis of an int64 array, shorter than 2^31 there,
+    exactly, as one Python int a row, given every |x_i| <= bound."""
+    if x.shape[-1] * bound < _WORD_CAP:
+        return x.sum(axis=-1).reshape(-1).tolist()
     # |x >> 31| <= 2^32 and 0 <= x & (2^31 - 1) < 2^31: neither sum can wrap
-    return (int((x >> 31).sum()) << 31) + int((x & ((1 << 31) - 1)).sum())
+    hi, lo = (y.sum(axis=-1).reshape(-1).tolist() for y in (x >> 31, x & ((1 << 31) - 1)))
+    return [(h << 31) + l for h, l in zip(hi, lo)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +143,7 @@ class RepFn:
 
     def total(self) -> int:
         if self.counts.dtype == np.int64:
-            return _exact_sum(self.counts, self._peak())
+            return _exact_sums(self.counts, self._peak())[0]
         return sum(self.counts.tolist())
 
     def square_sum(self) -> int:

@@ -13,6 +13,9 @@ the property tests compare the production routes against them.
 One exception: the Gowers row stacks over every shift in Z_q, which the
 folded stacks (shifts 0..q//2, weighted) replaced, score their rows with
 modroots.gowers._stack_energy at weight 1, so they check the fold alone.
+_stack_energy itself is checked against rowwise_stack_energy, which scores
+each row alone by one cyclic_convolve of its indicator, with no complement:
+the route of a dense row before energy._pair_counts took dense blocks.
 """
 
 import math
@@ -22,9 +25,10 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from modroots.convolve import cyclic_convolve
 from modroots.gowers import _shifted, _stack_energy
 from modroots.prodpoly import IntPoly, _prime_pool, product_poly
-from modroots.sets import IndicatorSet
+from modroots.sets import IndicatorSet, RepFn
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +89,18 @@ def set_norms(A: IndicatorSet, k: int) -> tuple:
     """U^k of A by the recursion route and by the square-sum route."""
     members = set(A.members.tolist())
     return _norm_recursive(members, A.q, k), _norm_square_sum(members, A.q, k)
+
+
+def row_energy(row: np.ndarray, negate: bool) -> int:
+    """E(B) of the boolean row B: the square sum of its indicator convolved with
+    itself, or with its reflection x -> -x for the difference counts."""
+    ind = row.astype(np.int64)
+    return RepFn(len(row), cyclic_convolve(ind, np.roll(ind[::-1], 1) if negate else ind)).square_sum()
+
+
+def rowwise_stack_energy(rows: np.ndarray, weights: np.ndarray, negate: bool) -> int:
+    """sum of weight * E(B) over the rows B, each scored alone by row_energy."""
+    return sum(w * row_energy(row, negate) for row, w in zip(rows, weights.tolist()))
 
 
 _ROW_CHUNK = 1 << 20  # entries per temporary of the unfolded row stacks

@@ -3,9 +3,10 @@
 perfbench/tracing.py wraps functions by name (energy.cyclic_convolve,
 harness.tuple_energy, ...) and reads convolve.NAIVE_THRESHOLD; a boundary it
 cannot find is skipped silently and its layer reads zero.  This test loads the
-tracer from its file, installs it for one t42-bound and one gamma-ratio cell
-and checks that no boundary is missing beyond those already absent from the
-code, and that the metrics it reads from the code still compute.
+tracer from its file, installs it for one t42-bound and one gamma-ratio cell,
+and for a gowers-lemmas and a t22-bound cell whose row stacks and set are
+dense, and checks that no boundary is missing beyond those already absent
+from the code, and that the metrics it reads from the code still compute.
 """
 
 import importlib.util
@@ -61,3 +62,9 @@ def test_tracer_finds_every_boundary(monkeypatch):
     metrics = tracer.layer_metrics()
     assert metrics["equidist.calls"] >= 1
     assert metrics["equidist.points"] == len(prime_roots_discrepancy(101, 40).points.nums) == 14
+
+    # dense Gowers rows and a dense preimage go through energy._pair_counts' FFT blocks
+    for check, grid in (("gowers-lemmas", {"q": [1009], "k": [2]}), ("t22-bound", {"q": [1009], "N": [400]})):
+        (row,) = run_sweep(SweepConfig(check, grid, seed=1)).rows
+        assert "skip" not in row.params and row.measured > 0
+        assert tracer.layer_metrics()["energy.calls"] >= 1

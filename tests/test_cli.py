@@ -68,6 +68,15 @@ def test_refused_computations_exit_three(capsys, argv, error):
     assert captured.err.startswith(f"{error}: ") and len(captured.err.splitlines()) == 1
 
 
+def test_refused_minima_keep_their_message(capsys):
+    # the lifts of every block are counted before the first is expanded; the sum that
+    # crosses the budget is the one the message has always named
+    code = main(["lattice", "--op", "minima", "--q", "100003", "--coeffs", "1,2,3", "--widths", "100,100,100"])
+    assert code == 3 and capsys.readouterr().err == (
+        "BudgetExceededError: enumeration volume 91839 plus 29568180 lifts exceeds budget 10000000\n"
+    )
+
+
 def test_trichotomy_at_large_q_exits_zero(capsys):
     code, out = run(capsys, "lattice", "--op", "trichotomy", "--q", "100003", "--a", "1", "--b", "2",
                     "--c", "3", "--L", "100", "--M", "100", "--N", "100")
@@ -147,6 +156,17 @@ def test_sweep_out_of_range_parameter_is_skip_row(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "gamma-ratio,P=0;q=7;skip=InfeasibleCellError,,,,,0" in out.splitlines()
+
+
+def test_sweep_salie_moment_at_q_2_is_skip_row(tmp_path, capsys):
+    # the quadratic character needs odd q: q = 2 skips, and q = 3 and 5 still run
+    out_path = tmp_path / "o.csv"
+    code = main(["--out", str(out_path), "sweep", "--check", "salie-moment",
+                 "--grid", "q=2,3,5", "--grid", "U0=1"])
+    capsys.readouterr()
+    assert code == 0
+    params = [line.split(",")[1] for line in out_path.read_text().splitlines()[1:]]
+    assert params == ["U0=1;q=2;skip=InfeasibleCellError", "U0=1;q=3", "U0=1;q=5"]
 
 
 def test_sweep_config_error(capsys):

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import modroots.convolve as convolve
 from modroots.convolve import NAIVE_THRESHOLD, _float_convolve, _norm_limit, cyclic_convolve
+from modroots.energy import difference_rep
 from modroots.errors import CapacityError
+from modroots.sets import IndicatorSet
 
 from convolve_oracles import naive_convolve, ntt_convolve
 
@@ -105,6 +107,17 @@ def test_float_kernel_against_ntt(q, kind_u, kind_v, seed):
         assert w.tolist() == ntt_convolve(u, v).tolist()
     else:
         assert w is None
+    # the stack form: rows (u, v) against (v, v), certified by the largest row norms;
+    # negate correlates, which is the convolution with v reflected, x -> -x
+    su, sv = (sum(x * x for x in y.tolist()) for y in (u, v))
+    for negate in (False, True):
+        w = _float_convolve(np.stack([u, v]), np.stack([v, v]), negate)
+        if max(su, sv) * sv < limit_for(q):
+            r = np.roll(v[::-1], 1) if negate else v
+            assert w.shape == (2, q)
+            assert w.tolist() == [ntt_convolve(u, r).tolist(), ntt_convolve(v, r).tolist()]
+        else:
+            assert w is None
 
 
 @given(EDGE_Q, KINDS, KINDS, SEEDS)
@@ -230,6 +243,9 @@ def test_unit_operands_past_the_bound_are_a_capacity_error(monkeypatch):
         with pytest.raises(CapacityError, match="float error bound"):
             cyclic_convolve(u, v)
     assert cyclic_convolve(np.zeros(q, dtype=np.int64), ones).tolist() == [0] * q
+    # and so does a dense 0/1 block of the pair-count kernel
+    with pytest.raises(CapacityError, match="float error bound"):
+        difference_rep(IndicatorSet(q, range(q)))
 
 
 def test_certified_input_calls_float_convolve_once(monkeypatch):

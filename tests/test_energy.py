@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modroots.energy as energy
-from modroots.convolve import cyclic_convolve
+from modroots.convolve import _padded_length, cyclic_convolve
 from modroots.energy import (
     EnergyQuery,
     difference_rep,
@@ -226,8 +226,8 @@ def test_pair_route_choice_follows_q():
     assert not energy._by_pairs(1000, 10007)
     # prime-average sizes stay on the pair bincount
     assert energy._by_pairs(128, 1024) and energy._by_pairs(128, 20011)
-    # below NAIVE_THRESHOLD the convolution costs q^2, not q log q
-    assert energy._by_pairs(90, 307) and not energy._by_pairs(200, 509)
+    # small q follows the same rule, n^2 <= 16 q: dense sets there take the float FFT too
+    assert energy._by_pairs(70, 307) and not energy._by_pairs(71, 307)
 
 
 @st.composite
@@ -249,21 +249,29 @@ def _ragged_stacks(draw):
     return q, rows
 
 
-@given(_ragged_stacks(), st.booleans(), st.sampled_from([1, 7, 64, 1 << 22]))
-@example((5, [[0, 1, 2], [3], [], [0, 1, 2, 3, 4], [4]]), True, 7)  # the bins split the stack
-@example((2, [[0, 1], [0, 1], [1]]), False, 7)  # the pairs split it after one row
+@given(_ragged_stacks(), st.booleans(), st.sampled_from([1, 7, 64, 1 << 22]), st.sampled_from([None, 0, 100]))
+@example((5, [[0, 1, 2], [3], [], [0, 1, 2, 3, 4], [4]]), True, 7, None)  # the bins split the stack
+@example((2, [[0, 1], [0, 1], [1]]), False, 7, None)  # the pairs split it after one row
+@example((29, [list(range(12)), [1, 5], list(range(0, 29, 2)), [3]]), True, 1 << 22, 100)  # mixed kinds
+@example((5, [[0], [1], [2, 3], [4], [0, 2], [1]]), False, 64, 0)  # four dense rows of length 16 a block
 @settings(max_examples=80, deadline=None)
-def test_pair_counts_match_python_counts(stack, negate, limit):
+def test_pair_counts_match_python_counts(stack, negate, limit, pair_limit):
+    # pair_limit 0 makes every nonempty row dense, and 100 mixes dense rows (past 10 members) with sparse
     q, rows = stack
     sizes = np.array([len(r) for r in rows], dtype=np.int64)
     x = np.array([a for r in rows for a in r], dtype=np.int64)
-    with mock.patch.multiple(energy, _BINCOUNT_PAIR_LIMIT=limit, _PAIR_BATCH=limit):
+    patches = {"_BINCOUNT_PAIR_LIMIT": limit, "_PAIR_BATCH": limit}
+    if pair_limit is not None:
+        patches["_pair_limit"] = lambda q: pair_limit
+    with mock.patch.multiple(energy, **patches):
+        sparse = energy._by_pairs(sizes, q)
         blocks = list(energy._pair_counts(x, sizes, q, negate))
     lo = 0
     for block in blocks:
-        pairs = int((sizes[lo : lo + len(block)] ** 2).sum())
+        # a dense row costs the FFT length L
+        cost = int(np.where(sparse, sizes**2, _padded_length(q))[lo : lo + len(block)].sum())
         assert block.dtype == np.int64 and block.shape[1] == q
-        assert len(block) == 1 or max(len(block) * q, pairs) <= limit
+        assert len(block) == 1 or max(len(block) * q, cost) <= limit
         lo += len(block)
     got = np.concatenate(blocks) if blocks else np.zeros((0, q), dtype=np.int64)
     assert got.shape == (len(rows), q)
@@ -271,3 +279,18 @@ def test_pair_counts_match_python_counts(stack, negate, limit):
         (r, (a - b if negate else a + b) % q) for r, row in enumerate(rows) for a in row for b in row
     )
     assert {(int(r), int(s)): int(got[r, s]) for r, s in zip(*np.nonzero(got))} == expect
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_pair_energies_past_the_word(negate):
+    # B = Z_q minus {0} has counts q - 2, and q - 1 at one residue, either way, so
+    # E(B) = (q - 1)^2 + (q - 1)(q - 2)^2, past 2^63 at this prime near 2^21: the
+    # dense row's square sum must be exact, not an int64 einsum
+    q = 2097169
+    expect = (q - 1) ** 2 + (q - 1) * (q - 2) ** 2
+    assert expect >= 2**63
+    x = np.concatenate([np.arange(1, q), [0, 1, 3]])
+    energies = energy._pair_energies(x, np.array([q - 1, 0, 3]), q, negate)
+    assert energies.dtype == object and energies.tolist() == [expect, 0, 15]
+    if negate:  # k = 1: one coset, whose preimage set at N = q is B
+        assert max_energy_over_j(1, q, q) == (expect, 1)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import modroots.energy as energy
 import modroots.gowers as gowers
-from algebra_oracles import fourier_u2, full_cube_norm, full_shift_norm, set_norms
+from algebra_oracles import fourier_u2, full_cube_norm, full_shift_norm, rowwise_stack_energy, set_norms
 from modroots.convolve import NAIVE_THRESHOLD
 from modroots.energy import _pair_limit, energy_of
 from modroots.errors import BudgetExceededError
@@ -141,6 +142,32 @@ def test_stack_energy_past_the_word(q, weight, negate):
     expect = sum(w * _count_square_sum(row, negate) for row, w in zip(rows, weights.tolist()))
     assert expect >= 2**63
     assert gowers._stack_energy(rows, weights, negate) == expect
+
+
+@st.composite
+def _row_stacks(draw):
+    """(rows, weights): up to 6 boolean rows mod q <= 37 or q in (512, 1100], of
+    densities from empty to full, some past q/2 members, with weights up to 2^20."""
+    q = draw(st.one_of(st.integers(1, 37), st.integers(NAIVE_THRESHOLD + 1, 1100)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    densities = draw(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.7, 1.0]), min_size=1, max_size=6))
+    rows = np.array([rng.random(q) < p for p in densities])
+    weights = draw(st.lists(st.integers(1, 2**20), min_size=len(rows), max_size=len(rows)))
+    return rows, np.array(weights, dtype=np.int64)
+
+
+@given(_row_stacks(), st.booleans(), st.sampled_from([None, 0]), st.sampled_from([1, 4096, 1 << 16]))
+@settings(max_examples=60, deadline=None)
+def test_stack_energy_matches_rowwise_oracle(stack, negate, pair_limit, batch):
+    # pair_limit 0 makes every nonempty row dense, at q <= 37 too; a batch of 4096
+    # holds two dense rows a block at q <= 1024 and one above, so dense blocks split
+    rows, weights = stack
+    patches = {"_PAIR_BATCH": batch}
+    if pair_limit is not None:
+        patches["_pair_limit"] = lambda q: pair_limit
+    with mock.patch.multiple(energy, **patches):
+        got = gowers._stack_energy(rows, weights, negate)
+    assert got == rowwise_stack_energy(rows, weights, negate)
 
 
 @given(st.integers(3, 19), st.integers(0, 2**62))

@@ -168,6 +168,8 @@ def test_budget_exhaustion_becomes_skip_row():
          "InfeasibleCellError", "r must be >= 1"),
         (SweepConfig("salie-moment", {"q": [101], "U0": [4], "r": [0]}),
          "InfeasibleCellError", "r must be >= 1"),
+        (SweepConfig("salie-moment", {"q": [2], "U0": [1]}),
+         "InfeasibleCellError", "the quadratic character needs odd q"),
     ],
 )
 def test_skip_row_message_goes_to_the_manifest(config, reason, message):

@@ -296,6 +296,14 @@ def test_minima_large_q_is_sized_by_the_box():
     assert peak < 8
 
 
+def test_refused_minima_expand_no_block():
+    # the lifts of every block are counted before any is expanded and scored
+    with mock.patch.object(lattice, "_greedy_minima", side_effect=AssertionError("expanded")):
+        with pytest.raises(BudgetExceededError) as refused:
+            successive_minima(CongruenceLattice((1, 2, 3), 100003), BoxBody((100, 100, 100)))
+    assert str(refused.value) == "enumeration volume 91839 plus 29568180 lifts exceeds budget 10000000"
+
+
 @given(
     st.integers(2, 3),
     st.sampled_from(PRIMES),

@@ -192,7 +192,8 @@ def diff_counts(members, q):
 @pytest.mark.parametrize("limit", [0, energy._BINCOUNT_PAIR_LIMIT])
 @pytest.mark.parametrize("q", [61, 613])
 def test_reps_against_tuple_counts(monkeypatch, limit, q):
-    # limit 0 sends every set down the convolution path; q = 613 is above NAIVE_THRESHOLD
+    # limit 0 makes every nonempty set dense: its pair counts take the kernel's float FFT, and
+    # nu >= 3 convolves them naively at q = 61 and by the float FFT at q = 613 > NAIVE_THRESHOLD
     monkeypatch.setattr(energy, "_BINCOUNT_PAIR_LIMIT", limit)
     rng = SplitMix64(q + limit)
     for size in (1, 2, 9, 40):

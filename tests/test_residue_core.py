@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from modroots import energy
 from modroots.energy import max_energy_over_j, power_coset_reps, prime_averaged_energy, set_energy
 from modroots.modular import index_table, kth_roots, preimage_set, primes_in
-from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sum
+from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sums
 
 from residue_oracles import (
     bucket_kth_roots,
@@ -74,7 +74,7 @@ def test_coset_reps_match_subgroup_scan(q, k):
 
 
 def _routed(route):
-    if route == "dense":  # every class through energy_of's convolution
+    if route == "dense":  # every nonempty class through the kernel's float FFT blocks
         return mock.patch.object(energy, "_pair_limit", lambda q: 0)
     if route == "mixed":  # at most 64 pairs a class: dense and sparse classes mixed, one class a batch
         return mock.patch.object(energy, "_BINCOUNT_PAIR_LIMIT", 64)
@@ -173,7 +173,8 @@ def test_exact_dot_and_sum_of_signed_int64(n, bound, square, seed):
     ox, oy = x.astype(object), y.astype(object)
     peak = max(abs(int(c)) for c in x.tolist() + y.tolist())
     assert _exact_dot(x, y, peak * peak) == int(np.dot(ox, oy))
-    assert _exact_sum(x, peak) == int(ox.sum())
+    assert _exact_sums(x, peak) == [int(ox.sum())]
+    assert _exact_sums(np.stack([x, y]), peak) == [int(ox.sum()), int(oy.sum())]
 
 
 @given(st.integers(1, 3 * 10**9), st.integers(1, 40), st.integers(0, 2**32 - 1))
