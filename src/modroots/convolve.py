@@ -11,7 +11,7 @@ Two paths with identical output:
     arbitrary-precision entries), and each half is convolved the same way.
     Only operands in {-1, 0, 1} can fail for good, with CapacityError.
 
-The float FFT, _float_convolve, works along the last axis: energy._pair_counts
+The float FFT, _float_convolve, works along the last axis: energy._dense_counts
 passes it whole blocks of 0/1 rows, one transform and one certificate a block,
 and reads the difference counts as correlations, from conj(rfft).
 

@@ -2,18 +2,23 @@
 
 tuple_energy computes the number of 2*nu tuples of elements of the preimage
 set A = {x in F_q^* : j*x^k in {1..N}} whose nu-fold sums agree mod q;
-set_energy is the nu = 2 case for a general target set.  Every pair count,
-here and in gowers.py, comes from one kernel over a ragged stack of sets,
-_pair_counts: it routes each row by _by_pairs to a pair bincount (sparse) or
-to one certified float FFT a block of 0/1 rows (dense).  cyclic_convolve
-squares the pair counts for nu >= 3.
+set_energy is the nu = 2 case for a general target set.  The pair counts of
+one set are a bincount of its pair sums, or one certified float FFT when the
+set is dense (_pair_sum_counts); cyclic_convolve squares them for nu >= 3.
+Every energy of a stack of sets, here and in gowers.py, comes from one
+kernel, _pair_energies: a stack has one modulus or one a row, sparse rows count
+their pair sums by a bincount when the stack has one modulus and by a sort, with
+no q-sized array, when it has one a row, and dense rows go through the FFT a
+modulus at a time.
 
-max_energy_over_j and prime_averaged_energy read every coset of a prime at
-once.  With g_k = gcd(k, q - 1), j^-1 n is a k-th power iff
-ind n = ind j (mod g_k), so the classes c = ind n mod g_k split n = 1..N
-among the cosets, and E_k(N; j, q) depends only on the class of j.
-_coset_energies gathers each class's roots from index_table(q) and scores
-all classes as one _pair_counts stack.
+max_energy_over_j and prime_averaged_energy read every coset of every prime
+at once, with no discrete-log table.  With g_k = gcd(k, q - 1), j^-1 n is a
+k-th power iff n and j have the same power-residue symbol n^((q-1)/g_k), so
+the symbol splits n = 1..N among the cosets, and E_k(N; j, q) depends only
+on the class of j.  _coset_energies labels every (q, n) by its symbol in one
+square-and-multiply pass, takes every class's roots from one root_rows call
+with a modulus a row, and scores every (prime, class) as a row of one
+_pair_energies stack.
 """
 
 from __future__ import annotations
@@ -25,78 +30,106 @@ import numpy as np
 
 from .convolve import _float_convolve, _padded_length, cyclic_convolve
 from .errors import CapacityError
-from .modular import PRIME_SWEEP_CAP, WORD_CAP, _as_q, index_table, kth_root_set, preimage_set, primes_in
+from .modular import (
+    PRIME_SWEEP_CAP, ROOT_TABLE_CAP, WORD_CAP, _as_q, _power, kth_root_set, preimage_set, primes_in, root_rows,
+)
 from .sets import IndicatorSet, RepFn, _exact_dot
 
-# Representation counts of n elements mod q come from a bincount of the n^2
-# pairs or from one float FFT of length L = 2^ceil(log2(2q - 1)), whichever the
-# measured costs favour (2-vCPU VM): the bincount takes about 8 ns a pair, and
-# overtakes the FFT near n^2 = 7q..16q for q = 10^3..4*10^5.  Pair arrays are
-# capped at _BINCOUNT_PAIR_LIMIT entries (32 MiB); a stack of sets goes in
-# blocks of _PAIR_BATCH pairs or FFT entries, kept in cache.
+# Representation counts of n elements mod q come from the n^2 pairs or from one
+# float FFT of length L = 2^ceil(log2(2q - 1)), whichever the measured costs
+# favour (2-vCPU VM): a pair costs about 8 ns, and the pairs overtake the FFT
+# near n^2 = 7q..16q for q = 10^3..4*10^5.  Pair arrays are capped at
+# _BINCOUNT_PAIR_LIMIT entries (32 MiB); a stack of sets goes in blocks of
+# _PAIR_BATCH pairs or FFT entries, kept in cache, and the class stage of the
+# prime average takes _PAIR_BATCH roots a batch (never less than one prime),
+# which keeps prime_averaged_energy(3, 30, 10**6) near 42 MiB peak RSS.  A
+# stack of one modulus bincounts its sparse rows, q bins a row: on the Gowers
+# stacks of q = 31, 61, 503 and 2003 that took 0.3-0.8 times the sort's time,
+# with up to 4 bins a pair.  A stack of a modulus a row sorts them, and no array
+# has q entries: on the class stacks of the prime average at Q = 2000 (67 to
+# 268 rows, 1.5 to 23 bins a pair) the sort took 8.0 ms in all against 9.7 ms
+# for a bincount of max q bins a row.
 _PAIRS_PER_RESIDUE = 16
 _BINCOUNT_PAIR_LIMIT = 1 << 22
 _PAIR_BATCH = 1 << 16
 
 
-def _pair_limit(q: int) -> int:
-    """The most pairs a set mod q takes through the bincount."""
-    return min(_PAIRS_PER_RESIDUE * q, _BINCOUNT_PAIR_LIMIT)
+def _pair_limit(q):
+    """The most pairs a set mod q takes through the pair count (elementwise for an array q)."""
+    return np.minimum(_PAIRS_PER_RESIDUE * q, _BINCOUNT_PAIR_LIMIT)
 
 
-def _by_pairs(n, q: int):
+def _by_pairs(n, q):
     return n * n <= _pair_limit(q)
 
 
-def _pair_counts(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool = False):
-    """Yields the pair counts of a ragged stack of sets mod q, as int64 blocks [b, q].
+def _members(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The index of the members of `rows` in a stack of rows of `sizes`, members row after row."""
+    n = sizes[rows]
+    return np.arange(n.sum()) + ((sizes.cumsum() - sizes)[rows] - (n.cumsum() - n)).repeat(n)
 
-    Row r is the next sizes[r] members of x, distinct, and counts its pairs
-    (a, b) by a + b mod q, or by a - b = a + (q - b) when negate.  A row that
-    passes _by_pairs is sparse: the pairs of a block's sparse rows are one
-    np.repeat of a and one gather of b, unpadded (a broadcast sum for one row),
-    and one np.bincount takes them with an offset of q bins a row.  The dense
-    rows of a block are scored by _dense_counts.  A block holds at most
-    _PAIR_BATCH pairs (a dense row counts L) and _BINCOUNT_PAIR_LIMIT bins, or
-    one row.
+
+def _pair_sums(x: np.ndarray, q: int, negate: bool) -> np.ndarray:
+    """a + b mod q, or a - b = a + (q - b) when negate, over the pairs of one set x, by one broadcast."""
+    t = (x[:, None] + (q - x if negate else x)).ravel()
+    u = t.view(np.uint64)
+    np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
+    return t
+
+
+def _binned_energies(x: np.ndarray, n: np.ndarray, q: int, negate: bool) -> np.ndarray:
+    """Energies of one block of sparse rows mod one q by a bincount: sizes n >= 1,
+    members x row after row.
+
+    The pairs (a, b) of each row are one np.repeat of a and one gather of b, unpadded;
+    a + b, or a - b = a + (q - b) when negate, is reduced mod q and keyed by q bins a
+    row, and one np.bincount counts them.
     """
-    ends = sizes.cumsum()
-    sparse = _by_pairs(sizes, q)
-    kinds = sparse.tolist()  # per-block tests on a list cost no numpy call
-    cost = np.where(sparse, sizes * sizes, _padded_length(q)).cumsum()
-    partner = q - x if negate else x
-    lo, rows = 0, len(sizes)
-    while lo < rows:
-        hi = int(cost.searchsorted((cost[lo - 1] if lo else 0) + _PAIR_BATCH, "right"))
-        hi = max(lo + 1, min(hi, lo + _BINCOUNT_PAIR_LIMIT // q))
-        a, b = int(ends[lo] - sizes[lo]), int(ends[hi - 1])
-        n = sizes[lo:hi]
-        if not any(kinds[lo:hi]):
-            block = _dense_counts(x[a:b], n, q, negate)
-        else:
-            if hi - lo == 1:
-                t = (x[a:b, None] + partner[a:b]).ravel()
-            else:
-                m = n * sparse[lo:hi]  # each member of a sparse row pairs with every member of its row
-                reps = m.repeat(n)
-                # member i's pairs start at first[i], and its row's members at start[i]
-                first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
-                t = x[a:b].repeat(reps)
-                t += partner[a:b][np.arange(len(t)) - (first - start).repeat(reps)]
-            u = t.view(np.uint64)
-            np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
-            if hi - lo > 1:
-                t += (q * np.arange(hi - lo)).repeat(m * m)
-            block = np.bincount(t, minlength=(hi - lo) * q).reshape(hi - lo, q)
-            if not all(kinds[lo:hi]):
-                dense = ~sparse[lo:hi]
-                block[dense] = _dense_counts(x[a:b][dense.repeat(n)], n[dense], q, negate)
-        yield block
-        lo = hi
+    reps = n.repeat(n)  # each member pairs with every member of its row
+    # member i's pairs start at first[i], and its row's members at start[i]
+    first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
+    t = x.repeat(reps)
+    t += (q - x if negate else x)[np.arange(len(t)) - (first - start).repeat(reps)]
+    u = t.view(np.uint64)
+    np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
+    t += (q * np.arange(len(n))).repeat(n * n)
+    c = np.bincount(t, minlength=len(n) * q).reshape(len(n), q)
+    return np.einsum("rs,rs->r", c, c)
+
+
+def _sorted_energies(x: np.ndarray, n: np.ndarray, q: np.ndarray, negate: bool) -> np.ndarray:
+    """Energies of one block of sparse rows by a sort: sizes n >= 1, ascending, moduli q,
+    members x row after row.
+
+    The rows are padded to the widest, W, with a value above every pair sum, and one
+    broadcast gives each row's W^2 sums a + b, or a - b = a + (q - b) when negate,
+    reduced mod its q.  Every pad sum is set to one value, max q, and each row is
+    sorted: its sums of members come first, its pad sums form one run after them, and
+    sum_s r(s)^2 is the sum of the squared run lengths less that of the pad run.  No
+    array has q entries.
+    """
+    rows, width = len(n), int(n[-1])
+    dtype, unsigned = (np.int32, np.uint32) if q.max() < 1 << 28 else (np.int64, np.uint64)
+    pad = np.iinfo(dtype).max // 3  # two pads sum below the dtype's limit
+    a = np.full((rows, width), pad, dtype=dtype)
+    a[np.arange(rows).repeat(n), np.arange(len(x)) - (n.cumsum() - n).repeat(n)] = x
+    m = q[:, None].astype(dtype)
+    b = np.where(a == pad, pad, m - a) if negate else a
+    t = (a[:, :, None] + b[:, None, :]).reshape(rows, width * width)
+    u = t.view(unsigned)
+    np.minimum(u, u - m.astype(unsigned), out=u)  # t mod q: below q, t - q wraps above t
+    np.minimum(t, q.max(), out=t)
+    t.sort(axis=1)
+    new = np.empty(t.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(t[:, 1:], t[:, :-1], out=new[:, 1:])
+    runs = np.count_nonzero(new, axis=1)
+    lengths = np.diff(np.flatnonzero(new), append=t.size)
+    return np.add.reduceat(lengths * lengths, runs.cumsum() - runs) - (width * width - n * n) ** 2
 
 
 def _dense_counts(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool) -> np.ndarray:
-    """_pair_counts of dense rows as 0/1 rows, from F^2, or |F|^2 when negate, for
+    """The pair counts of dense rows mod q as 0/1 rows, from F^2, or |F|^2 when negate, for
     F their rfft of length L: one certified convolve._float_convolve for all of
     them, CapacityError when Percival's bound fails."""
     ind = np.zeros((len(sizes), q), dtype=np.int64)
@@ -107,15 +140,56 @@ def _dense_counts(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool) -> np.
     return counts
 
 
-def _pair_energies(x: np.ndarray, sizes: np.ndarray, q: int, negate: bool = False) -> np.ndarray:
-    """The square sum sum_s r(s)^2 of each row's _pair_counts r: an int64 array
-    while q n^2 < 2^63 for the largest row size n (every r(s) <= n), else an
-    object array of exact Python ints."""
+def _pair_energies(x: np.ndarray, sizes: np.ndarray, q, negate: bool = False) -> np.ndarray:
+    """The square sum sum_s r(s)^2 of each row's pair counts, r(s) = #{(a, b) : a + b = s},
+    or a - b = s when negate, mod the row's modulus: q is one modulus or an int64 array
+    of one a row.  Row r is the next sizes[r] members of x, distinct residues.
+
+    The rows that pass _by_pairs are sparse.  When q is one modulus they go in order
+    to _binned_energies, in blocks of at most _PAIR_BATCH pairs and _PAIR_BATCH bins
+    (q a row); when it is one a row they go by ascending size to _sorted_energies, in
+    blocks of at most _PAIR_BATCH pairs once padded to the block's widest row.  The
+    others go a modulus at a time to _dense_counts, in blocks of at most _PAIR_BATCH
+    FFT entries (L a row).  A block of one row may exceed its bound.  A row of n
+    members has energy at most n * n^2: an int64 array while n^3 < 2^63 for the
+    largest n, else an object array of exact Python ints.
+    """
     peak = int(sizes.max(initial=0))
-    blocks = _pair_counts(x, sizes, q, negate)
-    if q * peak * peak >= WORD_CAP:
-        return np.array([_exact_dot(r, r, peak * peak) for b in blocks for r in b], dtype=object)
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + [np.einsum("rs,rs->r", b, b) for b in blocks])
+    energies = np.zeros(len(sizes), dtype=np.int64 if peak**3 < WORD_CAP else object)
+    sparse = _by_pairs(sizes, q)
+    keep = sparse & (sizes > 0)
+    rows = np.flatnonzero(keep)
+    binned = not np.ndim(q)
+    if binned:  # in order
+        members = x[keep.repeat(sizes)]
+    else:  # by ascending size, so that a block pads little
+        rows = rows[np.argsort(sizes[rows], kind="stable")]
+        members = x[_members(rows, sizes)]
+    n = sizes[rows]
+    pairs, ends = (n * n).cumsum(), [0] + n.cumsum().tolist()
+    lo = 0
+    while lo < len(rows):
+        if binned:  # at most _PAIR_BATCH bins, q a row
+            hi = int(pairs.searchsorted((pairs[lo - 1] if lo else 0) + _PAIR_BATCH, "right"))
+            hi = min(hi, lo + _PAIR_BATCH // q)
+        else:  # a block pads its rows to the widest, its last
+            w = n[lo : lo + _PAIR_BATCH // int(n[lo]) ** 2]
+            hi = lo + int((np.arange(1, len(w) + 1) * w * w).searchsorted(_PAIR_BATCH, "right"))
+        hi = max(hi, lo + 1)
+        kernel = _binned_energies if binned else _sorted_energies
+        energies[rows[lo:hi]] = kernel(members[ends[lo] : ends[hi]], n[lo:hi], q if binned else q[rows[lo:hi]], negate)
+        lo = hi
+    dense = ~sparse
+    for modulus in sorted(set(q[dense].tolist())) if np.ndim(q) else [q] * bool(dense.any()):
+        rows = np.flatnonzero(dense & (q == modulus))
+        step = max(1, _PAIR_BATCH // _padded_length(modulus))
+        for block in np.split(rows, range(step, len(rows), step)):
+            counts = _dense_counts(x[_members(block, sizes)], sizes[block], modulus, negate)
+            if energies.dtype == object:
+                energies[block] = [_exact_dot(r, r, peak * peak) for r in counts]
+            else:
+                energies[block] = np.einsum("rs,rs->r", counts, counts)
+    return energies
 
 
 @dataclass(frozen=True)
@@ -158,8 +232,12 @@ def sum_rep(A: IndicatorSet, nu: int) -> RepFn:
 
 
 def _pair_sum_counts(A: IndicatorSet, negate: bool = False):
-    """The counts of a1 + a2 over (a1, a2) in A^2, or of a1 - a2 when negate."""
-    return next(_pair_counts(A.members, np.array([A.cardinality]), A.q, negate))[0]
+    """The counts of a1 + a2 over (a1, a2) in A^2, or of a1 - a2 when negate: a bincount
+    of its _pair_sums when A passes _by_pairs, else _dense_counts."""
+    q, x = A.q, A.members
+    if not _by_pairs(len(x), q):
+        return _dense_counts(x, np.array([len(x)]), q, negate)[0]
+    return np.bincount(_pair_sums(x, q, negate), minlength=q)
 
 
 def energy_of(A: IndicatorSet, nu: int = 2) -> int:
@@ -204,43 +282,74 @@ def power_coset_reps(k: int, q) -> list:
     return reps
 
 
-def _coset_energies(k: int, N: int, q: int) -> np.ndarray:
-    """E_k(N; g^c, q) for every class c < g_k = gcd(k, q - 1), g = index_table(q).g.
+def _coset_energies(k: int, N: int, primes) -> tuple:
+    """(prime, symbol, energy): the energy of each class of n = 1..min(N, q - 1) of every q in primes.
 
-    j^-1 n is a k-th power iff ind n = ind j (mod g_k), so the classes
-    c = ind n mod g_k split n = 1..min(N, q - 1) among the cosets, and the
-    set of j = g^c is the g_k roots of x^k = g^(ind n - c) for each n of class
-    c: distinct and nonzero, so they need no dedup.  The classes are the rows
-    of one _pair_counts stack, held as one array of g_k * min(N, q - 1) roots.
+    With g = gcd(k, q - 1), j^-1 n is a k-th power iff n and j have the same
+    power-residue symbol n^((q-1)/g), so the symbol splits n among the cosets, and
+    E_k(N; j, q) is the energy of the class of j's symbol (0 when no n has it).  Row i
+    says that the n of symbol symbol[i] mod primes[prime[i]] give the energy energy[i].
+    The primes are grouped by g and go to _class_energies in batches of at most
+    _PAIR_BATCH roots, a batch never smaller than one prime.
     """
-    table = index_table(q)
-    gk = math.gcd(k, q - 1)
-    iv = table.ind[1 : min(N, q - 1) + 1].astype(np.int64)
-    iv = iv[np.argsort(iv % gk, kind="stable")]  # grouped by class
-    sizes = np.bincount(iv % gk, minlength=gk) * gk  # roots a class
-    return _pair_energies(table.power_roots(iv // gk, k).ravel(), sizes, q)
+    primes = np.asarray(primes, dtype=np.int64)
+    gs = np.gcd(k, primes - 1)
+    parts = [(np.zeros(0, dtype=np.int64),) * 3]
+    for g in sorted(set(gs.tolist())):
+        group = np.flatnonzero(gs == g)
+        step = max(1, _PAIR_BATCH // (g * N))
+        parts += [_class_energies(k, N, g, group[i : i + step], primes) for i in range(0, len(group), step)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _class_energies(k: int, N: int, g: int, group: np.ndarray, primes: np.ndarray) -> tuple:
+    """_coset_energies for the primes[group], which share g = gcd(k, q - 1).
+
+    One square-and-multiply pass with an exponent a row labels every (q, n) by its
+    symbol; a class with least member n0 is the set of j = n0, the g roots of
+    x^k = n n0^-1 for each n of the class: distinct and nonzero, so they need no
+    dedup.  One root_rows call takes every n, and the classes of every prime are the
+    rows of one _pair_energies stack.
+    """
+    q = primes[group]
+    p, n = np.nonzero(np.arange(1, N + 1) <= np.minimum(N, q - 1)[:, None])
+    n += 1
+    modulus = q[p]
+    symbol = _power(n, ((q - 1) // g)[p], modulus) if g > 1 else np.ones_like(n)
+    order = np.argsort(p << 32 | symbol, kind="stable")  # by prime, then class, then n
+    p, n, symbol, modulus = p[order], n[order], symbol[order], modulus[order]
+    first = np.flatnonzero(np.diff(p << 32 | symbol, prepend=-1))
+    members = np.diff(first, append=len(n))
+    n0 = n[first]
+    v = n * _power(n0, modulus[first] - 2, modulus[first]).repeat(members) % modulus
+    roots = root_rows(v, k, modulus)[1]
+    energies = _pair_energies(roots.ravel(), members * g, modulus[first])
+    return group[p[first]], symbol[first], energies
 
 
 def max_energy_over_j(k: int, N: int, q):
     """max_j E_k(N; j, q) and an argmax j.
 
     By dilation invariance E_k(N; j, q) depends only on the coset of j mod the
-    k-th powers, that is on the class ind j mod g_k that _coset_energies
-    indexes; the argmax is the first maximising least coset representative
-    from power_coset_reps.
+    k-th powers, that is on the symbol j^((q-1)/g_k) that _coset_energies
+    keys; the argmax is the first maximising least coset representative
+    from power_coset_reps.  CapacityError above ROOT_TABLE_CAP.
     """
     q = _as_q(q)
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= N <= q:
         raise ValueError("N must satisfy 1 <= N <= q")
-    energies = _coset_energies(k, N, q)
-    ind = index_table(q).ind
+    if q > ROOT_TABLE_CAP:  # the class stage's residues, and a dense class's 0/1 row
+        raise CapacityError(f"max_energy_over_j capped at q <= {ROOT_TABLE_CAP}")
+    _, symbols, energies = _coset_energies(k, N, [q])
+    by_symbol = dict(zip(symbols.tolist(), energies.tolist()))
+    e = (q - 1) // math.gcd(k, q - 1)
     best, best_j = 0, 1
     for j in power_coset_reps(k, q):
-        e = int(energies[ind[j] % len(energies)])
-        if e > best:
-            best, best_j = e, j
+        energy = by_symbol.get(pow(j, e, q), 0)
+        if energy > best:
+            best, best_j = energy, j
     return best, best_j
 
 
@@ -272,6 +381,9 @@ def prime_averaged_energy(k: int, N: int, Q: int) -> PrimeAverageResult:
         raise CapacityError(f"Q exceeds sieve capacity {PRIME_SWEEP_CAP}")
     lo = (Q + 1) // 2  # dyadic: Q/2 <= q < Q
     qs = primes_in(lo, Q - 1)
-    total = sum(int(_coset_energies(k, min(N, q), q).max()) for q in qs)
+    prime, _, energies = _coset_energies(k, N, qs)
+    best = np.zeros(len(qs), dtype=energies.dtype)
+    np.maximum.at(best, prime, energies)
+    total = sum(best.tolist())
     value = math.log(Q) / Q * total
     return PrimeAverageResult(k, N, Q, tuple(qs), total, value)

@@ -20,8 +20,8 @@ shifts, and each depth level keeps about half the rows.  The fold is shared,
 so the cross-check cannot see a wrong weight; the unfolded routes are the
 oracles of tests/algebra_oracles.py.
 
-A stack's rows are scored all at once by energy._pair_counts, which counts
-sparse rows by a pair bincount and dense rows by one float FFT a block; a row
+A stack's rows are scored all at once by energy._pair_energies, which counts
+sparse rows by their pair sums and dense rows by one float FFT a block; a row
 past q/2 members is scored by its complement, and the weighted sum of the row
 energies is one exact dot.  U^k costs about
 (q//2 + 1)^(k-2) (2^(k-2) q + min(|A|^2, energy._pair_limit(q))), the work
@@ -174,7 +174,7 @@ def _work_estimate(A: IndicatorSet, k: int) -> int:
     """(q//2 + 1)^(k-2) folded rows, each the AND of 2^(k-2) shifts, scored over
     min(|A|^2, _pair_limit(q)) pairs."""
     d = max(k - 2, 0)
-    return (A.q // 2 + 1) ** d * (2**d * A.q + min(A.cardinality**2, _pair_limit(A.q)))
+    return (A.q // 2 + 1) ** d * (2**d * A.q + min(A.cardinality**2, int(_pair_limit(A.q))))
 
 
 def gowers_norm(A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET) -> int:

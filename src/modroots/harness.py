@@ -15,7 +15,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -279,14 +278,15 @@ def _check_prodpoly_vanishing(params, rng, budgets):
         x3 -= 1
         x4 = 1
     tup = tuple(x**k for x in (x1, x2, x3, x4))
-    if F.evaluate(tup) != 0:
+    value = F.evaluate(tup)
+    if value != 0:
         return _failed(1, "exact-vanishing", f"F{tup} != 0 although {x1} + {x2} = {x3} + {x4}")
     m = rng.randint(2, 10**6)
     if F.evaluate(tup, mod=m) != 0:
         return _failed(1, "mod-m", f"F{tup} = 0 but F{tup} mod {m} != 0")
     j = rng.randint(2, 50)
     scaled = tuple(j * t for t in tup)
-    if F.evaluate(scaled) != j ** (k * k) * F.evaluate(tup):
+    if F.evaluate(scaled) != j ** (k * k) * value:
         return _failed(1, "homogeneity", f"F({j} * {tup}) != {j}^{k * k} * F{tup}")
     return CellResult(measured=0, passed=True)
 
@@ -476,6 +476,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     seeds = cell_seeds(config.seed, len(cells))
     jobs = [(config.check, cells[i], seeds[i], config.budgets) for i in range(len(cells))]
     if config.parallelism > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 20 ms to import; serial sweeps never need it
+
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
             outcomes = list(pool.map(_run_cell, jobs, chunksize=max(1, len(jobs) // (4 * config.parallelism))))
     else:

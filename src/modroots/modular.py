@@ -10,8 +10,10 @@ x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
 With g_k = gcd(k, q-1) and h = (q-1)/g_k, x^k = v has roots only when g_k
 divides ind v, and they are pw[(ind v / g_k) (k/g_k)^-1 mod h + i h] for
 i < g_k; so preimage_set costs O(g_k N), whatever the dilate j.  Sparse root
-queries (kth_roots, the roots of primes) read root_rows at any prime q:
-square-and-multiply over an array, with no q-sized table.
+queries (kth_roots, the roots of primes, the coset energies of the prime
+average) read root_rows at any prime q, or at an array of primes, one a
+row: Adleman-Manders-Miller by square-and-multiply over an array, with no
+q-sized table.
 """
 
 from __future__ import annotations
@@ -263,58 +265,91 @@ def kth_root_set(vs, k: int, q) -> np.ndarray:
     return np.sort(roots)
 
 
-def _power(x: np.ndarray, e: int, q: int) -> np.ndarray:
-    """x^e mod q elementwise by square-and-multiply, for an integer e >= 0."""
+def _power(x, e, q):
+    """x^e mod q elementwise by square-and-multiply.  The exponents e >= 0 and the
+    moduli q are each one integer or an array that broadcasts against x."""
+    e = np.asarray(e)
+    if e.size == 1:
+        e = e.item()
     out = np.ones_like(x)
-    for bit in bin(e)[2:]:  # left to right
+    for i in reversed(range(int(np.max(e, initial=0)).bit_length())):  # left to right
         out = out * out % q
-        if bit == "1":
+        if np.ndim(e):
+            out = np.where(e & 1 << i, out * x % q, out)
+        elif e >> i & 1:
             out = out * x % q
     return out
 
 
-def _sylow_root(a: np.ndarray, l: int, e: int, q: int):
+def _sylow_root(a: np.ndarray, l: int, e: int, ps: np.ndarray, at):
     """(x, w): x holds an l^e-th root of each unit in a that has one, by Adleman-Manders-Miller,
-    and w has order l^e; l is a prime and l^e divides q - 1 = l^s t, t prime to l.
+    and w has order l^e; a[r] is a residue mod the prime ps[at][r], l is a prime and l^e
+    divides every q - 1 = l^s t, t prime to l.  at indexes ps by row.
 
-    z = c^t, c no l-th power, generates the l-Sylow subgroup.  With l^e u = 1 (mod t) and
-    y = a^(u-1), x = y a has x^(l^e) = a b, b = y^(l^e) a^(l^e - 1) = z^L, and l^e | L if a
-    has a root.  Round i = e..s-1 reads the base-l digit d_i of L from b^(l^(s-1-i)) =
-    zeta^(d_i), zeta = z^(l^(s-1)), and clears it by x <- x z^(-d_i l^(i-e)).
+    z = c^t, c no l-th power, generates the l-Sylow subgroup.  With l^e u = 1 (mod t),
+    x = a^u has x^(l^e) = a b, b = a^(u l^e - 1) = z^L, and l^e | L if a has a root.
+    Round i = e..s-1 reads the base-l digit d_i of L from b^(l^(s-1-i)) = zeta^(d_i),
+    zeta = z^(l^(s-1)), and clears it by x <- x z^(-d_i l^(i-e)), in the rows whose
+    prime has s > i.  s, t, c, z, zeta and z^-1 are arrays over ps, computed once a
+    prime and gathered by row.
     """
-    n, s, t, c = q - 1, 0, q - 1, 2
-    while t % l == 0:
-        s, t = s + 1, t // l
-    while pow(c, n // l, q) == 1:
-        c += 1
-    z, y = pow(c, t, q), _power(a, (pow(l**e, -1, t) - 1) % t, q)
-    x, b = y * a % q, _power(y, l**e, q) * _power(a, l**e - 1, q) % q
-    zeta = np.array([pow(z, j * l ** (s - 1), q) for j in range(l)], dtype=a.dtype)
-    for i in range(e, s):
-        d = np.argmax(_power(b, l ** (s - 1 - i), q)[:, None] == zeta, axis=1)
-        step = np.array([pow(z, -j * l ** (i - e), q) for j in range(l)], dtype=a.dtype)[d]
-        x, b = x * step % q, b * _power(step, l**e, q) % q
-    return x, pow(z, l ** (s - e), q)
+    n = ps - 1
+    s, t = np.zeros(len(ps), dtype=np.int64), n.copy()
+    while (m := (t % l == 0)).any():
+        s, t = s + m, np.where(m, t // l, t)
+    c, todo, window = np.zeros_like(ps), np.arange(len(ps)), np.arange(2, 10, dtype=ps.dtype)
+    while len(todo):  # c is the least non-l-th power, almost always below 10
+        other = _power(window, (n // l)[todo, None], ps[todo, None]) != 1
+        hit = other.any(axis=1)
+        c[todo[hit]] = window[other[hit].argmax(axis=1)]
+        todo, window = todo[~hit], window + len(window)
+    z = _power(c, t, ps)
+    u = np.array([pow(l**e, -1, m) or m for m in t.tolist()], dtype=ps.dtype)  # 1 <= u <= t
+    zetas = _power(_power(z, l ** (s - 1), ps)[:, None], np.arange(l), ps[:, None])  # [p, j] = zeta^j
+    zinv = _power(z, ps - 2, ps)
+    q, s = ps[at], s[at]
+    x, b = _power(a, u[at], q), _power(a, (u * l**e - 1)[at], q)
+    for i in range(e, int(s.max(initial=0))):
+        r = np.flatnonzero(s > i)  # the rows with a digit left
+        d = np.argmax(_power(b[r], l ** (s[r] - 1 - i), q[r])[:, None] == zetas[at][r], axis=1)
+        step = _power(zinv[at][r], d, q[r])
+        x[r], b[r] = x[r] * step % q[r], b[r] * _power(step, l**e, q[r]) % q[r]
+        zinv = _power(zinv, l, ps)  # z^(-l^(i+1-e))
+    return x, _power(z[at], l ** (s - e), q)
 
 
 def root_rows(vs, k: int, q):
-    """(solvable, rows) for nonzero residues vs, as IndexTable.roots with no q-sized table;
-    each row is ascending, int64 for q < 2^31 (products of two residues stay below 2^62) and
-    Python ints above.  One _sylow_root pass per prime l | g_k gives a g_k-th root, its
-    (k/g_k)^-1 mod (q-1)/g_k power x is a k-th root if any, and x times the g_k-th roots of
-    unity are all of them; solvable is the exact test x^k = v.
+    """(solvable, rows) for nonzero residues vs, as IndexTable.roots with no q-sized table.
+
+    q is one prime, or an int64 array of primes aligned with vs, one a row, that share
+    g_k = gcd(k, q - 1).  Each row of rows is ascending, int64 when every q < 2^31 (products
+    of two residues stay below 2^62) and Python ints above.  One _sylow_root pass per prime
+    l | g_k gives a g_k-th root, its (k/g_k)^-1 mod (q-1)/g_k power x is a k-th root if any,
+    and x times the g_k-th roots of unity are all of them; solvable is the exact test x^k = v.
+    The data of each distinct prime are computed once and gathered by row.
     """
-    q = _as_q(q)
-    n, g = q - 1, math.gcd(k, q - 1)
-    vs = np.asarray(vs, dtype=np.int64).astype(np.int64 if q < 1 << 31 else object)
-    x, omega = vs, 1
+    vs = np.asarray(vs, dtype=np.int64)
+    if np.ndim(q):  # the distinct primes, ascending (np.unique would import numpy.ma)
+        ps = np.sort(np.asarray(q, dtype=np.int64))
+        ps = ps[np.diff(ps, prepend=-1) != 0]
+        at = ps.searchsorted(q)
+    else:
+        ps, at = np.array([_as_q(q)], dtype=np.int64), np.zeros(len(vs), dtype=np.intp)
+    g = math.gcd(k, int(ps[0]) - 1)
+    if (np.gcd(k, ps - 1) != g).any():
+        raise ValueError(f"root_rows takes one g_k = gcd(k, q - 1) a call, k={k}")
+    ps = ps.astype(np.int64 if ps[-1] < 1 << 31 else object)
+    vs = vs.astype(ps.dtype)
+    n, qs = ps - 1, ps[at]
+    x, omega = vs, np.ones_like(qs)
     for l, e in _prime_factors(g).items():
-        x, w = _sylow_root(x, l, e, q)
-        omega = omega * w % q  # of order g once every l is done
-    x = _power(x, pow(k // g, -1, n // g), q)
-    solvable = _power(x, k % n, q) == vs
-    unity = np.array([pow(omega, j, q) for j in range(g)], dtype=x.dtype)
-    return solvable, np.sort(x[solvable, None] * unity % q, axis=1)
+        x, w = _sylow_root(x, l, e, ps, at)
+        omega = omega * w % qs  # of order g once every l is done
+    inverse = np.array([pow(k // g, -1, m) for m in (n // g).tolist()], dtype=ps.dtype)
+    x = _power(x, inverse[at], qs)
+    solvable = _power(x, (k % n)[at], qs) == vs
+    unity = _power(omega[:, None], np.arange(g), qs[:, None])
+    return solvable, np.sort(x[solvable, None] * unity[solvable] % qs[solvable, None], axis=1)
 
 
 def sqrt_mod(a: int, q) -> list:

@@ -11,6 +11,9 @@ root.  They are slow but independent of modular.index_table and
 modular.root_rows, so the property tests compare every consumer of either
 against them.  all_j_max_energy is the oracle for the coset reduction
 of max_energy_over_j: it scans every dilate j with the production energy.
+table_max_energy is the route max_energy_over_j and prime_averaged_energy
+took before the power-residue symbol: one index_table per prime, the class of
+n its index mod g_k, and each class's pair sums counted in Python.
 """
 
 import math
@@ -20,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from modroots.energy import EnergyQuery, tuple_energy
+from modroots.modular import index_table
 
 
 @lru_cache(maxsize=64)
@@ -84,6 +88,30 @@ def bucket_max_energy(k: int, N: int, q: int):
     best, best_j = 0, 1
     for j in subgroup_coset_reps(k, q):
         e = pair_energy(bucket_preimage(j, k, N, q), q)
+        if e > best:
+            best, best_j = e, j
+    return best, best_j
+
+
+def table_coset_energies(k: int, N: int, q: int) -> list:
+    """E_k(N; g^c, q) for every class c < g_k = gcd(k, q - 1), g the table's primitive root.
+
+    j^-1 n is a k-th power iff ind n = ind j (mod g_k); the set of j = g^c is the
+    g_k roots of x^k = g^(ind n - c) over the n = 1..min(N, q - 1) of class c.
+    """
+    table = index_table(q)
+    gk = math.gcd(k, q - 1)
+    iv = table.ind[1 : min(N, q - 1) + 1].astype(np.int64)
+    return [pair_energy(table.power_roots(iv[iv % gk == c] // gk, k).ravel().tolist(), q) for c in range(gk)]
+
+
+def table_max_energy(k: int, N: int, q: int):
+    """(max energy, first maximising rep) over the subgroup-scan coset reps, by table classes."""
+    energies = table_coset_energies(k, N, q)
+    ind = index_table(q).ind
+    best, best_j = 0, 1
+    for j in subgroup_coset_reps(k, q):
+        e = energies[int(ind[j]) % len(energies)]
         if e > best:
             best, best_j = e, j
     return best, best_j

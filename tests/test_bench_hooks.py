@@ -63,7 +63,7 @@ def test_tracer_finds_every_boundary(monkeypatch):
     assert metrics["equidist.calls"] >= 1
     assert metrics["equidist.points"] == len(prime_roots_discrepancy(101, 40).points.nums) == 14
 
-    # dense Gowers rows and a dense preimage go through energy._pair_counts' FFT blocks
+    # dense Gowers rows and a dense preimage go through energy._dense_counts' FFT blocks
     for check, grid in (("gowers-lemmas", {"q": [1009], "k": [2]}), ("t22-bound", {"q": [1009], "N": [400]})):
         (row,) = run_sweep(SweepConfig(check, grid, seed=1)).rows
         assert "skip" not in row.params and row.measured > 0

@@ -232,12 +232,15 @@ def test_pair_route_choice_follows_q():
 
 @st.composite
 def _ragged_stacks(draw):
-    """(q, rows): rows of members mod q, among them empty, one-member and full rows."""
-    q = draw(st.one_of(st.integers(1, 12), st.integers(13, 200_000)))
-    kinds = draw(st.lists(st.sampled_from(["empty", "one", "full", "random"]), max_size=8))
-    member = st.integers(0, q - 1)
-    rows = []
-    for kind in kinds:
+    """(moduli, rows): rows of members, each mod its own modulus from a pool of one or two,
+    among them empty, one-member and full rows."""
+    pool = draw(st.lists(st.one_of(st.integers(1, 12), st.integers(13, 200_000)), min_size=1, max_size=2))
+    kinds = draw(st.lists(st.tuples(st.sampled_from(["empty", "one", "full", "random"]), st.sampled_from(pool)),
+                          max_size=8))
+    moduli, rows = [], []
+    for kind, q in kinds:
+        member = st.integers(0, q - 1)
+        moduli.append(q)
         if kind == "empty":
             rows.append([])
         elif kind == "one":
@@ -246,39 +249,54 @@ def _ragged_stacks(draw):
             rows.append(list(range(q)))
         else:
             rows.append(sorted(draw(st.sets(member, max_size=30))))
-    return q, rows
+    return moduli, rows
 
 
-@given(_ragged_stacks(), st.booleans(), st.sampled_from([1, 7, 64, 1 << 22]), st.sampled_from([None, 0, 100]))
-@example((5, [[0, 1, 2], [3], [], [0, 1, 2, 3, 4], [4]]), True, 7, None)  # the bins split the stack
-@example((2, [[0, 1], [0, 1], [1]]), False, 7, None)  # the pairs split it after one row
-@example((29, [list(range(12)), [1, 5], list(range(0, 29, 2)), [3]]), True, 1 << 22, 100)  # mixed kinds
-@example((5, [[0], [1], [2, 3], [4], [0, 2], [1]]), False, 64, 0)  # four dense rows of length 16 a block
+@given(_ragged_stacks(), st.booleans(), st.sampled_from([1, 7, 64, 1 << 16]), st.sampled_from([None, 0, 100]))
+@example(([5] * 5, [[0, 1, 2], [3], [], [0, 1, 2, 3, 4], [4]]), True, 7, None)  # the pairs split the stack
+@example(([2] * 3, [[0, 1], [0, 1], [1]]), False, 7, None)  # the pairs split it after one row
+@example(([29] * 4, [list(range(12)), [1, 5], list(range(0, 29, 2)), [3]]), True, 1 << 16, 100)  # mixed kinds
+@example(([5] * 6, [[0], [1], [2, 3], [4], [0, 2], [1]]), False, 64, 0)  # four dense rows of length 16 a block
+@example(([5, 7, 5, 7], [[0, 1], [2, 6], [4], [0, 1, 2]]), True, 7, 0)  # dense rows of two moduli
+@example(([3, 100003, 3], [[0, 1, 2], [5, 99999], [1]]), False, 1 << 16, None)  # one sort block, a modulus a row
+@example(([3, 100003, 3], [[0, 1, 2], [5, 99999], [1]]), True, 7, None)  # a modulus a row, a block a row
 @settings(max_examples=80, deadline=None)
 def test_pair_counts_match_python_counts(stack, negate, limit, pair_limit):
-    # pair_limit 0 makes every nonempty row dense, and 100 mixes dense rows (past 10 members) with sparse
-    q, rows = stack
+    # pair_limit 0 makes every nonempty row dense, and 100 mixes dense rows (past 10 members)
+    # with sparse
+    moduli, rows = stack
     sizes = np.array([len(r) for r in rows], dtype=np.int64)
     x = np.array([a for r in rows for a in r], dtype=np.int64)
-    patches = {"_BINCOUNT_PAIR_LIMIT": limit, "_PAIR_BATCH": limit}
+    expect = [Counter((a - b if negate else a + b) % q for a in row for b in row) for q, row in zip(moduli, rows)]
+    blocks = []
+
+    def spy(kernel, cost):
+        def counted(x, n, *args):
+            blocks.append(cost(n, *args) if len(n) > 1 else 0)
+            return kernel(x, n, *args)
+        return counted
+
+    patches = {
+        "_PAIR_BATCH": limit,
+        "_binned_energies": spy(energy._binned_energies, lambda n, q, negate: max((n * n).sum(), len(n) * q)),
+        "_sorted_energies": spy(energy._sorted_energies, lambda n, q, negate: len(n) * int(n.max()) ** 2),
+        "_dense_counts": spy(energy._dense_counts, lambda n, q, negate: len(n) * _padded_length(q)),
+    }
     if pair_limit is not None:
         patches["_pair_limit"] = lambda q: pair_limit
     with mock.patch.multiple(energy, **patches):
-        sparse = energy._by_pairs(sizes, q)
-        blocks = list(energy._pair_counts(x, sizes, q, negate))
-    lo = 0
-    for block in blocks:
-        # a dense row costs the FFT length L
-        cost = int(np.where(sparse, sizes**2, _padded_length(q))[lo : lo + len(block)].sum())
-        assert block.dtype == np.int64 and block.shape[1] == q
-        assert len(block) == 1 or max(len(block) * q, cost) <= limit
-        lo += len(block)
-    got = np.concatenate(blocks) if blocks else np.zeros((0, q), dtype=np.int64)
-    assert got.shape == (len(rows), q)
-    expect = Counter(
-        (r, (a - b if negate else a + b) % q) for r, row in enumerate(rows) for a in row for b in row
-    )
-    assert {(int(r), int(s)): int(got[r, s]) for r, s in zip(*np.nonzero(got))} == expect
+        for q, row, counts in zip(moduli, rows, expect):
+            got = energy._pair_sum_counts(IndicatorSet(q, row), negate)
+            assert got.dtype == np.int64 and len(got) == q
+            assert {int(s): int(got[s]) for s in np.flatnonzero(got)} == counts
+        energies = energy._pair_energies(x, sizes, np.array(moduli, dtype=np.int64), negate)
+        if len(set(moduli)) == 1 and rows:  # one modulus: the same stack with q an int, bincounted
+            assert energy._pair_energies(x, sizes, moduli[0], negate).tolist() == energies.tolist()
+    assert energies.dtype == np.int64
+    assert energies.tolist() == [sum(c * c for c in counts.values()) for counts in expect]
+    # a block holds at most _PAIR_BATCH pairs (sorted rows padded to the widest; a
+    # bincount as many bins too) or FFT entries, or one row
+    assert all(cost <= limit for cost in blocks)
 
 
 @pytest.mark.parametrize("negate", [False, True])
@@ -294,3 +312,25 @@ def test_pair_energies_past_the_word(negate):
     assert energies.dtype == object and energies.tolist() == [expect, 0, 15]
     if negate:  # k = 1: one coset, whose preimage set at N = q is B
         assert max_energy_over_j(1, q, q) == (expect, 1)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_pair_energies_guard_on_the_cube_of_the_size(dense):
+    # a row of n = 64 members mod q = 1009: n^3 = 2^18 < q n^2.  With the word patched
+    # between the two the row stays int64 (its energy is at most n^3), and at n^3 it
+    # becomes an exact Python int; either way it equals the Counter oracle
+    q, n = 1009, 64
+    x = np.arange(0, 3 * n, 3, dtype=np.int64)
+    expect = sum(c * c for c in Counter((a + b) % q for a in x.tolist() for b in x.tolist()).values())
+    patches = {"_pair_limit": lambda q: 0} if dense else {}
+    for cap, dtype in ((n**3 + 1, np.int64), (n**3, object)):
+        with mock.patch.multiple(energy, WORD_CAP=cap, **patches):
+            assert energy._by_pairs(n, q) != dense
+            energies = energy._pair_energies(x, np.array([n]), q)
+        assert energies.dtype == dtype and energies.tolist() == [expect]
+    assert q * n * n >= n**3 + 1
+
+
+def test_prime_average_at_the_baseline_size():
+    # 4459 primes in [5 * 10^4, 10^5); one class pass and one pair stack for all of them
+    assert prime_averaged_energy(3, 30, 10**5).total == 10716512

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modroots.energy import prime_averaged_energy, set_energy
+from modroots.energy import max_energy_over_j, prime_averaged_energy, set_energy
 from modroots.errors import CapacityError
 from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment, root_sum_weight_table
 from modroots.modular import (
@@ -237,6 +237,8 @@ WORD_EDGE = [2**31 - 1, 2147483659, 2**61 - 1, 2305843009224652801]
 
 @given(st.sampled_from(WORD_EDGE), st.integers(2, 6), st.lists(st.integers(1, 2**62), min_size=1, max_size=20))
 @example(2**31 - 1, 3, [2, 3, 5])
+@example(2**31 - 1, 3, [])  # no values: no digit round, and rows of shape (0, g)
+@example(2147483659, 2, [])
 @settings(max_examples=60, deadline=None)
 def test_root_rows_at_word_edges(q, k, raw):
     xs = [x % (q - 1) + 1 for x in raw]
@@ -252,6 +254,67 @@ def test_root_rows_at_word_edges(q, k, raw):
         if k == 2:
             assert row == tonelli_shanks(v, q)
     assert all(x in got[v] for x, v in zip(xs, vs))
+
+
+@st.composite
+def _mixed_moduli(draw):
+    """(k, qs): k = 2..12 and one to six primes below 10^5, repeats allowed, that share
+    g_k = gcd(k, q - 1); half the time every q = 1 (mod l^2) for a prime l | k, so the
+    l-Sylow subgroup is deeper than l^(v_l(g_k)) and the digit rounds run."""
+    k = draw(st.integers(2, 12))
+    l = draw(st.sampled_from(sorted(p for p in range(2, k + 1) if k % p == 0 and is_prime(p))))
+    deep = draw(st.booleans())
+    pool = [q for q in _KERNEL_PRIMES if q % (l * l) == 1] if deep else _KERNEL_PRIMES
+    first = draw(st.sampled_from(pool))
+    g = math.gcd(k, first - 1)
+    same = [q for q in pool if math.gcd(k, q - 1) == g]
+    return k, [first] + draw(st.lists(st.sampled_from(same), max_size=5))
+
+
+@given(_mixed_moduli(), st.lists(st.tuples(st.integers(0, 5), st.integers(1, 2**40)), min_size=1, max_size=30))
+@example((4, [65537, 13, 65537, 5]), [(0, 3), (1, 9), (2, 81), (3, 2)])  # q - 1 = 2^16 beside shallow 2-Sylows
+@example((6, [7, 13, 19, 37]), [(3, 2), (0, 3), (2, 5), (1, 6)])  # g = 6, the 3-Sylow of 37 - 1 = 4 * 9 deeper
+@settings(max_examples=100, deadline=None)
+def test_root_rows_with_a_modulus_a_row(case, raw):
+    k, primes = case
+    qs = [primes[i % len(primes)] for i, _ in raw]
+    units = [v % (q - 1) + 1 for (_, v), q in zip(raw, qs)]
+    vs = np.array(units + [pow(x, k, q) for x, q in zip(units, qs)], dtype=np.int64)  # the k-th powers have roots
+    qs = np.array(qs + qs, dtype=np.int64)
+    solvable, rows = root_rows(vs, k, qs)
+    assert rows.dtype == np.int64 and rows.shape == (int(solvable.sum()), math.gcd(k, primes[0] - 1))
+    got = iter(rows.tolist())
+    for v, q, ok in zip(vs.tolist(), qs.tolist(), solvable.tolist()):
+        want_solvable, want_rows = index_table(q).roots([v], k)
+        assert ok == bool(want_solvable[0])
+        if ok:
+            assert next(got) == sorted(want_rows[0].tolist())
+
+
+# the largest primes below 2^31 and the least above: int64 rows below, Python ints past it
+NEAR_WORD = [2147483587, 2147483629, 2**31 - 1, 2147483659, 2147483693]
+
+
+@given(st.integers(2, 12), st.lists(st.sampled_from(NEAR_WORD), min_size=1, max_size=6),
+       st.lists(st.integers(1, 2**62), min_size=1, max_size=12))
+@example(3, [2**31 - 1, 2147483659], [2, 3, 5])
+@example(2, [2147483587, 2**31 - 1], [7, 11])
+@settings(max_examples=60, deadline=None)
+def test_root_rows_with_moduli_at_the_word_edge(k, primes, raw):
+    primes = [q for q in primes if math.gcd(k, q - 1) == math.gcd(k, primes[0] - 1)]
+    qs = [primes[i % len(primes)] for i in range(len(raw))]
+    xs = [x % (q - 1) + 1 for x, q in zip(raw, qs)]
+    vs = [pow(x, k, q) for x, q in zip(xs, qs)] + xs
+    solvable, rows = root_rows(vs, k, np.array(qs + qs, dtype=np.int64))
+    assert rows.dtype == (np.int64 if max(qs) < 2**31 else object)
+    g = math.gcd(k, qs[0] - 1)
+    assert solvable.tolist() == [pow(v, (q - 1) // g, q) == 1 for v, q in zip(vs, qs + qs)]  # Euler's criterion
+    got = iter(rows.tolist())
+    for x, v, q, ok in zip(xs + [None] * len(xs), vs, qs + qs, solvable.tolist()):
+        if ok:
+            row = next(got)
+            assert len(row) == g and row == sorted(set(row)) and all(pow(y, k, q) == v for y in row)
+            assert x is None or x in row
 
 
 def test_cache_is_bounded_by_residues_not_by_count():
@@ -291,10 +354,11 @@ def test_character_caches_are_bounded_by_residues():
 
 
 def test_second_prime_average_builds_no_table():
-    # 135 primes in [1000, 2000), walked once per coset rep: more than a count-bounded lru holds
+    # 135 primes in [1000, 2000): their classes come from root_rows and the power-residue
+    # symbol, so neither call, nor max_energy_over_j, builds a table
     index_table.cache_clear()
     first = prime_averaged_energy(3, 8, 2000)
-    built = index_table.cache_info().misses
-    assert built == len(first.primes) == 135
+    assert len(first.primes) == 135
     assert prime_averaged_energy(3, 8, 2000) == first
-    assert index_table.cache_info().misses == built
+    assert max_energy_over_j(3, 8, 1009) == max_energy_over_j(3, 8, 1009)
+    assert index_table.cache_info().misses == 0

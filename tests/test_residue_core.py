@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modroots import energy
+from modroots.convolve import _padded_length
 from modroots.energy import max_energy_over_j, power_coset_reps, prime_averaged_energy, set_energy
 from modroots.modular import index_table, kth_roots, preimage_set, primes_in
 from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sums
@@ -20,6 +21,7 @@ from residue_oracles import (
     bucket_set_energy,
     bucket_table,
     subgroup_coset_reps,
+    table_max_energy,
 )
 
 # tiny moduli (q = 2, 3 and k sharing many factors with q - 1) and, about as
@@ -81,23 +83,53 @@ def _routed(route):
     return contextlib.nullcontext()
 
 
+@contextlib.contextmanager
+def _blocks_within(batch):
+    """Sets _PAIR_BATCH to batch (None keeps it), yields the (rows, cost) of every block of
+    the pair stage, and checks on exit that each held at most that many pairs (its rows
+    padded to the widest) or FFT entries, or one row."""
+    limit = energy._PAIR_BATCH if batch is None else batch
+    blocks = []
+
+    def spy(kernel, cost):
+        def counted(x, n, q, negate):
+            blocks.append((len(n), cost(n, q)))
+            return kernel(x, n, q, negate)
+        return counted
+
+    with mock.patch.multiple(
+        energy,
+        _PAIR_BATCH=limit,
+        _sorted_energies=spy(energy._sorted_energies, lambda n, q: len(n) * int(n.max()) ** 2),
+        _dense_counts=spy(energy._dense_counts, lambda n, q: len(n) * _padded_length(q)),
+    ):
+        yield blocks
+    assert all(rows == 1 or cost <= limit for rows, cost in blocks)
+
+
 @given(PRIMES, KS, st.sampled_from(["one", "all", "some"]), st.integers(1, 60),
-       st.sampled_from(["pairs", "dense", "mixed"]))
+       st.sampled_from(["pairs", "dense", "mixed"]), st.sampled_from([1, 7, None]))
 @settings(max_examples=40, deadline=None)
-def test_max_energy_matches_buckets(q, k, which, n, route):
-    # N = q puts every n < q into some class; the oracle affords that only at small q
+def test_max_energy_matches_buckets(q, k, which, n, route, batch):
+    # N = q puts every n < q into some class; the oracle affords that only at small q.
+    # A batch of 1 or 7 pairs splits the classes into blocks of one row
     N = 1 if which == "one" else q if which == "all" and q < 1000 else min(n, q)
-    with _routed(route):
-        assert max_energy_over_j(k, N, q) == bucket_max_energy(k, N, q)
+    with _routed(route), _blocks_within(batch) as blocks:
+        got = max_energy_over_j(k, N, q)
+    assert blocks and got == bucket_max_energy(k, N, q) == table_max_energy(k, N, q)
 
 
-@given(st.integers(1, 8), st.integers(2, 300), st.integers(1, 40))
+@given(st.integers(1, 8), st.integers(2, 300), st.integers(1, 40), st.sampled_from(["pairs", "dense"]),
+       st.sampled_from([1, 7, None]))
 @settings(max_examples=20, deadline=None)
-def test_prime_average_total_matches_buckets(k, Q, n):
+def test_prime_average_total_matches_buckets(k, Q, n, route, batch):
+    # the blocks of the pair stage split the classes of one prime and join those of several
     N = min(n, Q)
-    r = prime_averaged_energy(k, N, Q)
+    with _routed(route), _blocks_within(batch):
+        r = prime_averaged_energy(k, N, Q)
     assert r.primes == tuple(primes_in((Q + 1) // 2, Q - 1))
     assert r.total == sum(bucket_max_energy(k, min(N, q), q)[0] for q in r.primes)
+    assert r.total == sum(table_max_energy(k, min(N, q), q)[0] for q in r.primes)
 
 
 # ---------------------------------------------------------------------------
