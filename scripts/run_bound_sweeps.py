@@ -2,7 +2,8 @@
 """Run every ratio check over its default desk-scale grid and write reports.
 
 Writes one CSV report plus manifest per check under reports/ and prints the
-grid-max ratio table (the numbers to pin for regression).  Hard-assertion
+grid-max ratio table (the numbers to pin for regression), with each
+check's wall time from its manifest.  Hard-assertion
 checks (gowers-lemmas, lattice-geometry, trichotomy, prodpoly-vanishing) run
 last; a nonzero exit means one of them failed.
 """
@@ -44,13 +45,13 @@ def main():
     args = ap.parse_args()
     os.makedirs(args.out_dir, exist_ok=True)
 
-    print(f"{'check':24s} {'rows':>6s} {'skips':>6s} {'max ratio':>12s}")
+    print(f"{'check':24s} {'rows':>6s} {'skips':>6s} {'max ratio':>12s} {'wall ms':>8s}")
     failures = 0
     for check, grid in RATIO_GRIDS:
         res = run_sweep(SweepConfig(check, grid, seed=args.seed, parallelism=args.threads))
         emit(res, "csv", os.path.join(args.out_dir, f"{check}.csv"))
         m = res.manifest
-        print(f"{check:24s} {m['rows']:6d} {m['skips']:6d} {m['max_ratio']:12.5g}")
+        print(f"{check:24s} {m['rows']:6d} {m['skips']:6d} {m['max_ratio']:12.5g} {m['wall_ms']:8d}")
         failures += m["failures"]
 
     print("\nhard-assertion checks:")
@@ -59,7 +60,7 @@ def main():
         emit(res, "csv", os.path.join(args.out_dir, f"{check}.csv"))
         m = res.manifest
         status = "ok" if m["failures"] == 0 else f"{m['failures']} FAILURES"
-        print(f"{check:24s} {m['rows']:6d} rows  {status}")
+        print(f"{check:24s} {m['rows']:6d} rows  {status:12s} {m['wall_ms']:8d} ms")
         failures += m["failures"]
 
     return 2 if failures else 0

@@ -81,18 +81,22 @@ def _binned_energies(x: np.ndarray, n: np.ndarray, q: int, negate: bool) -> np.n
     """Energies of one block of sparse rows mod one q by a bincount: sizes n >= 1,
     members x row after row.
 
-    The pairs (a, b) of each row are one np.repeat of a and one gather of b, unpadded;
-    a + b, or a - b = a + (q - b) when negate, is reduced mod q and keyed by q bins a
-    row, and one np.bincount counts them.
+    The pairs (a, b) of each row are one np.repeat of a and one gather of b, unpadded,
+    or one _pair_sums broadcast for a block of one row; a + b, or a - b = a + (q - b)
+    when negate, is reduced mod q and keyed by q bins a row, and one np.bincount
+    counts them.
     """
-    reps = n.repeat(n)  # each member pairs with every member of its row
-    # member i's pairs start at first[i], and its row's members at start[i]
-    first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
-    t = x.repeat(reps)
-    t += (q - x if negate else x)[np.arange(len(t)) - (first - start).repeat(reps)]
-    u = t.view(np.uint64)
-    np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
-    t += (q * np.arange(len(n))).repeat(n * n)
+    if len(n) == 1:
+        t = _pair_sums(x, q, negate)
+    else:
+        reps = n.repeat(n)  # each member pairs with every member of its row
+        # member i's pairs start at first[i], and its row's members at start[i]
+        first, start = reps.cumsum() - reps, (n.cumsum() - n).repeat(n)
+        t = x.repeat(reps)
+        t += (q - x if negate else x)[np.arange(len(t)) - (first - start).repeat(reps)]
+        u = t.view(np.uint64)
+        np.minimum(u, u - np.uint64(q), out=u)  # t mod q: below q, t - q wraps above t
+        t += (q * np.arange(len(n))).repeat(n * n)
     c = np.bincount(t, minlength=len(n) * q).reshape(len(n), q)
     return np.einsum("rs,rs->r", c, c)
 

@@ -26,7 +26,9 @@ past q/2 members is scored by its complement, and the weighted sum of the row
 energies is one exact dot.  U^k costs about
 (q//2 + 1)^(k-2) (2^(k-2) q + min(|A|^2, energy._pair_limit(q))), the work
 estimate held to the budget.  character_lemma_report checks the two
-norm/energy inequalities in exact integer arithmetic, computing each U^m once.
+norm/energy inequalities in exact integer arithmetic from a {m: U^m} map of
+the set that it reads and fills, so a caller that checks several k computes
+each U^m of the set once, and cross-checks it once.
 """
 
 from __future__ import annotations
@@ -223,7 +225,7 @@ def _log_ratio(lhs: int, rhs: int) -> float:
 
 
 def character_lemma_report(
-    A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET
+    A: IndicatorSet, k: int, budget: int = DEFAULT_WORK_BUDGET, norms: dict | None = None
 ) -> CharLemmaReport:
     """Checks, in exact integer arithmetic with cross-multiplied powers:
 
@@ -231,7 +233,9 @@ def character_lemma_report(
       U^k     >= E(A)^(2^k - k - 1) * (#A)^(-(3*2^k - 4k - 4))
 
     Fractional exponents are cleared by raising both sides to the (k-1).
-    E(A) is U^2; each norm is computed once.
+    E(A) is U^2.  norms is a {m: U^m(A)} map of this A: each U^m it lacks is
+    computed, in ascending m, and added to it, so reports for several k that
+    share one map compute each norm once.
     """
     if k < 2:
         raise ValueError("growth inequality needs k >= 2")
@@ -240,7 +244,9 @@ def character_lemma_report(
     if A.cardinality == 0:
         return CharLemmaReport(k, True, True, 0.0, True, 0.0)
 
-    norms = {m: _gowers_norm(A, m, budget) for m in sorted({2, k - 1, k, k + 1})}
+    norms = {} if norms is None else norms
+    for m in sorted({2, k - 1, k, k + 1} - norms.keys()):
+        norms[m] = _gowers_norm(A, m, budget)
     # growth: U^{k+1}^(k-1) * U^{k-1}^(2k) >= U^k^(3k-2)
     lhs1 = norms[k + 1] ** (k - 1) * norms[k - 1] ** (2 * k)
     rhs1 = norms[k] ** (3 * k - 2)

@@ -195,7 +195,8 @@ def _check_gowers_lemmas(params, rng, budgets):
     A = IndicatorSet(q, rng.subset(q, size))
     budget = budgets.get("gowers", 10**9)
 
-    u2 = gowers_norm(A, 2, budget=budget)  # internally checks both routes
+    norms = {2: gowers_norm(A, 2, budget=budget)}  # each U^m once, both routes checked inside
+    u2 = norms[2]
     energy = energy_of(A, 2)
     if u2 != energy:
         return _failed(u2, "u2-energy", f"||1_A||_U2^4 = {u2} but E(A) = {energy}")
@@ -205,7 +206,7 @@ def _check_gowers_lemmas(params, rng, budgets):
             total, "shift-identity", f"sum_s |A ∩ (A - s)| = {total} but |A|^2 = {A.cardinality**2}"
         )
     for k in range(2, kmax + 1):
-        rep = character_lemma_report(A, k, budget=budget)
+        rep = character_lemma_report(A, k, budget=budget, norms=norms)
         if not rep.all_ok:
             return _failed(
                 u2, "character-lemma", f"k={k}: growth_ok={rep.growth_ok} energy_ok={rep.energy_ok}"

@@ -265,13 +265,20 @@ def kth_root_set(vs, k: int, q) -> np.ndarray:
     return np.sort(roots)
 
 
+def _one_value(a):
+    """a as one Python int when its entries are all equal, else as an array."""
+    a = np.asarray(a)
+    return int(a.flat[0]) if a.size and (a == a.flat[0]).all() else a
+
+
 def _power(x, e, q):
     """x^e mod q elementwise by square-and-multiply.  The exponents e >= 0 and the
-    moduli q are each one integer or an array that broadcasts against x."""
-    e = np.asarray(e)
-    if e.size == 1:
-        e = e.item()
-    out = np.ones_like(x)
+    moduli q are each one integer or an array that broadcasts against x; an array of
+    one value, such as the per-row data of a one-prime root_rows call, is taken as
+    that value, so a scalar exponent skips the per-bit select and a scalar modulus
+    the per-row divisor."""
+    out = np.ones(np.broadcast_shapes(np.shape(x), np.shape(e), np.shape(q)), dtype=np.asarray(x).dtype)
+    e, q = _one_value(e), _one_value(q)
     for i in reversed(range(int(np.max(e, initial=0)).bit_length())):  # left to right
         out = out * out % q
         if np.ndim(e):
@@ -286,8 +293,9 @@ def _sylow_root(a: np.ndarray, l: int, e: int, ps: np.ndarray, at):
     and w has order l^e; a[r] is a residue mod the prime ps[at][r], l is a prime and l^e
     divides every q - 1 = l^s t, t prime to l.  at indexes ps by row.
 
-    z = c^t, c no l-th power, generates the l-Sylow subgroup.  With l^e u = 1 (mod t),
-    x = a^u has x^(l^e) = a b, b = a^(u l^e - 1) = z^L, and l^e | L if a has a root.
+    z = c^t, c no l-th power, generates the l-Sylow subgroup.  With l^e u = 1 (mod t) and
+    y = a^(u-1), x = y a has x^(l^e) = a b, b = y^(l^e) a^(l^e - 1) = z^L, and l^e | L if a
+    has a root: one power to an exponent below t, the others below l^e.
     Round i = e..s-1 reads the base-l digit d_i of L from b^(l^(s-1-i)) = zeta^(d_i),
     zeta = z^(l^(s-1)), and clears it by x <- x z^(-d_i l^(i-e)), in the rows whose
     prime has s > i.  s, t, c, z, zeta and z^-1 are arrays over ps, computed once a
@@ -308,7 +316,8 @@ def _sylow_root(a: np.ndarray, l: int, e: int, ps: np.ndarray, at):
     zetas = _power(_power(z, l ** (s - 1), ps)[:, None], np.arange(l), ps[:, None])  # [p, j] = zeta^j
     zinv = _power(z, ps - 2, ps)
     q, s = ps[at], s[at]
-    x, b = _power(a, u[at], q), _power(a, (u * l**e - 1)[at], q)
+    y = _power(a, (u - 1)[at], q)
+    x, b = y * a % q, _power(y, l**e, q) * _power(a, l**e - 1, q) % q
     for i in range(e, int(s.max(initial=0))):
         r = np.flatnonzero(s > i)  # the rows with a digit left
         d = np.argmax(_power(b[r], l ** (s[r] - 1 - i), q[r])[:, None] == zetas[at][r], axis=1)

@@ -45,15 +45,29 @@ _FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 _SCREEN_CHUNK = 1 << 20  # grid values per screening temporary
 
 
-@lru_cache(maxsize=1)
+_POOL = []  # the pool primes found so far, largest first
+_UNTESTED = iter(range(2047, 0, -2))  # the c of the candidates c*2^20 + 1 not yet tested
+
+
+def _pool_primes():
+    """The primes c*2^20 + 1 below 2^31, largest first (modmuls fit in int64).
+
+    The pool is filled on demand: a candidate is tested once a process, when a
+    caller first walks past the primes found so far.
+    """
+    for i in itertools.count():
+        while i == len(_POOL):
+            c = next(_UNTESTED, None)
+            if c is None:
+                return
+            if is_prime(p := c << 20 | 1):
+                _POOL.append(p)
+        yield _POOL[i]
+
+
 def _prime_pool() -> tuple:
-    """All primes c*2^20 + 1 below 2^31, largest first (modmuls fit in int64)."""
-    pool = []
-    for c in range(2047, 0, -2):
-        p = (c << 20) | 1
-        if is_prime(p):
-            pool.append(p)
-    return tuple(pool)
+    """The whole pool, every candidate tested."""
+    return tuple(_pool_primes())
 
 
 def _crt(residues: np.ndarray, primes: tuple) -> list:
@@ -83,7 +97,7 @@ def _primes_for(bound: int, k: int) -> tuple:
     """(primes, spare): pool primes p = 1 (mod k) whose product exceeds 2 * bound + 1,
     so a balanced rebuild of |c| <= bound is exact, and the next such prime."""
     primes, modulus = [], 1
-    for p in _prime_pool():
+    for p in _pool_primes():
         if (p - 1) % k:
             continue
         if modulus > 2 * bound + 1:

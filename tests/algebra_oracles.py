@@ -16,6 +16,11 @@ modroots.gowers._stack_energy at weight 1, so they check the fold alone.
 _stack_energy itself is checked against rowwise_stack_energy, which scores
 each row alone by one cyclic_convolve of its indicator, with no complement:
 the route of a dense row before energy._pair_counts took dense blocks.
+
+The character/inverse moment's oracle is the slice loop that
+expsums._window_sums replaced: each window summed slice by slice in the order
+u = 1..U0, in O(U0 q).  Its terms come from the same tables, so the two routes
+differ only by rounding, which window_bound and moment_tolerance bound.
 """
 
 import math
@@ -27,6 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from modroots.convolve import cyclic_convolve
 from modroots.gowers import _shifted, _stack_energy
+from modroots.modular import character_table, index_table, unit_roots
 from modroots.prodpoly import IntPoly, _prime_pool, product_poly
 from modroots.sets import IndicatorSet, RepFn
 
@@ -444,3 +450,41 @@ def screened_box_zeros_upto(k: int, N: int) -> list:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the character/inverse moment, slice by slice
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def slice_windows(c: int, U0: int, q: int) -> np.ndarray:
+    """inner[lambda] = sum_{u=1..U0} chi(lambda+u) e_q(c (lambda+u)^{-1}), added in the
+    order u = 1..U0 as the two slices w[u:] and w[:u]: O(U0 q)."""
+    table = index_table(q)
+    tab = character_table(q)
+    roots = unit_roots(q)
+    w = np.asarray(tab.chi, dtype=np.float64) * roots[table.pw[(table.ind[c % q] - table.ind) % (q - 1)]]
+    w[0] = 0.0
+    inner = np.empty(q, dtype=np.complex128)
+    inner[: q - 1], inner[q - 1] = w[1:], w[0]
+    for u in range(2, U0 + 1):
+        inner[: q - u] += w[u:]
+        inner[q - u :] += w[:u]
+    return inner
+
+
+def window_bound(U0: int) -> float:
+    """The a-priori bound of expsums._window_sums, 4 U0^2 u, on the distance of each of
+    its windows from the slice loop's."""
+    return 4 * U0 * U0 * UNIT_ROUNDOFF
+
+
+def moment_tolerance(windows: np.ndarray, U0: int, r: int) -> float:
+    """How far sum |x|^(2r) over either route's windows may be from the other's, given
+    one route's windows: by the mean value theorem each term moves by at most
+    2r d (|x| + 2d)^(2r-1), d = window_bound(U0), and each side's abs, power and
+    pairwise sum round by at most (2r + 2 + log2 q) u of the moment."""
+    d = window_bound(U0)
+    a = np.abs(windows)
+    moment = float(np.sum(a ** (2 * r)))
+    spread = float(np.sum(2 * r * d * (a + 2 * d) ** (2 * r - 1)))
+    return spread + 2 * (2 * r + 2 + len(windows).bit_length()) * UNIT_ROUNDOFF * moment

@@ -299,6 +299,30 @@ def test_pair_counts_match_python_counts(stack, negate, limit, pair_limit):
     assert all(cost <= limit for cost in blocks)
 
 
+@given(st.sampled_from([2, 5, 31, 61, 97, 503]), st.data(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_one_row_blocks_match_the_general_route(q, data, negate):
+    # _PAIR_BATCH = 1 puts every row in a block of its own, the _pair_sums broadcast;
+    # the default puts the whole stack in one block, the np.repeat gather
+    rows = data.draw(st.lists(st.sets(st.integers(0, q - 1), min_size=1, max_size=12), min_size=2, max_size=6))
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    x = np.array([a for r in rows for a in sorted(r)], dtype=np.int64)
+    kernel, got = energy._binned_energies, {}
+    for limit in (1, 1 << 16):
+        blocks = []
+
+        def spy(x, n, q, negate):
+            blocks.append(len(n))
+            return kernel(x, n, q, negate)
+
+        with mock.patch.multiple(energy, _PAIR_BATCH=limit, _binned_energies=spy):
+            got[limit] = energy._pair_energies(x, sizes, q, negate).tolist()
+        assert blocks == ([1] * len(rows) if limit == 1 else [len(rows)])
+    expect = [sum(c * c for c in Counter((a - b if negate else a + b) % q for a in r for b in r).values())
+              for r in rows]
+    assert got[1] == got[1 << 16] == expect
+
+
 @pytest.mark.parametrize("negate", [False, True])
 def test_pair_energies_past_the_word(negate):
     # B = Z_q minus {0} has counts q - 2, and q - 1 at one residue, either way, so

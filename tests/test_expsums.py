@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modroots.errors import CapacityError
 from modroots.expsums import (
     BilinearQuery,
     SmoothBump,
+    _window_sums,
     bilinear_bound_ratio,
     bilinear_envelope,
     bilinear_root_sum,
@@ -22,6 +23,8 @@ from modroots.expsums import (
 from modroots.harness import SweepConfig, run_sweep
 from modroots.modular import ROOT_TABLE_CAP, character_table, is_prime, kth_roots, unit_roots
 from modroots.rng import SplitMix64
+
+from algebra_oracles import moment_tolerance, slice_windows, window_bound
 
 TOL = 1e-9
 
@@ -270,10 +273,40 @@ def test_v_matches_pair_loop(q, a, h, M, N, data):
 @given(st.sampled_from([3, 5, 7, 13, 31, 97, 101, 499]), st.integers(1, 10**6), st.data())
 @settings(max_examples=40, deadline=None)
 def test_moment_matches_pow_loop_exactly(q, c, data):
+    # the blocked windows are within window_bound of the pow loop's, so the moment
+    # is within moment_tolerance of it
     c = c if c % q else c + 1
     U0 = data.draw(st.integers(1, q))
     r = data.draw(st.integers(1, 3))
-    assert char_inverse_moment(c, U0, r, q).moment == moment_pow_loop(c % q, U0, r, q)
+    got = char_inverse_moment(c, U0, r, q).moment
+    want = moment_pow_loop(c % q, U0, r, q)
+    assert abs(got - want) <= moment_tolerance(_window_sums(c % q, U0, q), U0, r)
+
+
+@st.composite
+def _windows_case(draw):
+    """(q, U0): U0 at the edges 1, 2, q - 1 and q, or off them.  The slice loop costs
+    O(U0 q), so at q = 65537 the edges q - 1 and q are explicit examples alone."""
+    q = draw(st.sampled_from([3, 5, 7, 13, 31, 97, 101, 499, 65537]))
+    edges, off = ([1, 2, q - 1, q], st.integers(1, q)) if q < 1000 else ([1, 2], st.integers(3, 600))
+    return q, draw(st.one_of(st.sampled_from(edges), off))
+
+
+@given(_windows_case(), st.integers(1, 2**62), st.integers(1, 3))
+@example((7, 3), 1, 2)  # (nb - 1) U0 = q - 1: the last window is the last block's total
+@example((7, 4), 2, 1)  # nb U0 > q + U0 - 1: the last block is padded
+@example((65537, 65536), 5, 3)
+@example((65537, 65537), 5, 3)
+@settings(max_examples=40, deadline=None)
+def test_window_sums_match_the_slice_loop(case, c, r):
+    q, U0 = case
+    c = c if c % q else c + 1
+    got, want = _window_sums(c % q, U0, q), slice_windows(c, U0, q)
+    assert np.abs(got - want).max() <= window_bound(U0)
+    moment = char_inverse_moment(c, U0, r, q).moment
+    assert abs(moment - float(np.sum(np.abs(want) ** (2 * r)))) <= moment_tolerance(want, U0, r)
+    if U0 < q:  # then w(lambda + U0) != w(lambda) at lambda = 0, so a window one off breaks the bound
+        assert np.abs(np.roll(got, 1) - want).max() > window_bound(U0)
 
 
 def test_large_h_and_a_are_reduced_mod_q():

@@ -99,6 +99,37 @@ def test_gowers_sweep_rows_pass():
     assert res.manifest["failures"] == 0
 
 
+@pytest.mark.parametrize("budget", [None, 10**4])  # 10^4 admits U^3 of |A| = 15 at q = 31, refuses U^4
+def test_gowers_lemmas_compute_each_norm_once(budget, monkeypatch):
+    import modroots.gowers as gowers
+    import modroots.harness as harness
+
+    config = SweepConfig("gowers-lemmas", {"q": [31], "k": [3], "trial": "1:4"},
+                         budgets={} if budget is None else {"gowers": budget})
+    real_norm, real_report = gowers._gowers_norm, harness.character_lemma_report
+    calls = []
+
+    def counted(A, m, budget):
+        calls.append(m)
+        return real_norm(A, m, budget)
+
+    monkeypatch.setattr(gowers, "_gowers_norm", counted)
+    shared = run_sweep(config)
+    cells = []
+    for m in calls:
+        if m == 2:  # a cell computes U^2 first
+            cells.append([])
+        cells[-1].append(m)
+    assert [sorted(c) for c in cells] == [[1, 2, 3, 4]] * 4  # each once, U^4 refused or not
+    expect = [{"skip": "BudgetExceededError"}] * 4 if budget else [{}] * 4
+    assert [{k: v for k, v in r.params.items() if k == "skip"} for r in shared.rows] == expect
+    # each report on its own computes the same norms again, with the same outcomes
+    monkeypatch.setattr(harness, "character_lemma_report", lambda A, k, budget, norms: real_report(A, k, budget))
+    alone = run_sweep(config)
+    assert render_csv(shared.rows) == render_csv(alone.rows)
+    assert shared.manifest["cell_skips"] == alone.manifest["cell_skips"]
+
+
 def test_hard_checks_small_grids():
     for check, grid in [
         ("trichotomy", {"trial": "1:10", "qmax": [300]}),
@@ -213,7 +244,7 @@ def test_gowers_lemmas_failed_row_names_the_sub_check(monkeypatch):
     for name, value, reason, message in (
         ("energy_of", lambda A, k: -1, "u2-energy", "but E(A) = -1"),
         ("shift_counts", lambda A: np.zeros(A.q, dtype=np.int64), "shift-identity", "= 0 but |A|^2"),
-        ("character_lemma_report", lambda A, k, budget: failing_lemma, "character-lemma",
+        ("character_lemma_report", lambda A, k, budget, norms: failing_lemma, "character-lemma",
          "k=2: growth_ok=False energy_ok=True"),
     ):
         with monkeypatch.context() as m:

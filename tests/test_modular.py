@@ -9,6 +9,7 @@ from modroots.modular import (
     ROOT_TABLE_CAP,
     CharacterTable,
     PrimeModulus,
+    _power,
     character_table,
     gauss_sum,
     is_prime,
@@ -116,6 +117,26 @@ def test_kth_roots_above_table_cap():
     assert roots == {2, q - 2}
     assert kth_roots(125, 3, q) == {5, 875460085648034224, 1430382923565659722}
     assert kth_roots(5, 3, q) == set()
+
+
+@given(st.lists(st.integers(0, 2**61 - 2), min_size=0, max_size=6), st.integers(0, 2**62),
+       st.sampled_from([3, 65537, 2**31 - 1, 2**61 - 1]), st.sampled_from(["scalar", "constant", "rows"]))
+@settings(max_examples=60, deadline=None)
+def test_power_takes_scalars_constant_arrays_and_rows(xs, e, q, form):
+    # one exponent and modulus as scalars, as arrays of one value each (reduced to the
+    # scalar), or a row apiece (the per-row select and divisor)
+    dtype = np.int64 if q < 2**31 else object
+    x = np.array([v % q for v in xs], dtype=np.int64).astype(dtype)
+    rows = form == "rows"
+    es = [e + i * rows for i in range(len(xs))]
+    qs = [7 if rows and i % 2 else q for i in range(len(xs))]
+    if form == "scalar":
+        got = _power(x, e, q)
+    else:
+        got = _power(x, np.array(es, dtype=dtype), np.array(qs, dtype=np.int64).astype(dtype))
+    assert got.shape == x.shape and got.dtype == x.dtype
+    assert got.tolist() == [pow(v % m, f, m) for v, f, m in zip(x.tolist(), es, qs)]
+    assert _power(x[:, None], np.array([[e]], dtype=dtype), q).shape == (len(xs), 1)  # the broadcast shape
 
 
 def test_preimage_examples():

@@ -268,6 +268,29 @@ def test_crt_prime_count_covers_the_bound():
     assert prodpoly._crt(residues, primes) == [-1, 1, 0]
 
 
+def test_pool_is_filled_on_demand(monkeypatch):
+    full = [c << 20 | 1 for c in range(2047, 0, -2) if prodpoly.is_prime(c << 20 | 1)]
+    assert prodpoly._prime_pool() == tuple(full)
+    real, tested = prodpoly.is_prime, []
+
+    def counted(n):
+        tested.append(n)
+        return real(n)
+
+    for k, walked in ((2, 34), (3, 81)):  # the candidates up to the spare prime
+        monkeypatch.setattr(prodpoly, "_POOL", [])
+        monkeypatch.setattr(prodpoly, "_UNTESTED", iter(range(2047, 0, -2)))
+        monkeypatch.setattr(prodpoly, "is_prime", counted)
+        tested.clear()
+        primes, spare = prodpoly._primes_for(prodpoly._coefficient_bound(k), k)
+        assert tested == [c << 20 | 1 for c in range(2047, 2047 - 2 * walked, -2)]
+        assert prodpoly._POOL == full[: len(prodpoly._POOL)] and prodpoly._POOL[-1] == spare
+        assert prodpoly._primes_for(prodpoly._coefficient_bound(k), k) == (primes, spare)
+        assert len(tested) == walked  # a second walk tests nothing
+        assert prodpoly._prime_pool() == tuple(full)
+        assert len(tested) == 1024
+
+
 def test_interpolation_pieces():
     for k in (2, 3, 4, 5):
         primes, spare = prodpoly._primes_for(prodpoly._coefficient_bound(k), k)
