@@ -28,13 +28,12 @@ from .energy import (
     sum_rep,
     tuple_energy,
 )
-from .gowers import ShiftSystem, character_lemma_report, gowers_norm, shift_intersection
+from .gowers import character_lemma_report, gowers_norm, shift_intersection
 from .lattice import (
     BoxBody,
     CongruenceLattice,
     MinimaResult,
     count_points,
-    dual_lattice,
     dual_minima,
     successive_minima,
     trichotomy_check,
@@ -42,10 +41,8 @@ from .lattice import (
 )
 from .prodpoly import (
     IntPoly,
-    classic_square_poly,
     count_box_zeros,
     count_box_zeros_upto,
-    from_text,
     product_poly,
     to_text,
 )

@@ -3,9 +3,11 @@
 Subcommands mirror the module operations: energy, gowers, lattice, poly,
 expsum, discrepancy, sweep.  Sweeps read JSON configs (--config) with flags
 taking precedence; exit codes: 0 all hard assertions passed, 2 at least one
-failed, 3 config or input error, or a computation refused by a capacity cap,
-a work budget or a degenerate input (CapacityError, BudgetExceededError,
-DegenerateError).
+failed, 3 config or input error (a config file that is missing or does not
+hold a JSON object included), an --out path that cannot be written, or a
+computation refused by a capacity cap, a work budget or a degenerate input
+(CapacityError, BudgetExceededError, DegenerateError).  Each exit 3 prints
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -84,8 +86,17 @@ def cmd_gowers(args, rng):
         return 0 if rep.all_ok else 2
     elif args.op == "shift":
         shifts = [int(x) for x in args.shifts.split(",") if x != ""]
-        print(",".join(str(x) for x in shift_intersection(A, shifts).result.members.tolist()))
+        print(",".join(str(x) for x in shift_intersection(A, shifts).members.tolist()))
     return 0
+
+
+def _print_or_write(text: str, path) -> None:
+    """text on stdout, or as the file at the --out path."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 def _box(args) -> BoxBody:
@@ -125,12 +136,7 @@ def cmd_poly(args, rng):
     if args.op == "construct":
         print(f"terms={len(F.terms)} degree={F.homogeneous_degree()}")
     elif args.op == "export":
-        text = to_text(F)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _print_or_write(to_text(F), args.out)
     elif args.op == "eval":
         n = tuple(int(x) for x in args.point.split(","))
         print(F.evaluate(n, mod=args.mod))
@@ -177,21 +183,23 @@ def cmd_discrepancy(args, rng):
     elif args.op == "ratio":
         print(f"{prime_roots_ratio(args.q, args.P):.12g}")
     elif args.op == "export":
-        res = prime_roots_discrepancy(args.q, args.P)
-        text = res.points.export_lines()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _print_or_write(prime_roots_discrepancy(args.q, args.P).points.export_lines(), args.out)
     return 0
 
 
-def cmd_sweep(args, rng):
-    cfg = {}
-    if args.config:
-        with open(args.config) as fh:
+def _read_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: malformed JSON
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} holds a JSON {type(cfg).__name__}, not an object")
+    return cfg
+
+
+def cmd_sweep(args, rng):
+    cfg = _read_config(args.config) if args.config else {}
     check = args.check or cfg.get("check")
     if not check:
         raise ConfigError("sweep needs --check or a config file with a check")
@@ -322,6 +330,9 @@ def main(argv=None) -> int:
         return 3
     except (CapacityError, BudgetExceededError, DegenerateError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # from writing --out; an unreadable config is a ConfigError
+        print(f"output error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,9 @@ einsum each (no BLAS call, so no BLAS thread pool wakes).  The moment reads
 c y^{-1} = pw[ind c - ind y] from the same table and takes every window of U0
 terms in O(q) from block prefix sums (van Herk 1992; Gil and Werman 1993),
 within an a-priori bound of the slice-by-slice sum (_window_sums).  Oracle
-comparisons of W and V are at relative tolerance 1e-9.
+comparisons of W and V are at relative tolerance 1e-9; f is never tabulated
+over all of Z_q, and its DFT identity against the Gauss sum is checked in
+tests/algebra_oracles.py.
 """
 
 from __future__ import annotations
@@ -111,31 +113,6 @@ def smoothed_root_sum(a: int, h: int, M: int, q, alpha, bump: SmoothBump) -> com
         raise ValueError("alpha length must match the dyadic m-range")
     ns = bump.support()
     return _root_sum_form(a, h, q, ms, ns, alpha, [bump(n) for n in ns])
-
-
-def root_sum_weight_table(a: int, h: int, q) -> np.ndarray:
-    """f(v) = sum_{x^2 = a v} e_q(h x) for all v = 0..q-1."""
-    q = _as_q(q)
-    index_table(q)  # CapacityError above the cap, before the q-sized argument
-    return _root_sums(a, h, q, np.arange(q, dtype=np.int64))
-
-
-def fourier_vs_gauss_residual(a: int, h: int, m: int, n: int, q) -> float:
-    """|DFT_lambda of f_m at n  -  eps_q chi(a m n) e_q(-a m (4n)^{-1} h^2)|.
-
-    f_m(v) = sum_{x^2 = a m v} e_q(h x); requires n and a*m*n nonzero mod q.
-    """
-    q = _as_q(q)
-    if n % q == 0 or (a * m * n) % q == 0:
-        raise ValueError("requires n and a*m*n nonzero mod q")
-    tab = character_table(q)
-    roots = unit_roots(q)
-    f = root_sum_weight_table(a * m % q, h, q)
-    lam = np.arange(q, dtype=np.int64)
-    direct = np.sum(f * roots[(lam * n) % q]) / math.sqrt(q)
-    inv4n = pow(4 * n % q, q - 2, q)
-    closed = tab.eps_q * int(tab.chi[(a * m * n) % q]) * tab.e((-a * m * inv4n * h * h) % q)
-    return abs(direct - closed)
 
 
 @dataclass(frozen=True)

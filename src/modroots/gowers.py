@@ -49,26 +49,18 @@ DEFAULT_WORK_BUDGET = 10**9
 _CHUNK = 1 << 20  # entries per temporary of the row stacks
 
 
-@dataclass(frozen=True)
-class ShiftSystem:
-    shifts: tuple
-    result: IndicatorSet
-
-
 def _indicator(A: IndicatorSet) -> np.ndarray:
     a = np.zeros(A.q, dtype=bool)
     a[A.members] = True
     return a
 
 
-def shift_intersection(A: IndicatorSet, shifts) -> ShiftSystem:
+def shift_intersection(A: IndicatorSet, shifts) -> IndicatorSet:
     """A_1 = A, A_(i+1) = A_i ∩ (A_i - s_i): the cube set of the shifts."""
-    q = A.q
-    shifts = tuple(int(s) % q for s in shifts)
     a = _indicator(A)
     for s in shifts:
-        a &= np.roll(a, -s)
-    return ShiftSystem(shifts, IndicatorSet(q, np.flatnonzero(a)))
+        a &= np.roll(a, -(int(s) % A.q))
+    return IndicatorSet(A.q, np.flatnonzero(a))
 
 
 def _shifted(rows: np.ndarray) -> np.ndarray:

@@ -466,10 +466,6 @@ class SweepResult:
     rows: list
     manifest: dict
 
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.rows if r.passed is False)
-
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     start = time.monotonic()
@@ -577,12 +573,6 @@ def render_json(rows) -> str:
         for r in rows
     ]
     return json.dumps(objs, indent=1, sort_keys=True) + "\n"
-
-
-def parse_csv(text: str) -> list:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    return [dict(zip(header, row)) for row in reader]
 
 
 def emit(result: SweepResult, fmt: str, path: str) -> None:

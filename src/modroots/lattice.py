@@ -1,15 +1,17 @@
-"""Congruence lattices and boxes: exact point counts, successive minima, duals,
-and the classical inequality checks (Minkowski's second theorem, the counting
-bound, Mahler transference) plus the short-dual-point trichotomy.
+"""Congruence lattices and boxes: exact point counts, the successive minima of
+a box and of its dual body { x : sum w_i |x_i| <= 1 } with respect to the dual
+lattice, and the classical inequality checks (Minkowski's second theorem, the
+counting bound, Mahler transference) plus the short-dual-point trichotomy.
 
 All minima are exact rationals.  One integral LLL reduction B of the primal
 basis (weights 1/w_i^2; Cohen, GTM 138, §2.6: integer Gram determinants in
 place of a rational Gram-Schmidt) serves both sides: |det B| = q, so the
-dual's integer basis q*B^{-T} is adj(B)^T up to sign.  Each side's radius is
-the largest norm of a row of its basis (d independent vectors), so the greedy
-extraction below sees every candidate vector.  Norms are compared as integers
-scaled by an lcm of the widths, in int64 arrays while they stay below 2^63 and
-in object arrays above.
+dual's integer basis q*B^{-T} is adj(B)^T up to sign, and the dual lattice is
+never built apart.  Each side's radius is the largest norm of a row of its
+basis (d independent vectors), so the greedy extraction below sees every
+candidate vector.  The norms max_i |v_i| / w_i and sum_i w_i |v_i| are compared
+as integers scaled by an lcm of the widths, in int64 arrays while they stay
+below 2^63 and in object arrays above.
 
 Two walks over the box, and one over the reduced basis.  The primal walk
 enumerates a box's free coordinates in blocks of at most _CHUNK tuples and
@@ -32,8 +34,9 @@ point.  Collinear box points are the 2T + 1 multiples of one primitive u.  If u
 lay on the widest axis alone it would be a multiple of q there, so that width
 would be at least q, and the free tuple with one coordinate 1 and the other 0
 would lift to a box point off the line.  Hence u has a nonzero free coordinate,
-whose width is at most w_2, and T <= w_2.  So box_points lists at most 2*w_2 + 1 points, no more than the free
-volume count_points has already walked: no LLL and no radius box.
+whose width is at most w_2, and T <= w_2.  So box_points lists at most
+2*w_2 + 1 points, no more than the free volume count_points has already
+walked: no LLL and no radius box.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class CongruenceLattice:
     def d(self) -> int:
         return len(self.coeffs)
 
-    def contains(self, v) -> bool:
-        return sum(a * x for a, x in zip(self.coeffs, v)) % self.q == 0
-
     def basis(self) -> list:
         """Rows generating the lattice (solved coordinate: the last)."""
         d, q = self.d, self.q
@@ -110,20 +110,6 @@ class BoxBody:
     @property
     def degenerate(self) -> bool:
         return any(w == 0 for w in self.half_widths)
-
-    def volume(self) -> Fraction:
-        vol = Fraction(2) ** self.d
-        for w in self.half_widths:
-            vol *= w
-        return vol
-
-    def norm(self, v) -> Fraction:
-        """Box norm max_i |v_i| / w_i (the body is the unit ball)."""
-        return max(Fraction(abs(x)) / w for x, w in zip(v, self.half_widths))
-
-    def dual_norm(self, v) -> Fraction:
-        """Norm of the dual body { x : sum w_i |x_i| <= 1 }."""
-        return sum((Fraction(abs(x)) * w for x, w in zip(v, self.half_widths)), Fraction(0))
 
 
 def _class_counts(res: np.ndarray, bound: int, q: int):
@@ -309,6 +295,11 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
     return basis
 
 
+def _cross(u, v) -> list:
+    """The cross product u x v of two integer 3-vectors."""
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
 def _independent_rows(chosen: list, pts: np.ndarray) -> np.ndarray:
     """Mask of the rows of pts outside the span of the chosen integer vectors."""
     if not chosen:
@@ -323,10 +314,7 @@ def _independent_rows(chosen: list, pts: np.ndarray) -> np.ndarray:
                 n[i], n[j] = -u[j], u[i]
                 normals.append(n)
     else:  # off the plane of u and v: x . (u x v) is nonzero
-        u, v = chosen
-        normals = [
-            [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-        ]
+        normals = [_cross(*chosen)]
     if max(sum(map(abs, n)) for n in normals) * int(np.abs(pts).max()) >= _WORD_CAP:
         pts = pts.astype(object)
     mask = np.zeros(len(pts), dtype=bool)
@@ -379,10 +367,7 @@ def _adjugate(rows: list) -> tuple:
         (a, b), (c, e) = rows
         adj = [[e, -b], [-c, a]]
     else:
-        cols = [
-            [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-            for u, v in ((rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3))
-        ]
+        cols = [_cross(rows[(j + 1) % 3], rows[(j + 2) % 3]) for j in range(3)]
         adj = [list(r) for r in zip(*cols)]
     return adj, abs(sum(x * row[0] for x, row in zip(rows[0], adj)))
 
@@ -518,53 +503,6 @@ def _minima_result(picks: list, d: int, denom: int, route: str) -> MinimaResult:
     if len(picks) < d:
         raise ArithmeticError(f"{route} failed to produce d independent vectors")
     return MinimaResult(tuple(Fraction(s, denom) for s, _ in picks), tuple(v for _, v in picks))
-
-
-# ---------------------------------------------------------------------------
-# dual lattice
-
-
-@dataclass(frozen=True)
-class DualLattice:
-    """Dual of a congruence lattice: { m/q : exists lambda, m_j = a_j*lambda (mod q) }.
-
-    The generator parameterization is (lambda * a + q Z^d) / q over lambda in Z.
-    """
-
-    primal: CongruenceLattice
-
-    @property
-    def q(self) -> int:
-        return self.primal.q
-
-    def integer_basis(self) -> list:
-        """Basis of q * (dual lattice) as integer rows."""
-        a, q, d = self.primal.coeffs, self.q, self.primal.d
-        inv = pow(a[0], -1, q)  # 0 when q = 1: the identity rows
-        first = [(ai * inv) % q for ai in a]
-        first[0] = 1
-        rows = [first]
-        for i in range(1, d):
-            row = [0] * d
-            row[i] = q
-            rows.append(row)
-        return rows
-
-    def contains(self, x) -> bool:
-        """Membership of a rational vector in the dual lattice."""
-        m = []
-        for xi in x:
-            v = Fraction(xi) * self.q
-            if v.denominator != 1:
-                return False
-            m.append(int(v))
-        q, a = self.q, self.primal.coeffs
-        lam = (m[0] * pow(a[0], -1, q)) % q
-        return all((ai * lam - mi) % q == 0 for ai, mi in zip(a, m))
-
-
-def dual_lattice(lat: CongruenceLattice) -> DualLattice:
-    return DualLattice(lat)
 
 
 def dual_minima(

@@ -362,7 +362,8 @@ def root_rows(vs, k: int, q):
 
 
 def sqrt_mod(a: int, q) -> list:
-    """The sorted solutions of x^2 = a (mod q) for prime q."""
+    """The sorted solutions of x^2 = a (mod q) for prime q.  Only the bench tracer
+    (perfbench/tracing.py) reads it; it leaves with ROADMAP item 2."""
     return sorted(kth_roots(a, 2, q))
 
 

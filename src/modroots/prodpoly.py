@@ -22,6 +22,10 @@ outside the CRT set (Schwartz-Zippel) and, for k <= 3, grouped = full.
 count_box_zeros_upto adds the 2n^2 - n diagonal zeros in closed form and
 screens the rest of the box by one exact float64 tensor contraction modulo a
 prime; every screened primitive zero is confirmed by exact evaluation.
+
+IntPoly holds F's sparse terms and evaluates them, and to_text writes the
+canonical text form; F is built by interpolation, never by multiplying
+polynomials, so IntPoly has no ring arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceededError, CapacityError
-from .modular import is_prime
+from .modular import _prime_factors, is_prime
 from .rng import SplitMix64
 
 DEFAULT_K_CAP = 5
@@ -109,7 +113,7 @@ def _primes_for(bound: int, k: int) -> tuple:
 
 def _root_of_unity(k: int, p: int) -> int:
     """A residue of exact multiplicative order k modulo p (k divides p - 1)."""
-    factors = [r for r in range(2, k + 1) if k % r == 0 and is_prime(r)]
+    factors = _prime_factors(k)
     for z in range(2, p):
         w = pow(z, (p - 1) // k, p)
         if all(pow(w, k // r, p) != 1 for r in factors):
@@ -236,32 +240,6 @@ class IntPoly:
         items = tuple(sorted((tuple(e), int(c)) for e, c in mapping.items() if c))
         return cls(items)
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def __add__(self, other):
-        out = self.as_dict()
-        for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
-        return IntPoly.of(out)
-
-    def __neg__(self):
-        return IntPoly(tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for e, c in self.terms:
-            for f, d in other.terms:
-                key = tuple(a + b for a, b in zip(e, f))
-                out[key] = out.get(key, 0) + c * d
-        return IntPoly.of(out)
-
-    def scale(self, c: int) -> "IntPoly":
-        return IntPoly(tuple((e, c * coeff) for e, coeff in self.terms))
-
     def homogeneous_degree(self):
         degs = {sum(e) for e, _ in self.terms}
         return degs.pop() if len(degs) == 1 else None
@@ -296,17 +274,6 @@ def to_text(F: IntPoly) -> str:
     return "\n".join(f"{e[0]} {e[1]} {e[2]} {e[3]} {c}" for e, c in F.terms)
 
 
-def from_text(text: str) -> IntPoly:
-    out = {}
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"bad polynomial line: {line!r}")
-        e = tuple(int(x) for x in parts[:4])
-        out[e] = int(parts[4])
-    return IntPoly.of(out)
-
-
 @lru_cache(maxsize=8)
 def product_poly(k: int) -> IntPoly:
     """The canonical integer polynomial extracted from the root-of-unity product.
@@ -330,17 +297,6 @@ def product_poly(k: int) -> IntPoly:
     if k <= _FULL_CROSS_CHECK_CAP:
         _check_full(k, primes)
     return F
-
-
-def classic_square_poly() -> IntPoly:
-    """64*UVXY - (4UV + 4XY - (X + Y - U - V)^2)^2, the known quartic identity."""
-    U = IntPoly.of({(1, 0, 0, 0): 1})
-    V = IntPoly.of({(0, 1, 0, 0): 1})
-    X = IntPoly.of({(0, 0, 1, 0): 1})
-    Y = IntPoly.of({(0, 0, 0, 1): 1})
-    s = X + Y - U - V
-    inner = (U * V).scale(4) + (X * Y).scale(4) - s * s
-    return (U * V * X * Y).scale(64) - inner * inner
 
 
 @lru_cache(maxsize=8)

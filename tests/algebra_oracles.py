@@ -21,6 +21,10 @@ The character/inverse moment's oracle is the slice loop that
 expsums._window_sums replaced: each window summed slice by slice in the order
 u = 1..U0, in O(U0 q).  Its terms come from the same tables, so the two routes
 differ only by rounding, which window_bound and moment_tolerance bound.
+
+Three checks with no production reader live here too: the ring arithmetic of
+IntPoly that builds the classic quartic identity, the parser of to_text's
+format, and the DFT identity of the root sums f against the Gauss sum.
 """
 
 import math
@@ -31,6 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from modroots.convolve import cyclic_convolve
+from modroots.expsums import _root_sums
 from modroots.gowers import _shifted, _stack_energy
 from modroots.modular import character_table, index_table, unit_roots
 from modroots.prodpoly import IntPoly, _prime_pool, product_poly
@@ -363,6 +368,54 @@ def dict_product_poly(k: int, full: bool = False) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
+# IntPoly arithmetic, the classic quartic and the text format
+
+
+def poly_add(f: IntPoly, g: IntPoly) -> IntPoly:
+    out = dict(f.terms)
+    for e, c in g.terms:
+        out[e] = out.get(e, 0) + c
+    return IntPoly.of(out)
+
+
+def poly_scale(f: IntPoly, c: int) -> IntPoly:
+    return IntPoly.of({e: c * coeff for e, coeff in f.terms})
+
+
+def poly_sub(f: IntPoly, g: IntPoly) -> IntPoly:
+    return poly_add(f, poly_scale(g, -1))
+
+
+def poly_mul(f: IntPoly, g: IntPoly) -> IntPoly:
+    out: dict = {}
+    for e, c in f.terms:
+        for e2, c2 in g.terms:
+            key = tuple(a + b for a, b in zip(e, e2))
+            out[key] = out.get(key, 0) + c * c2
+    return IntPoly.of(out)
+
+
+def classic_square_poly() -> IntPoly:
+    """64*UVXY - (4UV + 4XY - (X + Y - U - V)^2)^2, the known quartic identity."""
+    U, V, X, Y = (IntPoly.of({tuple(int(i == j) for j in range(4)): 1}) for i in range(4))
+    UV, XY = poly_mul(U, V), poly_mul(X, Y)
+    s = poly_sub(poly_add(X, Y), poly_add(U, V))
+    inner = poly_sub(poly_scale(poly_add(UV, XY), 4), poly_mul(s, s))
+    return poly_sub(poly_scale(poly_mul(UV, XY), 64), poly_mul(inner, inner))
+
+
+def from_text(text: str) -> IntPoly:
+    """The polynomial of prodpoly.to_text's format: one "e1 e2 e3 e4 coefficient" line a term."""
+    out = {}
+    for line in text.strip().splitlines():
+        parts = line.split()
+        if len(parts) != 5:
+            raise ValueError(f"bad polynomial line: {line!r}")
+        out[tuple(int(x) for x in parts[:4])] = int(parts[4])
+    return IntPoly.of(out)
+
+
+# ---------------------------------------------------------------------------
 # box zeros, screened on the whole grid
 
 
@@ -488,3 +541,24 @@ def moment_tolerance(windows: np.ndarray, U0: int, r: int) -> float:
     moment = float(np.sum(a ** (2 * r)))
     spread = float(np.sum(2 * r * d * (a + 2 * d) ** (2 * r - 1)))
     return spread + 2 * (2 * r + 2 + len(windows).bit_length()) * UNIT_ROUNDOFF * moment
+
+
+# ---------------------------------------------------------------------------
+# the DFT of the root sums against the Gauss sum
+
+
+def fourier_vs_gauss_residual(a: int, h: int, m: int, n: int, q: int) -> float:
+    """|DFT_lambda of f_m at n  -  eps_q chi(a m n) e_q(-a m (4n)^{-1} h^2)|.
+
+    f_m(v) = sum_{x^2 = a m v} e_q(h x); requires n and a*m*n nonzero mod q.
+    """
+    if n % q == 0 or (a * m * n) % q == 0:
+        raise ValueError("requires n and a*m*n nonzero mod q")
+    tab = character_table(q)
+    roots = unit_roots(q)
+    lam = np.arange(q, dtype=np.int64)
+    f = _root_sums(a * m % q, h, q, lam)
+    direct = np.sum(f * roots[(lam * n) % q]) / math.sqrt(q)
+    inv4n = pow(4 * n % q, q - 2, q)
+    closed = tab.eps_q * int(tab.chi[(a * m * n) % q]) * tab.e((-a * m * inv4n * h * h) % q)
+    return abs(direct - closed)

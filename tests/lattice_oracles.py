@@ -13,6 +13,10 @@ modroots.lattice's LLL, walks and minima, so the property tests compare the
 production routes against them.  Trichotomy case (ii) has two: a walk over the
 whole box with integer cross products, and the retired route through
 successive_minima.
+
+The membership tests, the two norms and the dual lattice's generator basis,
+which modroots.lattice needs only as integer arrays or not at all, are plain
+functions here.
 """
 
 import math
@@ -24,10 +28,47 @@ from modroots.lattice import (
     DEFAULT_ENUM_BUDGET,
     BoxBody,
     CongruenceLattice,
-    DualLattice,
     MinimaResult,
     successive_minima,
 )
+
+
+def contains(lat: CongruenceLattice, v) -> bool:
+    """Membership of an integer vector in the congruence lattice."""
+    return sum(a * x for a, x in zip(lat.coeffs, v)) % lat.q == 0
+
+
+def box_norm(box: BoxBody, v) -> Fraction:
+    """Box norm max_i |v_i| / w_i (the body is the unit ball)."""
+    return max(Fraction(abs(x)) / w for x, w in zip(v, box.half_widths))
+
+
+def dual_norm(box: BoxBody, v) -> Fraction:
+    """Norm of the dual body { x : sum w_i |x_i| <= 1 }."""
+    return sum((Fraction(abs(x)) * w for x, w in zip(v, box.half_widths)), Fraction(0))
+
+
+def dual_integer_basis(lat: CongruenceLattice) -> list:
+    """Basis of q * (dual lattice) as integer rows: the dual is
+    { m/q : exists lambda, m_j = a_j*lambda (mod q) }, generated by (lambda * a + q Z^d) / q."""
+    a, q, d = lat.coeffs, lat.q, lat.d
+    inv = pow(a[0], -1, q)  # 0 when q = 1: the identity rows
+    first = [(ai * inv) % q for ai in a]
+    first[0] = 1
+    return [first] + [[q * (i == j) for j in range(d)] for i in range(1, d)]
+
+
+def dual_contains(lat: CongruenceLattice, x) -> bool:
+    """Membership of a rational vector in the dual lattice."""
+    m = []
+    for xi in x:
+        v = Fraction(xi) * lat.q
+        if v.denominator != 1:
+            return False
+        m.append(int(v))
+    q, a = lat.q, lat.coeffs
+    lam = (m[0] * pow(a[0], -1, q)) % q
+    return all((ai * lam - mi) % q == 0 for ai, mi in zip(a, m))
 
 
 def rational_lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
@@ -164,7 +205,7 @@ def oracle_successive_minima(
         return MinimaResult((), (), degenerate=True)
     w = box.half_widths
     reduced = rational_lll(lat.basis(), [1 / (wi * wi) for wi in w])
-    radius = max(box.norm(row) for row in reduced)
+    radius = max(box_norm(box, row) for row in reduced)
     bounds = [math.floor(radius * wi) for wi in w]
     pts = oracle_box_points(lat, bounds, budget=budget)
     P = math.lcm(*(wi.numerator for wi in w))
@@ -177,8 +218,8 @@ def _dual_lifts(lat: CongruenceLattice, box: BoxBody):
     """The dual enumeration's box and norm scale from a rational-LLL radius, and
     lifts(lam): per coordinate, the m_i = a_i*lam (mod q) with |m_i| <= bounds[i]."""
     q, w = lat.q, box.half_widths
-    reduced = rational_lll(DualLattice(lat).integer_basis(), [wi * wi for wi in w])
-    radius = max(box.dual_norm(row) / q for row in reduced)
+    reduced = rational_lll(dual_integer_basis(lat), [wi * wi for wi in w])
+    radius = max(dual_norm(box, row) / q for row in reduced)
     bounds = [math.floor(radius * q / wi) for wi in w]
 
     def lifts(lam):
@@ -286,7 +327,7 @@ def oracle_geometry_checks(lat: CongruenceLattice, box: BoxBody, lam: tuple, dla
     way it computed them before its integer inequalities."""
     d = lat.d
     prod = math.prod(lam, start=Fraction(1))
-    rhs = Fraction(math.factorial(d), 2**d) * box.volume() / lat.q
+    rhs = Fraction(math.factorial(d), 2**d) * 2**d * math.prod(box.half_widths) / lat.q  # vol = 2^d prod w
     bound = math.prod((Fraction(2 * (j + 1)) / lam[j] + 1 for j in range(d)), start=Fraction(1))
     slacks = tuple(lam[j] * dlam[d - j - 1] / math.factorial(d) for j in range(d))
     return {

@@ -6,6 +6,7 @@ expected to fail (strict xfail): the measured N=10 ratio contradicts the
 criterion's own lower bound for every N > 10 (see the analysis in the test).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,11 +20,11 @@ from modroots.gowers import character_lemma_report, gowers_norm, shift_counts
 from modroots.harness import SweepConfig, render_csv, render_json, run_sweep
 from modroots.lattice import BoxBody, CongruenceLattice, trichotomy_check, verify_geometry
 from modroots.modular import character_table, preimage_set, primes_in, unit_roots
-from modroots.prodpoly import classic_square_poly, count_box_zeros_upto, product_poly
+from modroots.prodpoly import _prime_pool, count_box_zeros_upto, product_poly
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
-from algebra_oracles import batch_values_mod
+from algebra_oracles import batch_values_mod, classic_square_poly, poly_scale
 from convolve_oracles import naive_convolve, ntt_convolve
 from residue_oracles import all_j_max_energy
 
@@ -92,11 +93,9 @@ def test_criterion_02_convolution_engine():
 
 
 def test_criterion_03_product_poly_regression_and_vanishing():
-    ok = product_poly(2) == -classic_square_poly()
+    ok = product_poly(2) == poly_scale(classic_square_poly(), -1)
     detail = ["quartic matches -1 x classic formula" if ok else "quartic regression FAILED"]
     rng = SplitMix64(333)
-    from modroots.prodpoly import _prime_pool
-
     screen_primes = _prime_pool()[:3]
     for k in (3, 4):
         F = product_poly(k)  # construction checks homogeneity and a spare prime
@@ -140,9 +139,7 @@ def _t3_counts():
 def test_criterion_04_zero_count_growth():
     counts = _t3_counts()
     F3 = product_poly(3)
-    from itertools import product as iproduct
-
-    brute2 = sum(1 for t in iproduct((1, 2), repeat=4) if F3.evaluate(t) == 0)
+    brute2 = sum(1 for t in itertools.product((1, 2), repeat=4) if F3.evaluate(t) == 0)
     ok = brute2 == 6 and counts[1] == 6
     lower_ok = all(counts[n - 1] >= 2 * n * n - n for n in range(1, 41))
     ok = ok and lower_ok
@@ -252,8 +249,6 @@ def test_criterion_08_discrepancy_anchors():
     ok = discrepancy(PointMultiset.of([Fraction(3, 7), Fraction(4, 7)])).value == Fraction(12, 7)
     ok = ok and prime_roots_discrepancy(7, 5).value == Fraction(12, 7)
     rng = SplitMix64(88)
-    import itertools
-
     refine = Fraction(1, 10**6)
     for _ in range(100):
         n = rng.randint(1, 20)

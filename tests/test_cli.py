@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import modroots.gowers as gowers
+import modroots.harness as harness
 from modroots.cli import main
 
 
@@ -30,6 +32,12 @@ def test_gowers_subcommand(capsys):
     assert code == 0 and out == "44"
     code, out = run(capsys, "gowers", "--op", "lemmas", "--q", "7", "--members", "1,3,4,6", "--k", "2")
     assert code == 0 and "growth_ok=True" in out
+
+
+def test_gowers_shift_subcommand(capsys):
+    # A ∩ (A - 3) for A = {1, 2, 5} mod 7: 2 + 3 = 5 and 5 + 3 = 1 are in A, 1 + 3 = 4 is not
+    code, out = run(capsys, "gowers", "--op", "shift", "--q", "7", "--members", "1,2,5", "--shifts", "3")
+    assert code == 0 and out == "2,5"
 
 
 def test_lattice_subcommand(capsys):
@@ -175,9 +183,38 @@ def test_sweep_config_error(capsys):
     assert code == 3
 
 
-def test_sweep_exit_two_on_hard_assertion_failure(capsys, monkeypatch):
-    import modroots.harness as harness
+def exit_three_with_one_line(capsys, argv, prefix, message):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(prefix) and message in err
+    assert len(err.splitlines()) == 1
 
+
+def test_sweep_missing_config_exits_three(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    exit_three_with_one_line(capsys, ["sweep", "--config", str(missing)], "config error: ", "missing.json")
+
+
+def test_sweep_config_not_an_object_exits_three(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    exit_three_with_one_line(capsys, ["sweep", "--config", str(listed)], "config error: ", "not an object")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--check", "salie-moment", "--grid", "q=101", "--grid", "U0=4"),
+        ("poly", "--op", "export", "--k", "2"),
+        ("discrepancy", "--op", "export", "--q", "7", "--P", "5"),
+    ],
+)
+def test_unwritable_out_exits_three(tmp_path, capsys, argv):
+    out = tmp_path / "no-such-dir" / "report"
+    exit_three_with_one_line(capsys, ["--out", str(out), *argv], "output error: ", str(out))
+
+
+def test_sweep_exit_two_on_hard_assertion_failure(capsys, monkeypatch):
     def always_fail(params, rng, budgets):
         return harness.CellResult(measured=0, passed=False)
 
@@ -188,8 +225,6 @@ def test_sweep_exit_two_on_hard_assertion_failure(capsys, monkeypatch):
 
 
 def test_sweep_exit_two_on_cross_check_failure(tmp_path, capsys, monkeypatch):
-    import modroots.gowers as gowers
-
     monkeypatch.setattr(gowers, "_norm_by_cubes", lambda a, k: -1)
     out_path = tmp_path / "r.csv"
     code = main(["--out", str(out_path), "sweep", "--check", "gowers-lemmas", "--grid", "q=31"])

@@ -9,14 +9,13 @@ from modroots.errors import CapacityError
 from modroots.expsums import (
     BilinearQuery,
     SmoothBump,
+    _root_sums,
     _window_sums,
     bilinear_bound_ratio,
     bilinear_envelope,
     bilinear_root_sum,
     char_inverse_moment,
     dyadic_range,
-    fourier_vs_gauss_residual,
-    root_sum_weight_table,
     smoothed_bound_ratio,
     smoothed_root_sum,
 )
@@ -24,7 +23,7 @@ from modroots.harness import SweepConfig, run_sweep
 from modroots.modular import ROOT_TABLE_CAP, character_table, is_prime, kth_roots, unit_roots
 from modroots.rng import SplitMix64
 
-from algebra_oracles import moment_tolerance, slice_windows, window_bound
+from algebra_oracles import fourier_vs_gauss_residual, moment_tolerance, slice_windows, window_bound
 
 TOL = 1e-9
 
@@ -153,8 +152,6 @@ def test_v_against_reversed_loop_oracle():
 
 def test_v_empty_root_sets():
     # all amn values land on non-residues: scan small q for an instance
-    from modroots.modular import character_table
-
     found = False
     for q in (11, 13, 19, 23):
         tab = character_table(q)
@@ -313,8 +310,9 @@ def test_large_h_and_a_are_reduced_mod_q():
     # h * x used to be formed on int64 before reduction and wrapped for h near 2^50
     q, a = 100003, 5
     h = 2**50 + 5
-    assert np.array_equal(root_sum_weight_table(a, h, q), root_sum_weight_table(a, h % q, q))
-    assert np.array_equal(root_sum_weight_table(a + 2**50 * q, 3, q), root_sum_weight_table(a, 3, q))
+    vs = np.arange(q, dtype=np.int64)
+    assert np.array_equal(_root_sums(a, h, q, vs), _root_sums(a, h % q, q, vs))
+    assert np.array_equal(_root_sums(a + 2**50 * q, 3, q, vs), _root_sums(a, 3, q, vs))
     M, N = 64, 64
     rng = SplitMix64(5)
     al = tuple(float(rng.choice([-1, 1])) for _ in dyadic_range(M))

@@ -1,18 +1,24 @@
+import csv
+import dataclasses
+import io
 import json
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import modroots.gowers as gowers
+import modroots.harness as harness
 from modroots.errors import ConfigError
 from modroots.harness import (
     BOUND_FORMULAS,
     CHECKS,
     SweepConfig,
+    _fmt,
     doubling_instance,
     emit,
     expand_grid,
-    parse_csv,
     render_csv,
     render_json,
     rho_k,
@@ -101,9 +107,6 @@ def test_gowers_sweep_rows_pass():
 
 @pytest.mark.parametrize("budget", [None, 10**4])  # 10^4 admits U^3 of |A| = 15 at q = 31, refuses U^4
 def test_gowers_lemmas_compute_each_norm_once(budget, monkeypatch):
-    import modroots.gowers as gowers
-    import modroots.harness as harness
-
     config = SweepConfig("gowers-lemmas", {"q": [31], "k": [3], "trial": "1:4"},
                          budgets={} if budget is None else {"gowers": budget})
     real_norm, real_report = gowers._gowers_norm, harness.character_lemma_report
@@ -216,8 +219,6 @@ def test_skip_row_message_goes_to_the_manifest(config, reason, message):
 
 
 def test_cross_check_failure_becomes_failed_row(monkeypatch):
-    import modroots.gowers as gowers
-
     # a wrong second norm route makes gowers_norm's own cross-check raise
     monkeypatch.setattr(gowers, "_norm_by_cubes", lambda a, k: -1)
     res = run_sweep(SweepConfig("gowers-lemmas", {"q": [31], "trial": "1:2"}))
@@ -232,10 +233,6 @@ def test_cross_check_failure_becomes_failed_row(monkeypatch):
 
 
 def test_gowers_lemmas_failed_row_names_the_sub_check(monkeypatch):
-    import types
-
-    import modroots.harness as harness
-
     grid = {"q": [31], "trial": "1:1"}
     passing = run_sweep(SweepConfig("gowers-lemmas", grid))
     assert passing.rows[0].passed is True and "fail" not in passing.rows[0].params
@@ -274,8 +271,6 @@ class _StubPoly:
 
 
 def test_prodpoly_vanishing_failed_row_names_the_sub_check(monkeypatch):
-    import modroots.harness as harness
-
     grid = {"k": [3], "trial": "1:1"}
     passing = run_sweep(SweepConfig("prodpoly-vanishing", grid))
     assert passing.rows[0].passed is True and passing.manifest["cell_failures"] == []
@@ -295,10 +290,6 @@ def test_prodpoly_vanishing_failed_row_names_the_sub_check(monkeypatch):
 
 
 def test_lattice_geometry_failed_row_names_the_sub_checks(monkeypatch):
-    import dataclasses
-
-    import modroots.harness as harness
-
     grid = {"d": [2], "wmax": [20], "trial": "1:1"}
     passing = run_sweep(SweepConfig("lattice-geometry", grid))
     assert passing.rows[0].passed is True and "fail" not in passing.rows[0].params
@@ -343,10 +334,10 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "report.csv"
     emit(res, "csv", str(path))
     text = path.read_text()
-    parsed = parse_csv(text)
+    parsed = list(csv.DictReader(io.StringIO(text)))
     assert len(parsed) == 2
     assert parsed[0]["check"] == "t22-bound"
-    assert parse_csv(render_csv(res.rows)) == parsed
+    assert list(csv.DictReader(io.StringIO(render_csv(res.rows)))) == parsed
     manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
     assert manifest["rows"] == 2
 
@@ -361,8 +352,6 @@ def test_json_emit(tmp_path):
 
 
 def test_rendering_formats():
-    from modroots.harness import _fmt
-
     assert _fmt(None) == ""
     assert _fmt(True) == "true"
     assert _fmt(Fraction(12, 7)) == "12/7"

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 import modroots.expsums as expsums
 from modroots.energy import max_energy_over_j, prime_averaged_energy, set_energy
 from modroots.errors import CapacityError
-from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment, root_sum_weight_table
+from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment
 from modroots.modular import (
     INDEX_CACHE_RESIDUES,
     ROOT_TABLE_CAP,
@@ -128,7 +128,7 @@ def test_square_roots_match_tonelli_shanks(q, a):
 @settings(max_examples=40, deadline=None)
 def test_root_sum_table_matches_add_at_route_exactly(q, a, h):
     a = a if a % q else a + 1
-    assert np.array_equal(root_sum_weight_table(a, h, q), add_at_weight_table(a, h, q))
+    assert np.array_equal(expsums._root_sums(a, h, q, np.arange(q)), add_at_weight_table(a, h, q))
 
 
 @given(st.sampled_from(EDGE[:8]), st.integers(1, 2**62), st.integers(0, 2**62), st.integers(2, 40),
@@ -178,7 +178,7 @@ def test_capacity_error_before_anything_is_allocated():
         lambda: preimage_set(1, 2, q, q),
         lambda: set_energy(one, 3, q),
         lambda: CharacterTable.build(q),
-        lambda: root_sum_weight_table(1, 1, q),
+        lambda: expsums._root_sums(1, 1, q, np.arange(4)),  # the table is refused before f is allocated
         lambda: bilinear_root_sum(BilinearQuery(1, 1, 4, 4, q, (1.0, 1.0), (1.0, 1.0))),
         lambda: char_inverse_moment(1, 4, 2, q),
     ]

@@ -11,7 +11,6 @@ from modroots.lattice import (
     CongruenceLattice,
     box_points,
     count_points,
-    dual_lattice,
     dual_minima,
     successive_minima,
     trichotomy_check,
@@ -20,7 +19,15 @@ from modroots.lattice import (
 from modroots.modular import primes_in
 from modroots.rng import SplitMix64
 
-from lattice_oracles import independent, oracle_geometry_checks
+from lattice_oracles import (
+    box_norm,
+    contains,
+    dual_contains,
+    dual_integer_basis,
+    dual_norm,
+    independent,
+    oracle_geometry_checks,
+)
 
 
 def L_x_eq_cy(c, q):
@@ -44,10 +51,8 @@ def test_count_against_brute_force():
         lat = CongruenceLattice(coeffs, q)
         box = BoxBody(tuple(bounds))
         brute = 0
-        from itertools import product
-
         for v in product(*[range(-b, b + 1) for b in bounds]):
-            if lat.contains(v):
+            if contains(lat, v):
                 brute += 1
         assert count_points(lat, box) == brute
         pts = box_points(lat, bounds)
@@ -81,20 +86,10 @@ def test_minima_ordering_and_independence():
         w = tuple(Fraction(rng.randint(1, 50), rng.choice([1, 2])) for _ in range(d))
         m = successive_minima(CongruenceLattice(coeffs, q), BoxBody(w))
         assert all(m.lambdas[i] <= m.lambdas[i + 1] for i in range(d - 1))
-        if d == 2:
-            (a1, a2), (b1, b2) = m.witnesses
-            assert a1 * b2 - a2 * b1 != 0
-        else:
-            u, v, w3 = m.witnesses
-            det = (
-                u[0] * (v[1] * w3[2] - v[2] * w3[1])
-                - u[1] * (v[0] * w3[2] - v[2] * w3[0])
-                + u[2] * (v[0] * w3[1] - v[1] * w3[0])
-            )
-            assert det != 0
+        assert all(independent(m.witnesses[:i], m.witnesses[i]) for i in range(d))  # a nonzero determinant
         box = BoxBody(w)
         for lam, wit in zip(m.lambdas, m.witnesses):
-            assert box.norm(wit) == lam
+            assert box_norm(box, wit) == lam
 
 
 def _greedy_from_scored(scored, d):
@@ -110,50 +105,39 @@ def _greedy_from_scored(scored, d):
 
 
 def test_minima_against_brute_force_oracle():
-    from itertools import product
-
     rng = SplitMix64(505)
     for _ in range(60):
         d = 2 if rng.below(2) == 0 else 3
         q = rng.choice([2, 3, 5, 7, 11])
         coeffs = tuple(rng.randint(1, q - 1) if q > 1 else 1 for _ in range(d))
         w = tuple(Fraction(rng.randint(1, 5), rng.choice([1, 2])) for _ in range(d))
-        lat = CongruenceLattice(coeffs, q)
+        lat, box = CongruenceLattice(coeffs, q), BoxBody(w)
         R = Fraction(q, 1) / min(w)  # q*e_i witnesses bound the largest minimum
         bounds = [int(R * wi) + 1 for wi in w]
-        scored = []
-        for v in product(*[range(-b, b + 1) for b in bounds]):
-            if not any(v) or sum(a * x for a, x in zip(coeffs, v)) % q:
-                continue
-            scored.append((max(Fraction(abs(x)) / wi for x, wi in zip(v, w)), v))
-        expect = _greedy_from_scored(scored, d)
-        assert successive_minima(lat, BoxBody(w)).lambdas == expect
+        scored = [
+            (box_norm(box, v), v)
+            for v in product(*[range(-b, b + 1) for b in bounds])
+            if any(v) and contains(lat, v)
+        ]
+        assert successive_minima(lat, box).lambdas == _greedy_from_scored(scored, d)
 
 
 def test_dual_minima_against_brute_force_oracle():
-    from itertools import product
-
     rng = SplitMix64(404)
     for _ in range(60):
         d = 2 if rng.below(2) == 0 else 3
         q = rng.choice([2, 3, 5, 7, 11, 13])
         coeffs = tuple(rng.randint(1, q - 1) if q > 1 else 1 for _ in range(d))
         w = tuple(Fraction(rng.randint(1, 6), rng.choice([1, 2, 3])) for _ in range(d))
-        lat = CongruenceLattice(coeffs, q)
+        lat, box = CongruenceLattice(coeffs, q), BoxBody(w)
         R = max(w)  # q*e_j / q = e_j has dual norm w_j
         bounds = [int(R * q / wi) + 1 for wi in w]
-        inv = pow(coeffs[0] % q, -1, q) if q > 1 else 0
-        scored = []
-        for m in product(*[range(-b, b + 1) for b in bounds]):
-            if not any(m):
-                continue
-            if q > 1:
-                lam = (m[0] * inv) % q
-                if any((ai * lam - mi) % q for ai, mi in zip(coeffs, m)):
-                    continue
-            scored.append((sum(Fraction(abs(x)) * wi for x, wi in zip(m, w)) / q, m))
-        expect = _greedy_from_scored(scored, d)
-        assert dual_minima(lat, BoxBody(w)).lambdas == expect
+        scored = [
+            (dual_norm(box, m) / q, m)
+            for m in product(*[range(-b, b + 1) for b in bounds])
+            if any(m) and dual_contains(lat, [Fraction(x, q) for x in m])
+        ]
+        assert dual_minima(lat, box).lambdas == _greedy_from_scored(scored, d)
 
 
 def test_minima_degenerate_flag():
@@ -162,14 +146,14 @@ def test_minima_degenerate_flag():
 
 
 def test_dual_membership_example():
-    D = dual_lattice(CongruenceLattice((1, 3), 5))
-    assert D.contains((Fraction(1, 5), Fraction(3, 5)))
-    assert D.contains((0, 0))
-    assert not D.contains((Fraction(1, 5), Fraction(2, 5)))
-    assert not D.contains((Fraction(1, 7), Fraction(3, 7)))
-    Z2 = dual_lattice(CongruenceLattice((1, 1), 1))  # q = 1: the dual is Z^2
-    assert Z2.contains((2, -1)) and not Z2.contains((Fraction(1, 3), 0))
-    assert Z2.integer_basis() == [[1, 0], [0, 1]]
+    D = CongruenceLattice((1, 3), 5)
+    assert dual_contains(D, (Fraction(1, 5), Fraction(3, 5)))
+    assert dual_contains(D, (0, 0))
+    assert not dual_contains(D, (Fraction(1, 5), Fraction(2, 5)))
+    assert not dual_contains(D, (Fraction(1, 7), Fraction(3, 7)))
+    Z2 = CongruenceLattice((1, 1), 1)  # q = 1: the dual is Z^2
+    assert dual_contains(Z2, (2, -1)) and not dual_contains(Z2, (Fraction(1, 3), 0))
+    assert dual_integer_basis(Z2) == [[1, 0], [0, 1]]
 
 
 def test_dual_reciprocity_integer_inner_products():

@@ -16,11 +16,9 @@ from modroots.errors import BudgetExceededError, CapacityError
 from modroots.lattice import (
     BoxBody,
     CongruenceLattice,
-    DualLattice,
     _independent_rows,
     _lll,
     _mulmod,
-    dual_lattice,
     box_points,
     count_points,
     dual_minima,
@@ -30,7 +28,12 @@ from modroots.lattice import (
 from modroots.modular import is_prime, primes_in
 
 from lattice_oracles import (
+    box_norm,
+    contains,
     dual_candidate_count,
+    dual_contains,
+    dual_integer_basis,
+    dual_norm,
     independent,
     integral_gso,
     inverse,
@@ -130,7 +133,7 @@ def test_swap_updates_match_full_gram_schmidt(d, q, c, widths):
 
     for rows, weights in (
         (lat.basis(), [1 / (wi * wi) for wi in w]),
-        (DualLattice(lat).integer_basis(), [wi * wi for wi in w]),
+        (dual_integer_basis(lat), [wi * wi for wi in w]),
     ):
         with mock.patch.object(lattice, "_swap", checked_swap):
             reduced = _lll(rows, weights)
@@ -326,7 +329,7 @@ def test_dual_basis_is_the_adjugate_transpose(d, q, c, widths):
     assert product in ([[q * (i == j) for j in range(d)] for i in range(d)],
                        [[-q * (i == j) for j in range(d)] for i in range(d)])
     dual = [list(col) for col in zip(*adj)]
-    ref = DualLattice(lat).integer_basis()
+    ref = dual_integer_basis(lat)
     for a, b in ((dual, ref), (ref, dual)):  # a = X . b with X integral
         X = [[sum(x * y for x, y in zip(row, col)) for col in zip(*inverse(b))] for row in a]
         assert all(x.denominator == 1 for row in X for x in row)
@@ -381,10 +384,11 @@ def test_minima_at_large_q_are_exact_or_refused(d, q, c, widths):
     if expect is not BudgetExceededError:
         assert primal in (expect, BudgetExceededError)
     if primal is not BudgetExceededError:
-        valid_minima(primal, box.norm, lat.contains)
+        valid_minima(primal, lambda v: box_norm(box, v), lambda v: contains(lat, v))
     if dual is not BudgetExceededError:
-        member = dual_lattice(lat).contains
-        valid_minima(dual, lambda m: box.dual_norm(m) / q, lambda m: member([Fraction(x, q) for x in m]))
+        valid_minima(
+            dual, lambda m: dual_norm(box, m) / q, lambda m: dual_contains(lat, [Fraction(x, q) for x in m])
+        )
     if d == 2:
         expect = outcome(oracle_dual_minima_2d, lat, box, 10**4)
         if expect is not BudgetExceededError:
@@ -431,10 +435,9 @@ def test_dual_minima_above_word_residues():
     assert is_prime(q)
     lat, box = CongruenceLattice((1, 123456789), q), BoxBody((100, 300))
     res = dual_minima(lat, box)
-    dual = dual_lattice(lat)
     for lam, m in zip(res.lambdas, res.witnesses):
-        assert dual.contains(tuple(Fraction(x, q) for x in m))
-        assert box.dual_norm(m) / q == lam
+        assert dual_contains(lat, tuple(Fraction(x, q) for x in m))
+        assert dual_norm(box, m) / q == lam
     assert res.lambdas == (Fraction(7895500, q), Fraction(16293600, q))
 
 
