@@ -3,9 +3,11 @@
 Subcommands mirror the module operations: energy, gowers, lattice, poly,
 expsum, discrepancy, sweep.  Sweeps read JSON configs (--config) with flags
 taking precedence; exit codes: 0 all hard assertions passed, 2 at least one
-failed, 3 config or input error (a config file that is missing or does not
-hold a JSON object included), an --out path that cannot be written, or a
-computation refused by a capacity cap, a work budget or a degenerate input
+failed, 3 config or input error (a config file that is missing, does not
+hold a JSON object, or has a grid or budgets that is not an object, a budget,
+parallelism or seed that is not an int, or a parallelism or --threads below
+1), an --out path that cannot be written (a sweep refuses it before any cell
+runs), or a computation refused by a capacity cap, a work budget or a degenerate input
 (CapacityError, BudgetExceededError, DegenerateError).  Each exit 3 prints
 one line on stderr.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -198,12 +201,39 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
+def _config_fields(cfg: dict) -> dict:
+    """The config's grid, budgets, parallelism and seed, each checked for its type."""
+    fields = {"grid": {}, "budgets": {}, "parallelism": 1, "seed": 0, **cfg}
+    for key in ("grid", "budgets"):
+        if not isinstance(fields[key], dict):
+            raise ConfigError(f"config field {key!r} must be an object, got {fields[key]!r}")
+    ints = {f"config field {key!r}": fields[key] for key in ("parallelism", "seed")}
+    ints.update((f"budget {key!r}", value) for key, value in fields["budgets"].items())
+    for name, value in ints.items():
+        if type(value) is not int:  # not isinstance: a JSON true is a bool, an int subclass
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+    if fields["parallelism"] < 1:
+        raise ConfigError(f"config field 'parallelism' must be at least 1, got {fields['parallelism']}")
+    return fields
+
+
+def _require_writable(path: str) -> None:
+    """Refuse an --out path whose directory is missing or read-only before any work."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise OSError(f"cannot write report to {path}: no writable directory {folder}")
+
+
 def cmd_sweep(args, rng):
-    cfg = _read_config(args.config) if args.config else {}
+    cfg = _config_fields(_read_config(args.config) if args.config else {})
     check = args.check or cfg.get("check")
     if not check:
         raise ConfigError("sweep needs --check or a config file with a check")
-    grid = dict(cfg.get("grid", {}))
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    if args.out:
+        _require_writable(args.out)
+    grid = dict(cfg["grid"])
     for entry in args.grid or []:
         if "=" not in entry:
             raise ConfigError(f"bad --grid entry {entry!r} (want key=value)")
@@ -215,9 +245,9 @@ def cmd_sweep(args, rng):
     config = SweepConfig(
         check=check,
         grid=grid,
-        seed=args.seed if args.seed is not None else cfg.get("seed", 0),
-        parallelism=args.threads or cfg.get("parallelism", 1),
-        budgets=cfg.get("budgets", {}),
+        seed=args.seed if args.seed is not None else cfg["seed"],
+        parallelism=args.threads or cfg["parallelism"],
+        budgets=cfg["budgets"],
     )
     result = run_sweep(config)
     if args.out:

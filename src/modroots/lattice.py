@@ -23,9 +23,17 @@ floor(4320*MN/K), so no product can wrap int64.  Both minima enumerate
 v = c . basis in reduced coordinates (Fincke and Pohst, Math. Comp. 44, 1985;
 Cohen, GTM 138, §2.7): c = v . adj / det bounds each coefficient over the
 radius box (a sum over the box's coordinates; for the dual's l1 body a max over
-its vertices), the widest coefficient is solved per tuple of the others as the
-intersection of d intervals, and the candidates come in arrays of at most
-_CHUNK rows, however long one interval is.
+its vertices).  Two routes enumerate that coefficient box, and one rule picks
+between them.  When the whole box holds at most _CHUNK candidates, and those
+plus the tuples of all but the widest coefficient fit the budget, it is one
+array C and the points are the rows of C @ basis inside the radius box.  Every
+other box (thin lattices, wide boxes, budget refusals) is walked: the widest
+coefficient is solved per tuple of the others as the intersection of d
+intervals, and the candidates come in arrays of at most _CHUNK rows, however
+long one interval is.  The walk counts at most the box's candidates against
+the budget, so it would refuse nothing the product takes: both routes give the
+same points, witnesses and refusals.  The greedy witness choice takes each
+witness from one masked product with the normals of the span so far.
 
 Trichotomy case (ii), lambda_1 <= 1 < lambda_2, is read from the box's own
 points: it holds iff the box is not degenerate, 1 < K <= 2*w_2 + 1 (w_2 the
@@ -44,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -110,6 +119,13 @@ class BoxBody:
     @property
     def degenerate(self) -> bool:
         return any(w == 0 for w in self.half_widths)
+
+
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc folded over the d columns of the (n, d) array a, one call a column:
+    a numpy reduction along a last axis of length 2 or 3 costs several times
+    more per row."""
+    return reduce(ufunc, a.T)
 
 
 def _class_counts(res: np.ndarray, bound: int, q: int):
@@ -301,9 +317,10 @@ def _cross(u, v) -> list:
 
 
 def _independent_rows(chosen: list, pts: np.ndarray) -> np.ndarray:
-    """Mask of the rows of pts outside the span of the chosen integer vectors."""
+    """Mask of the rows of pts outside the span of the chosen integer vectors,
+    from one product with every normal of that span."""
     if not chosen:
-        return pts.any(axis=1)
+        return _fold(np.logical_or, pts != 0)
     d = pts.shape[1]
     if len(chosen) == 1:  # not parallel to u: some minor u_i x_j - u_j x_i is nonzero
         u = chosen[0]
@@ -317,10 +334,7 @@ def _independent_rows(chosen: list, pts: np.ndarray) -> np.ndarray:
         normals = [_cross(*chosen)]
     if max(sum(map(abs, n)) for n in normals) * int(np.abs(pts).max()) >= _WORD_CAP:
         pts = pts.astype(object)
-    mask = np.zeros(len(pts), dtype=bool)
-    for n in normals:
-        mask |= pts @ np.array(n, dtype=pts.dtype) != 0
-    return mask
+    return _fold(np.logical_or, pts @ np.array(normals, dtype=pts.dtype).T != 0)
 
 
 def _greedy_minima(scaled: np.ndarray, pts: np.ndarray, picks: list) -> list:
@@ -329,7 +343,10 @@ def _greedy_minima(scaled: np.ndarray, pts: np.ndarray, picks: list) -> list:
 
     picks are the (scaled, row) pairs chosen from earlier chunks; the greedy
     choice over all chunks equals the greedy choice over the earlier picks and
-    the new chunk (a matroid's lexicographically first basis)."""
+    the new chunk (a matroid's lexicographically first basis).  Each witness is
+    the first hit of one masked product of all the rows with every normal of
+    the span so far: the rows before the last witness lie in that span, so
+    scanning them again picks nothing earlier."""
     d = pts.shape[1]
     if picks:
         scaled = np.concatenate((np.array([s for s, _ in picks], dtype=scaled.dtype), scaled))
@@ -337,14 +354,13 @@ def _greedy_minima(scaled: np.ndarray, pts: np.ndarray, picks: list) -> list:
     order = np.lexsort(tuple(pts[:, i] for i in reversed(range(d))) + (scaled,))
     scaled, pts = scaled[order], pts[order]
     chosen: list = []
-    start = 0
-    while len(chosen) < d and start < len(pts):
-        hits = np.flatnonzero(_independent_rows([v for _, v in chosen], pts[start:]))
-        if not len(hits):
+    mask = _independent_rows([], pts)
+    while mask.any():
+        i = int(mask.argmax())
+        chosen.append((int(scaled[i]), tuple(pts[i].tolist())))
+        if len(chosen) == d:
             break
-        start += int(hits[0])
-        chosen.append((int(scaled[start]), tuple(pts[start].tolist())))
-        start += 1
+        mask = _independent_rows([v for _, v in chosen], pts)
     return chosen
 
 
@@ -372,28 +388,51 @@ def _adjugate(rows: list) -> tuple:
     return adj, abs(sum(x * row[0] for x, row in zip(rows[0], adj)))
 
 
+def _coefficient_box(basis: list, caps: list, bounds: list, dtype) -> np.ndarray:
+    """The rows of C @ basis inside the bounds, for the array C of every c with
+    |c_j| <= caps_j: in int64 when dtype is and every |(C @ basis)_i| <=
+    sum_j caps_j |basis[j][i]| stays below 2^63, in object arrays otherwise."""
+    d = len(basis)
+    if max(sum(c * abs(row[i]) for c, row in zip(caps, basis)) for i in range(d)) >= _WORD_CAP:
+        dtype = object
+    C = np.indices([2 * c + 1 for c in caps]).reshape(d, -1).T - np.array(caps)
+    pts = C.astype(dtype) @ np.array(basis, dtype=dtype)
+    return pts.compress(_fold(np.logical_and, np.abs(pts) <= np.array(bounds, dtype=dtype)), axis=0)
+
+
 def _basis_points(basis: list, caps: list, bounds: list, budget: int):
     """The points v = c . basis with |v_i| <= bounds_i, for the coefficient
     vectors c with |c_j| <= caps_j, in (n, d) arrays of at most _CHUNK rows.
 
-    The widest coefficient s is solved, not walked: for each tuple of the others
-    (the outer box, in blocks of at most _CHUNK tuples) with partial sum u, the t
-    with |u_i + t * basis[s][i]| <= bounds_i for every i form one interval, the
-    intersection of d.  A long interval is expanded over several arrays.  The
-    budget counts the outer volume, checked before anything is allocated, plus
-    the lifts, summed over the blocks before the first is expanded: a refusal
-    stops at the first block that crosses it, and a box of one block computes
-    its intervals once."""
+    Two routes, one point set.  Let s be the widest coefficient, volume the
+    number of tuples of the others (the outer box) and box = volume *
+    (2 * caps_s + 1) the whole coefficient box.  When box <= _CHUNK and
+    volume + box <= budget, the box is one array C and the points are the rows
+    of C @ basis inside the bounds, in one array: int64 while the walk's bound
+    (reach, below) and the product bound sum_j caps_j |basis[j][i]| stay below
+    2^63, object arrays above.  Otherwise s is solved, not walked: for
+    each tuple of the others (the outer box, in blocks of at most _CHUNK tuples)
+    with partial sum u, the t with |u_i + t * basis[s][i]| <= bounds_i for every
+    i form one interval, the intersection of d.  A long interval is expanded
+    over several arrays.  The budget counts the outer volume, checked before
+    anything is allocated, plus the lifts, summed over the blocks before the
+    first is expanded: a refusal stops at the first block that crosses it, and
+    a box of one block computes its intervals once.  The lifts are the points,
+    at most box, so the walk refuses nothing the product route takes."""
     d = len(basis)
     s = max(range(d), key=caps.__getitem__)
     outer = [j for j in range(d) if j != s]
     volume = math.prod(2 * caps[j] + 1 for j in outer)
-    if volume > budget:
-        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
     # bounds_i + max |u_i| bounds every |u_i|, |t * basis[s][i]| and interval end
     # below, so an interval length is at most twice the largest of these plus 1
     reach = [b + sum(caps[j] * abs(basis[j][i]) for j in outer) for i, b in enumerate(bounds)]
     dtype = np.int64 if 2 * max(reach + [caps[s]]) + 1 < _WORD_CAP else object
+    box = volume * (2 * caps[s] + 1)
+    if box <= _CHUNK and volume + box <= budget:
+        yield _coefficient_box(basis, caps, bounds, dtype)
+        return
+    if volume > budget:
+        raise BudgetExceededError(f"enumeration volume {volume} exceeds budget {budget}")
     rows = np.array([basis[j] for j in outer], dtype=dtype)
     step = np.array(basis[s], dtype=dtype)
     # blocks of whole rows of the last outer coefficient, or of one row's pieces
@@ -437,43 +476,51 @@ def _basis_points(basis: list, caps: list, bounds: list, budget: int):
 
 
 def _reduce(lat: CongruenceLattice, box: BoxBody) -> list:
-    """The lattice basis LLL-reduced for the box: weights 1 / w_i^2."""
-    return _lll(lat.basis(), [1 / (wi * wi) for wi in box.half_widths])
+    """The lattice basis LLL-reduced for the box: weights 1 / w_i^2, passed as
+    the integers r_i^2 * (S / p_i^2) with S = lcm(p_i^2) for w_i = p_i / r_i in
+    lowest terms.  Those are the integers _lll scales the rationals r_i^2 / p_i^2
+    to (their denominators p_i^2 have lcm S), so the reduction takes the same
+    steps, with no Fraction arithmetic."""
+    squares = [(wi.numerator**2, wi.denominator**2) for wi in box.half_widths]
+    S = math.lcm(*(p2 for p2, _ in squares))
+    return _lll(lat.basis(), [r2 * (S // p2) for p2, r2 in squares])
 
 
-def _primal_picks(reduced: list, box: BoxBody, budget: int) -> tuple:
+def _primal_picks(reduced: list, adjugate: tuple, box: BoxBody, budget: int) -> tuple:
     """The witnesses of the box's minima as (scaled, v) picks, and the denominator
     P with lambda = scaled / P: scaled = max_i |v_i| * r_i * (P / p_i) for the
     half-widths w_i = p_i / r_i.  The radius is the largest scaled norm of a
-    reduced row, and c = v . adj / det bounds |c_j| over the radius box."""
+    reduced row, and c = v . adj / det bounds |c_j| over the radius box, for
+    adjugate = _adjugate(reduced)."""
     w = box.half_widths
     P = math.lcm(*(wi.numerator for wi in w))
     mult = [wi.denominator * (P // wi.numerator) for wi in w]
     radius = max(max(abs(x) * m for x, m in zip(row, mult)) for row in reduced)
     bounds = [radius // m for m in mult]
-    adj, det = _adjugate(reduced)
+    adj, det = adjugate
     caps = [sum(b * abs(row[j]) for b, row in zip(bounds, adj)) // det for j in range(len(w))]
     mult = np.array(mult, dtype=np.int64 if radius < _WORD_CAP else object)
     picks: list = []
     for pts in _basis_points(reduced, caps, bounds, budget):
-        scaled = (np.abs(pts) * mult).max(axis=1)
+        scaled = _fold(np.maximum, np.abs(pts) * mult)
         nonzero = scaled > 0
         picks = _greedy_minima(scaled[nonzero], pts[nonzero], picks)
     return picks, P
 
 
-def _dual_picks(reduced: list, box: BoxBody, budget: int) -> tuple:
+def _dual_picks(reduced: list, adjugate: tuple, box: BoxBody, budget: int) -> tuple:
     """The witnesses m of the dual body's minima as (scaled, m) picks, and the
     denominator q*R with lambda = scaled / (q*R): scaled = sum_i |m_i| * p_i * (R / r_i).
 
     The dual needs no reduction of its own: q * B^{-T} = adj(B)^T / (det / q) is
     adj(B)^T up to sign, a basis of q * (dual lattice), and its rows certify the
     radius.  m = c . adj^T has c_j = (m . B_j) / det, whose largest |c_j| over the
-    body sum_i mult_i |m_i| <= radius is at a vertex (radius / mult_i) e_i."""
+    body sum_i mult_i |m_i| <= radius is at a vertex (radius / mult_i) e_i, for
+    adjugate = _adjugate(reduced)."""
     w = box.half_widths
     R = math.lcm(*(wi.denominator for wi in w))
     mult = [wi.numerator * (R // wi.denominator) for wi in w]
-    adj, det = _adjugate(reduced)
+    adj, det = adjugate
     dual = [list(col) for col in zip(*adj)]
     limit = max(sum(abs(x) * m for x, m in zip(row, mult)) for row in dual)
     bounds = [limit // m for m in mult]
@@ -481,7 +528,7 @@ def _dual_picks(reduced: list, box: BoxBody, budget: int) -> tuple:
     mult = np.array(mult, dtype=np.int64 if limit * len(w) < _WORD_CAP else object)
     picks: list = []
     for pts in _basis_points(dual, caps, bounds, budget):
-        scaled = (np.abs(pts) * mult).sum(axis=1)
+        scaled = _fold(np.add, np.abs(pts) * mult)
         keep = (scaled <= limit) & (scaled > 0)
         picks = _greedy_minima(scaled[keep], pts[keep], picks)
     return picks, det * R
@@ -495,7 +542,8 @@ def successive_minima(
         raise ValueError("dimension mismatch")
     if box.degenerate:
         return MinimaResult((), (), degenerate=True)
-    picks, P = _primal_picks(_reduce(lat, box), box, budget)
+    reduced = _reduce(lat, box)
+    picks, P = _primal_picks(reduced, _adjugate(reduced), box, budget)
     return _minima_result(picks, lat.d, P, "enumeration radius")
 
 
@@ -514,7 +562,8 @@ def dual_minima(
         raise ValueError("dimension mismatch")
     if box.degenerate:
         return MinimaResult((), (), degenerate=True)
-    picks, qR = _dual_picks(_reduce(lat, box), box, budget)
+    reduced = _reduce(lat, box)
+    picks, qR = _dual_picks(reduced, _adjugate(reduced), box, budget)
     return _minima_result(picks, lat.d, qR, "dual enumeration radius")
 
 
@@ -552,8 +601,9 @@ def verify_geometry(
         raise DegenerateError("the geometry checks need every half-width positive")
     d, q, w = lat.d, lat.q, box.half_widths
     reduced = _reduce(lat, box)
-    primal, P = _primal_picks(reduced, box, budget)
-    dual, qR = _dual_picks(reduced, box, budget)
+    adjugate = _adjugate(reduced)
+    primal, P = _primal_picks(reduced, adjugate, box, budget)
+    dual, qR = _dual_picks(reduced, adjugate, box, budget)
     minima = _minima_result(primal, d, P, "enumeration radius")
     dual_result = _minima_result(dual, d, qR, "dual enumeration radius")
     s, t = [x for x, _ in primal], [x for x, _ in dual]

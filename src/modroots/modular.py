@@ -29,8 +29,20 @@ import numpy as np
 from .errors import CapacityError, DegenerateError
 from .sets import IndicatorSet
 
-# Witness set valid deterministically for all n < 3.3 * 10^24 (covers 64-bit).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (psi_k, k): the first k prime witnesses decide every n < psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233; psi_8 = psi_7 and
+# psi_9 = psi_10 = psi_11).  All 12 decide every n < psi_12 > 2^64.
+_MR_PREFIXES = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 WORD_CAP = 1 << 63
 SIEVE_CAP = 1 << 40
@@ -41,7 +53,10 @@ COMPLEX_RTOL = 1e-9
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for word-size integers."""
+    """Deterministic Miller-Rabin for word-size integers, with the shortest
+    prefix of the 12 prime witnesses that decides n: k witnesses below psi_k
+    (_MR_PREFIXES), all 12 from 3825123056546413051 up.  Trial division by the
+    12 first settles every n they divide, themselves included."""
     if n >= WORD_CAP:
         raise CapacityError(f"primality test limited to n < 2^63, got {n}")
     if n < 2:
@@ -49,12 +64,13 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    k = next((k for bound, k in _MR_PREFIXES if n < bound), len(_MR_WITNESSES))
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -14,6 +14,8 @@ of max_energy_over_j: it scans every dilate j with the production energy.
 table_max_energy is the route max_energy_over_j and prime_averaged_energy
 took before the power-residue symbol: one index_table per prime, the class of
 n its index mod g_k, and each class's pair sums counted in Python.
+twelve_witness_is_prime is modular.is_prime as it was before the witness
+prefixes: Miller-Rabin with all 12 prime witnesses for every n.
 """
 
 import math
@@ -229,3 +231,32 @@ def tonelli_shanks(a: int, q: int) -> list:
         t = t * c % q
         m = i
     return sorted({x, q - x})
+
+
+TWELVE_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the Miller-Rabin round to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def twelve_witness_is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n < 2^64 with all 12 prime witnesses."""
+    if n < 2:
+        return False
+    for p in TWELVE_WITNESSES:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in TWELVE_WITNESSES)

@@ -202,6 +202,29 @@ def test_sweep_config_not_an_object_exits_three(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("grid", [1], "'grid' must be an object"),
+        ("budgets", 5, "'budgets' must be an object"),
+        ("parallelism", "x", "'parallelism' must be an int"),
+        ("parallelism", 0, "'parallelism' must be at least 1"),
+        ("seed", 1.5, "'seed' must be an int"),
+        ("budgets", {"lattice": "x"}, "budget 'lattice' must be an int"),
+    ],
+)
+def test_sweep_config_field_of_the_wrong_type_exits_three(tmp_path, capsys, field, value, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"check": "salie-moment", "grid": {"q": [101], "U0": [4]}, field: value}))
+    exit_three_with_one_line(capsys, ["sweep", "--config", str(config)], "config error: ", message)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_threads_below_one_exits_three(capsys, threads):
+    argv = ["--threads", threads, "sweep", "--check", "salie-moment", "--grid", "q=101", "--grid", "U0=4"]
+    exit_three_with_one_line(capsys, argv, "config error: ", "--threads must be at least 1")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("sweep", "--check", "salie-moment", "--grid", "q=101", "--grid", "U0=4"),
@@ -209,9 +232,13 @@ def test_sweep_config_not_an_object_exits_three(tmp_path, capsys):
         ("discrepancy", "--op", "export", "--q", "7", "--P", "5"),
     ],
 )
-def test_unwritable_out_exits_three(tmp_path, capsys, argv):
+def test_unwritable_out_exits_three(tmp_path, capsys, monkeypatch, argv):
+    called = []
+    for name, (fn, keys) in list(harness.CHECKS.items()):
+        monkeypatch.setitem(harness.CHECKS, name, (lambda *a, fn=fn: called.append(a) or fn(*a), keys))
     out = tmp_path / "no-such-dir" / "report"
     exit_three_with_one_line(capsys, ["--out", str(out), *argv], "output error: ", str(out))
+    assert called == []  # a sweep refuses the path before it runs any cell
 
 
 def test_sweep_exit_two_on_hard_assertion_failure(capsys, monkeypatch):

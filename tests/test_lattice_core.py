@@ -612,3 +612,132 @@ def test_count_points_past_int64():
     expect = sum(len(range(-b, b + 1)[(-(x + y) - -b) % 3 :: 3]) for x in (-1, 0, 1) for y in (-1, 0, 1))
     assert expect > 2**63
     assert count_points(CongruenceLattice((1, 1, 1), 3), BoxBody((1, 1, b))) == expect
+
+
+def basis_point_calls(lat, box):
+    """The (basis, caps, bounds) of every _basis_points call of both minima."""
+    kernel, calls = lattice._basis_points, []
+
+    def recorded(basis, caps, bounds, budget):
+        calls.append((basis, caps, bounds))
+        return kernel(basis, caps, bounds, budget)
+
+    with mock.patch.object(lattice, "_basis_points", recorded):
+        for fn in (successive_minima, dual_minima):
+            outcome(fn, lat, box)
+    return calls
+
+
+def route(basis, caps, bounds, budget, chunk):
+    """(direct, rows as a set, arrays) of _basis_points at this _CHUNK and budget,
+    direct telling whether the one-product route ran."""
+    with mock.patch.object(lattice, "_CHUNK", chunk), \
+            mock.patch.object(lattice, "_coefficient_box", wraps=lattice._coefficient_box) as direct:
+        arrays = list(lattice._basis_points(basis, caps, bounds, budget))
+    rows = {tuple(v) for pts in arrays for v in pts.tolist()}
+    assert sum(map(len, arrays)) == len(rows)  # no point twice
+    return direct.called, rows, arrays
+
+
+def coefficient_box(caps):
+    """(volume, box): the tuples of every coefficient but the widest, and of all."""
+    volume = math.prod(sorted(2 * c + 1 for c in caps)[:-1])
+    return volume, volume * (2 * max(caps) + 1)
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from(PRIMES[:120]),
+    st.integers(1, 2**64),
+    st.lists(st.fractions(Fraction(1, 4), 30, max_denominator=7), min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_both_enumeration_routes_give_one_point_set(d, q, c, widths):
+    # every call of both minima, through the one product (budget volume + box and
+    # _CHUNK = box) and through the interval walk (_CHUNK = box - 1, or budget
+    # volume + box - 1, which refuses only when every candidate is a point)
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
+    lat, box = CongruenceLattice(coeffs, q), BoxBody(tuple(widths[:d]))
+    assume(not box.degenerate)
+    for basis, caps, bounds in basis_point_calls(lat, box):
+        volume, size = coefficient_box(caps)
+        assume(size <= 10**5)
+        direct, points, arrays = route(basis, caps, bounds, volume + size, size)
+        assert direct and len(arrays) == 1 and (0,) * d in points
+        if size > 1:
+            direct, walked, arrays = route(basis, caps, bounds, volume + size, size - 1)
+            assert not direct and walked == points
+            assert max(map(len, arrays)) <= size - 1
+        if len(points) < size:
+            direct, walked, _ = route(basis, caps, bounds, volume + size - 1, size)
+            assert not direct and walked == points
+        else:
+            with pytest.raises(BudgetExceededError, match=f"plus {size} lifts exceeds budget"):
+                route(basis, caps, bounds, volume + size - 1, size)
+
+
+@given(
+    st.integers(2, 3),
+    st.sampled_from(PRIMES),
+    st.integers(1, 2**64),
+    st.lists(st.fractions(Fraction(1, 4), 30, max_denominator=7), min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_both_enumeration_routes_give_the_same_minima(d, q, c, widths):
+    # _CHUNK = 8 sends every box of more than 8 candidates through the interval
+    # walk, _CHUNK = 2^20 every box the budget of 10^5 admits through the product
+    coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
+    lat, box = CongruenceLattice(coeffs, q), BoxBody(tuple(widths[:d]))
+    assume(not box.degenerate)
+    results = []
+    for chunk in (8, 1 << 20):
+        with mock.patch.object(lattice, "_CHUNK", chunk):
+            results.append([outcome(fn, lat, box) for fn in (successive_minima, dual_minima)])
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "A, dtype",
+    [(2**61 - 1, np.int64), (2**61, object)],  # 2 * (reach = 2A) + 1 against 2^63
+)
+def test_enumeration_routes_at_the_reach_boundary(A, dtype):
+    # basis (A, 0), (0, 1) with caps (1, 2): the 15 points (c_0 A, c_1), in int64
+    # while the interval walk's bound 2 * max(reach) + 1 = 4A + 1 stays below 2^63
+    basis, caps, bounds = [[A, 0], [0, 1]], [1, 2], [A, 2]
+    expect = {(x * A, y) for x in (-1, 0, 1) for y in range(-2, 3)}
+    for chunk, on_direct in ((15, True), (14, False)):
+        direct, points, arrays = route(basis, caps, bounds, 18, chunk)
+        assert direct == on_direct and points == expect
+        assert {pts.dtype for pts in arrays} == {np.dtype(dtype)}
+    # every candidate is a point: one budget unit less is the walk's refusal
+    with pytest.raises(BudgetExceededError, match="^enumeration volume 3 plus 15 lifts exceeds budget 17$"):
+        route(basis, caps, bounds, 17, 15)
+
+
+@pytest.mark.parametrize(
+    "B, dtype",
+    [(2**62 - 1, np.int64), (2**62, object)],  # the product bound 2B against 2^63
+)
+def test_coefficient_box_at_the_product_boundary(B, dtype):
+    # basis (1, 0), (0, B) with caps (1, 2): the interval walk stays in int64,
+    # but the product forms c_1 B for |c_1| <= 2, and 2 * 2^62 would wrap to -2^63,
+    # whose int64 abs is negative and would pass the bound 0
+    basis, caps, bounds = [[1, 0], [0, B]], [1, 2], [1, 0]
+    direct, points, arrays = route(basis, caps, bounds, 18, 15)
+    assert direct and points == {(-1, 0), (0, 0), (1, 0)}
+    assert arrays[0].dtype == np.dtype(dtype)
+    assert route(basis, caps, bounds, 18, 14)[1] == points
+
+
+@given(st.lists(positive_fractions | st.integers(1, 9).map(Fraction), min_size=2, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_reduce_weights_are_the_scaled_rationals(widths):
+    # r_i^2 * (S / p_i^2), S = lcm(p_i^2): the integers _lll scales 1 / w_i^2 to
+    box, seen = BoxBody(tuple(widths)), []
+    lat = CongruenceLattice((1,) * box.d, 1)
+    with mock.patch.object(lattice, "_lll", lambda rows, weights: seen.append(weights) or rows):
+        lattice._reduce(lat, box)
+    rationals = [1 / (w * w) for w in box.half_widths]
+    scale = math.lcm(*(x.denominator for x in rationals))
+    assert seen == [[int(x * scale) for x in rationals]]
+    assert all(type(x) is int for x in seen[0])

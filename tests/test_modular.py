@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modroots.errors import CapacityError, DegenerateError
 from modroots.modular import (
@@ -20,6 +20,8 @@ from modroots.modular import (
     primes_in,
     sqrt_mod,
 )
+
+from residue_oracles import TWELVE_WITNESSES, strong_probable_prime, twelve_witness_is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -50,6 +52,39 @@ def test_primes_in_million_against_plain_sieve():
 def test_primes_in_capacity():
     with pytest.raises(CapacityError):
         primes_in(0, 1 << 63)
+
+
+# psi_k (OEIS A014233): the least strong pseudoprime to each of the first k
+# prime bases, for k = 1..9 (psi_8 = psi_7)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051)
+
+
+@given(st.integers(0, 2**22 - 1))
+@settings(max_examples=2000, deadline=None)
+@example(0)
+@example(1)
+@example(37)
+@example(41)
+def test_is_prime_matches_the_twelve_witness_oracle(n):
+    assert is_prime(n) == twelve_witness_is_prime(n)
+
+
+@pytest.mark.parametrize("k", range(1, len(PSI) + 1))
+def test_is_prime_at_each_strong_pseudoprime_bound(k):
+    psi = PSI[k - 1]
+    # psi_k fools the first k witnesses, so n = psi_k needs the next prefix
+    assert all(strong_probable_prime(psi, a) for a in TWELVE_WITNESSES[:k])
+    for n in range(psi - 2, psi + 3):
+        assert is_prime(n) == twelve_witness_is_prime(n)
+    assert not is_prime(psi)
+
+
+def test_is_prime_above_the_last_prefix():
+    # all 12 witnesses from psi_9 up to 2^63; 2^63 - 25 is the largest prime below 2^63
+    assert is_prime(2**63 - 25) and not is_prime(2**63 - 27)
+    for n in (PSI[-1] + 2, PSI[-1] + 4, 2**63 - 25, 2**63 - 1):
+        assert is_prime(n) == twelve_witness_is_prime(n)
 
 
 def test_prime_modulus_validation():
