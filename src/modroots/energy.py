@@ -245,7 +245,14 @@ def _pair_sum_counts(A: IndicatorSet, negate: bool = False):
 
 
 def energy_of(A: IndicatorSet, nu: int = 2) -> int:
-    """Number of 2*nu-tuples in A with matching nu-fold sums."""
+    """Number of 2*nu-tuples in A with matching nu-fold sums.
+
+    nu = 2 squares the pair counts r(s) of _pair_sum_counts with one _exact_dot,
+    bounded by |A|^2 since every r(s) <= |A|; other nu square sum_rep(A, nu).
+    """
+    if nu == 2:
+        counts = _pair_sum_counts(A)
+        return _exact_dot(counts, counts, A.cardinality**2)
     return sum_rep(A, nu).square_sum()
 
 

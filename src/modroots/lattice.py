@@ -263,16 +263,15 @@ def _swap(basis: list, d: list, lam: list, k: int) -> None:
 
 
 def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
-    """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 rational).
+    """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 integers).
 
-    Integral LLL (Cohen, GTM 138, §2.6): the weights are scaled to integers, and
-    the Gram-Schmidt data are kept as the integers d[i+1] (the Gram determinant
-    of rows 0..i) and lam[k][j] = d[j+1] * mu[k][j], computed once and then
-    updated by each size reduction and swap.  mu is rounded half to even, as
-    round(Fraction) does, so the steps are those of the rational algorithm.
+    Integral LLL (Cohen, GTM 138, §2.6): the Gram-Schmidt data are kept as the
+    integers d[i+1] (the Gram determinant of rows 0..i) and lam[k][j] = d[j+1] *
+    mu[k][j], computed once and then updated by each size reduction and swap.  mu
+    is rounded half to even, as round(Fraction) does, so the steps are those of the
+    rational algorithm; rational weights scaled to integers by a common factor
+    reduce the same way.
     """
-    scale = math.lcm(*(Fraction(w).denominator for w in weights))
-    wts = [int(w * scale) for w in weights]
     dn, dd = delta.numerator, delta.denominator
     basis = [list(r) for r in rows]
     n = len(basis)
@@ -281,7 +280,7 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
     lam = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            u = sum(w * a * b for w, a, b in zip(wts, basis[i], basis[j]))
+            u = sum(w * a * b for w, a, b in zip(weights, basis[i], basis[j]))
             for h in range(j):
                 u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]  # exact
             if j < i:
@@ -478,9 +477,8 @@ def _basis_points(basis: list, caps: list, bounds: list, budget: int):
 def _reduce(lat: CongruenceLattice, box: BoxBody) -> list:
     """The lattice basis LLL-reduced for the box: weights 1 / w_i^2, passed as
     the integers r_i^2 * (S / p_i^2) with S = lcm(p_i^2) for w_i = p_i / r_i in
-    lowest terms.  Those are the integers _lll scales the rationals r_i^2 / p_i^2
-    to (their denominators p_i^2 have lcm S), so the reduction takes the same
-    steps, with no Fraction arithmetic."""
+    lowest terms: the rationals r_i^2 / p_i^2 times S, so the reduction takes the
+    steps of the rational one, with no Fraction arithmetic."""
     squares = [(wi.numerator**2, wi.denominator**2) for wi in box.half_widths]
     S = math.lcm(*(p2 for p2, _ in squares))
     return _lll(lat.basis(), [r2 * (S // p2) for p2, r2 in squares])

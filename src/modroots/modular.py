@@ -1,19 +1,19 @@
 """Prime-field arithmetic: primality, prime enumeration, k-th roots, characters, Gauss sums.
 
-Dense power and root queries below ROOT_TABLE_CAP read one discrete-log table
-per prime, index_table(q): a primitive root g, pw[i] = g^i and ind[x] =
-log_g x as read-only int32 arrays, built in O(q) by block doubling and cached
-per q (the cache is bounded by the residues it holds, not by its entries;
-character_table and unit_roots are cached under the same bound).
-Powers, inverses and the quadratic character are exponent arithmetic on it:
-x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
-With g_k = gcd(k, q-1) and h = (q-1)/g_k, x^k = v has roots only when g_k
-divides ind v, and they are pw[(ind v / g_k) (k/g_k)^-1 mod h + i h] for
-i < g_k; so preimage_set costs O(g_k N), whatever the dilate j.  Sparse root
-queries (kth_roots, the roots of primes, the coset energies of the prime
-average) read root_rows at any prime q, or at an array of primes, one a
-row: Adleman-Manders-Miller by square-and-multiply over an array, with no
-q-sized table.
+Dense root queries below ROOT_TABLE_CAP, preimage_set and kth_root_set, are one
+power scan: x^k mod q for every x in Z_q, in chunks of at most _SCAN_CHUNK
+residues, kept by a mask; the members come out ascending, and no table is
+built.  The exponential sums (expsums) and the quadratic character
+(CharacterTable) read one discrete-log table per prime, index_table(q): a
+primitive root g, pw[i] = g^i and ind[x] = log_g x as read-only int32 arrays,
+built in O(q) by block doubling and cached per q (the cache is bounded by the
+residues it holds, not by its entries; character_table and unit_roots are
+cached under the same bound).  Powers, inverses and the quadratic character
+are exponent arithmetic on it: x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x]
+and chi(x) = (-1)^(ind x).  Sparse root queries (kth_roots, the roots of
+primes, the coset energies of the prime average) read root_rows at any prime
+q, or at an array of primes, one a row: Adleman-Manders-Miller by
+square-and-multiply over an array, with no q-sized table.
 """
 
 from __future__ import annotations
@@ -265,42 +265,56 @@ def index_table(q: int) -> IndexTable:
     return IndexTable(q, g, pw, ind)
 
 
-def kth_root_set(vs, k: int, q) -> np.ndarray:
-    """Ascending int64 array of the x in Z_q with x^k in vs, for distinct residues vs.
-
-    O(g_k |vs|) gathers from index_table(q), g_k = gcd(k, q - 1); CapacityError above the cap.
-    """
-    q = _as_q(q)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vs = np.asarray(vs, dtype=np.int64)
-    nonzero = vs[vs != 0]
-    roots = index_table(q).roots(nonzero, k)[1].ravel()
-    if len(nonzero) < len(vs):  # 0^k = 0
-        roots = np.append(roots, 0)
-    return np.sort(roots)
-
-
 def _one_value(a):
     """a as one Python int when its entries are all equal, else as an array."""
+    if isinstance(a, int):
+        return a
     a = np.asarray(a)
     return int(a.flat[0]) if a.size and (a == a.flat[0]).all() else a
 
 
+# int64 entries from which one modulus reduces by floor division: numpy's
+# floor_divide by a scalar goes through libdivide, and a - a // q * q in place took
+# 0.4-0.8 times the time of % from 2000 to 200000 entries, at q = 503 to 2^31 - 1
+# (2-vCPU VM); the two were even at 500, and below 100 its two extra calls cost more
+_DIVIDE_MIN = 1 << 9
+
+
+def _mod(a, q):
+    """a mod q for a >= 0 that the caller owns: in place as a - a // q * q when q is one
+    int and a has at least _DIVIDE_MIN int64 entries, else a % q."""
+    if not isinstance(q, int) or a.dtype != np.int64 or a.size < _DIVIDE_MIN:
+        return a % q
+    t = a // q
+    t *= q
+    a -= t
+    return a
+
+
 def _power(x, e, q):
-    """x^e mod q elementwise by square-and-multiply.  The exponents e >= 0 and the
-    moduli q are each one integer or an array that broadcasts against x; an array of
-    one value, such as the per-row data of a one-prime root_rows call, is taken as
-    that value, so a scalar exponent skips the per-bit select and a scalar modulus
-    the per-row divisor."""
-    out = np.ones(np.broadcast_shapes(np.shape(x), np.shape(e), np.shape(q)), dtype=np.asarray(x).dtype)
+    """x^e mod q elementwise by square-and-multiply, for 0 <= x < 2^31 (any x >= 0 in
+    an object array).  The exponents e >= 0 and the moduli q are each one integer or
+    an array that broadcasts against x; an array of one value, such as the per-row
+    data of a one-prime root_rows call, is taken as that value.  One exponent e >= 1
+    starts from x and reads its bits after the leading one, so e = 2 is one product
+    and no bit pays a select; one modulus reduces by _mod."""
+    x = np.asarray(x)
+    if not (isinstance(e, int) and isinstance(q, int)):  # x as broadcast against them
+        shape = np.broadcast_shapes(x.shape, np.shape(e), np.shape(q))
+        x = x if shape == x.shape else np.broadcast_to(x, shape)
     e, q = _one_value(e), _one_value(q)
-    for i in reversed(range(int(np.max(e, initial=0)).bit_length())):  # left to right
-        out = out * out % q
-        if np.ndim(e):
-            out = np.where(e & 1 << i, out * x % q, out)
+    one_e = isinstance(e, int)
+    if not one_e or e == 0:
+        out = np.ones(x.shape, dtype=x.dtype)
+        top = int(np.max(e, initial=0)).bit_length()
+    else:  # x is the leading bit
+        out, top = x % q if e == 1 else x, e.bit_length() - 1
+    for i in reversed(range(top)):  # left to right
+        out = _mod(out * out, q)
+        if not one_e:
+            out = np.where(e & 1 << i, _mod(out * x, q), out)
         elif e >> i & 1:
-            out = out * x % q
+            out = _mod(out * x, q)
     return out
 
 
@@ -393,10 +407,39 @@ def kth_roots(a: int, k: int, q) -> set:
     return set(root_rows([a % q], k, q)[1].ravel().tolist())
 
 
+# residues a chunk of the power scan: its int64 arrays, 256 KiB each, stay in cache; at
+# q = 2*10^5 and 10^6 a preimage took 0.4-0.6 times its time in chunks of 2^20 (2-vCPU VM)
+_SCAN_CHUNK = 1 << 15
+
+
+def kth_root_set(vs, k: int, q) -> np.ndarray:
+    """Ascending int64 array of the x in Z_q with x^k in vs, for residues vs.
+
+    One power scan: x^k mod q for x = 0..q-1, in chunks of at most _SCAN_CHUNK
+    residues (q <= ROOT_TABLE_CAP keeps every product below 2^52), kept by a boolean
+    membership mask of vs.  O(q) work whatever |vs| and g_k, and no table;
+    CapacityError above ROOT_TABLE_CAP, before anything of size q is allocated.
+    """
+    q = _as_q(q)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if q > ROOT_TABLE_CAP:
+        raise CapacityError(f"power scan capped at q <= {ROOT_TABLE_CAP}")
+    member = np.zeros(q, dtype=bool)
+    member[np.asarray(vs, dtype=np.int64)] = True
+    parts = []
+    for lo in range(0, q, _SCAN_CHUNK):
+        x = np.arange(lo, min(lo + _SCAN_CHUNK, q), dtype=np.int64)
+        parts.append(x[member[_power(x, k, q)]])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
     """The set { x in F_q^* : j*x^k mod q lies in {1,...,N} } (natural embedding).
 
-    The union of the k-th roots of j^{-1} n for n = 1..N: O(g_k N) work.
+    kth_root_set of the v = j^-1 n for n = 1..min(N, q - 1) (n = q would give v = 0,
+    whose only root is 0, outside F_q^*): one power scan, O(q) work whatever N and g_k,
+    and no table; CapacityError above ROOT_TABLE_CAP.
     """
     q = _as_q(q)
     j %= q
@@ -404,9 +447,9 @@ def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
         raise ValueError("j must be nonzero mod q")
     if not (1 <= N <= q):
         raise ValueError(f"N must satisfy 1 <= N <= q, got {N}")
-    index_table(q)  # CapacityError above the cap, before the N-sized arange
-    # n = q would give v = 0, whose only root is 0, outside F_q^*
-    vs = (pow(j, -1, q) * np.arange(1, min(N, q - 1) + 1, dtype=np.int64)) % q  # < q^2 <= 2^52
+    if q > ROOT_TABLE_CAP:  # before the N-sized arange
+        raise CapacityError(f"power scan capped at q <= {ROOT_TABLE_CAP}")
+    vs = pow(j, -1, q) * np.arange(1, min(N, q - 1) + 1, dtype=np.int64) % q  # < q^2 <= 2^52
     return IndicatorSet(q, kth_root_set(vs, k, q))
 
 

@@ -30,7 +30,7 @@ class IndicatorSet:
         m = self.members
         if not (
             isinstance(m, np.ndarray) and m.dtype == np.int64 and m.ndim == 1
-            and bool(np.all(m[1:] > m[:-1]))
+            and bool((m[1:] > m[:-1]).all())
         ):
             m = sorted({int(x) for x in m})
         if len(m) and (m[0] < 0 or m[-1] >= self.q):

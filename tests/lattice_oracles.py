@@ -114,12 +114,18 @@ def rational_lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
     return basis
 
 
+def integer_weights(weights: list) -> list:
+    """Positive rational weights times the lcm of their denominators: the integers that
+    lattice._lll takes, under which it reduces as the rational algorithm does."""
+    scale = math.lcm(*(Fraction(w).denominator for w in weights))
+    return [int(w * scale) for w in weights]
+
+
 def integral_gso(basis: list, weights: list):
     """(d, lam) of the integral Gram-Schmidt of the rows under the scaled weights,
     recomputed from scratch: d[i+1] is the Gram determinant of rows 0..i and
     lam[k][j] = d[j+1] * mu[k][j] (Cohen, GTM 138, §2.6)."""
-    scale = math.lcm(*(Fraction(w).denominator for w in weights))
-    wts = [int(w * scale) for w in weights]
+    wts = integer_weights(weights)
     n = len(basis)
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]

@@ -1,13 +1,15 @@
 """Oracles for the residue core.
 
-These are the routes the discrete-log table replaced, and the routes before
-them: a bucket table holding, for each v in Z_q, the tuple of x with
-j*x^k = v (mod q), rebuilt for every dilate j; a coset scan that
-materialises the k-th power subgroup as a set; the power map by
-square-and-multiply over the whole residue vector and its stable argsort by
-value (the sorted residue map); the root-sum table scattered by np.add.at;
-the moment window summed by np.roll; and the scalar Tonelli-Shanks square
-root.  They are slow but independent of modular.index_table and
+table_root_set and table_preimage are the routes the power scan of
+modular.kth_root_set and modular.preimage_set replaced: the g_k roots of each
+value gathered from the discrete-log table.  The others are the routes the
+table replaced, and the routes before them: a bucket table holding, for each
+v in Z_q, the tuple of x with j*x^k = v (mod q), rebuilt for every dilate j;
+a coset scan that materialises the k-th power subgroup as a set; the power
+map by square-and-multiply over the whole residue vector and its stable
+argsort by value (the sorted residue map); the root-sum table scattered by
+np.add.at; the moment window summed by np.roll; and the scalar
+Tonelli-Shanks square root.  Those are slow but independent of modular.index_table and
 modular.root_rows, so the property tests compare every consumer of either
 against them.  all_j_max_energy is the oracle for the coset reduction
 of max_energy_over_j: it scans every dilate j with the production energy.
@@ -52,6 +54,24 @@ def bucket_preimage(j: int, k: int, N: int, q: int) -> set:
         members.update(table[v % q])
     members.discard(0)
     return members
+
+
+def table_root_set(vs, k: int, q: int) -> np.ndarray:
+    """Ascending int64 array of the x in Z_q with x^k in vs, for distinct residues vs: the
+    g_k = gcd(k, q - 1) roots of each nonzero v gathered from index_table(q), and 0 when
+    vs holds 0."""
+    vs = np.asarray(vs, dtype=np.int64)
+    nonzero = vs[vs != 0]
+    roots = index_table(q).roots(nonzero, k)[1].ravel()
+    if len(nonzero) < len(vs):  # 0^k = 0
+        roots = np.append(roots, 0)
+    return np.sort(roots)
+
+
+def table_preimage(j: int, k: int, N: int, q: int) -> list:
+    """{x in F_q^* : 1 <= j x^k mod q <= N}: table_root_set of j^-1 n for n = 1..min(N, q - 1)."""
+    vs = pow(j, -1, q) * np.arange(1, min(N, q - 1) + 1, dtype=np.int64) % q
+    return table_root_set(vs, k, q).tolist()
 
 
 def pair_energy(members, q: int) -> int:

@@ -22,7 +22,7 @@ from modroots.modular import preimage_set
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
 
-from residue_oracles import all_j_max_energy
+from residue_oracles import all_j_max_energy, pair_energy
 
 
 def brute_force_tuple_energy(A, nu):
@@ -336,6 +336,27 @@ def test_pair_energies_past_the_word(negate):
     assert energies.dtype == object and energies.tolist() == [expect, 0, 15]
     if negate:  # k = 1: one coset, whose preimage set at N = q is B
         assert max_energy_over_j(1, q, q) == (expect, 1)
+
+
+@given(st.sampled_from([2, 3, 31, 1009, 65537]), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_energy_of_squares_the_pair_counts(q, dense, data):
+    # sparse sets count their pair sums; dense ones, and every set with _pair_limit patched
+    # to 0, take the FFT
+    members = data.draw(st.lists(st.integers(0, q - 1), unique=True, max_size=40))
+    A = IndicatorSet(q, members)
+    with mock.patch.object(energy, "_pair_limit", (lambda q: 0) if dense else energy._pair_limit):
+        assert energy_of(A, 2) == sum_rep(A, 2).square_sum() == pair_energy(members, q)
+
+
+def test_energy_of_past_the_word():
+    # Z_q^* at q = 2^21 + 17 has counts q - 1 at 0 and q - 2 elsewhere: its energy passes
+    # 2^63, and the bound |A|^2 per count puts q |A|^2 past it too, so the dot goes by limbs
+    q = 2097169
+    A = preimage_set(1, 1, q, q)
+    expect = (q - 1) ** 2 + (q - 1) * (q - 2) ** 2
+    assert A.cardinality == q - 1 and expect >= 2**63 and q * (q - 1) ** 2 >= 2**63
+    assert energy_of(A, 2) == sum_rep(A, 2).square_sum() == expect
 
 
 @pytest.mark.parametrize("dense", [False, True])

@@ -1,4 +1,5 @@
-"""The discrete-log table and every query that reads it, against the routes it replaced,
+"""The discrete-log table and every query that reads it, against the routes it replaced;
+the power scan of kth_root_set and preimage_set against the table route it replaced;
 and the table-free root kernel root_rows against the table and Tonelli-Shanks.
 
 The oracles in residue_oracles.py share no arithmetic with modular.index_table
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import modroots.expsums as expsums
+import modroots.modular as modular
 from modroots.energy import max_energy_over_j, prime_averaged_energy, set_energy
 from modroots.errors import CapacityError
 from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment
@@ -47,6 +49,8 @@ from residue_oracles import (
     sorted_kth_roots,
     sorted_residue_map,
     square_multiply_table,
+    table_preimage,
+    table_root_set,
     tonelli_shanks,
 )
 
@@ -110,12 +114,41 @@ def test_root_sets_for_each_gk(q, k, gk):
     assert np.array_equal(kth_root_set(np.unique(values), k, q), np.arange(q))
 
 
-@given(PRIMES, st.integers(1, 8), st.integers(1, 2**40), st.integers(1, 2**40))
+@given(PRIMES, st.integers(1, 12), st.integers(1, 2**40), st.integers(1, 2**40),
+       st.lists(st.integers(0, 2**40), max_size=30))
+@example(2, 1, 1, 1, [0])
+@example(3, 2, 2, 2, [0, 2])
+@example(2097169, 6, 1, 2097168, [0])  # q = 2^21 + 17: 65 chunks of the scan, the last of 17 residues
 @settings(max_examples=60, deadline=None)
-def test_preimage_matches_mask_route(q, k, j, n):
+def test_preimage_matches_mask_route(q, k, j, n, vs):
+    # the power scan against the mask route and the table route it replaced, and its
+    # root sets, 0 included, against the table's
     j = j % (q - 1) + 1
-    N = min(n % q + 1, 4000)
-    assert preimage_set(j, k, N, q).members.tolist() == mask_preimage(j, k, N, q)
+    N = n % q + 1
+    got = preimage_set(j, k, N, q).members.tolist()
+    assert got == mask_preimage(j, k, N, q) == table_preimage(j, k, N, q)
+    vs = sorted({v % q for v in vs} | {0})
+    assert kth_root_set(vs, k, q).tolist() == table_root_set(vs, k, q).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+@pytest.mark.parametrize("q", [2, 3, 7, 13, 31])
+def test_power_scan_matches_the_table_route_across_chunks(q, chunk):
+    # k = 1..12 gives g_k = 1, odd g_k (3 at q = 7, 13, 31; 5 and 15 at 31) and even g_k;
+    # chunks of 1, 2 and 7 residues put a boundary between almost every pair of members
+    gks = set()
+    rng = np.random.default_rng(q * chunk)
+    with mock.patch.object(modular, "_SCAN_CHUNK", chunk):
+        for k in range(1, 13):
+            gks.add(math.gcd(k, q - 1))
+            for j in {1, q - 1}:
+                for N in {1, q - 1, q}:
+                    got = preimage_set(j, k, N, q).members.tolist()
+                    assert got == table_preimage(j, k, N, q) == mask_preimage(j, k, N, q)
+            for vs in ([0], [0, 1], list(range(q)), [q - 1], [0] + rng.permutation(q)[: q // 2].tolist()):
+                vs = sorted(set(vs))
+                assert kth_root_set(vs, k, q).tolist() == table_root_set(vs, k, q).tolist()
+    assert 1 in gks and (q < 7 or any(g % 2 for g in gks - {1})) and (q == 2 or any(g % 2 == 0 for g in gks))
 
 
 @given(st.sampled_from([3, 5, 13, 65537, 2097143, 2097169]), st.integers(0, 2**40))

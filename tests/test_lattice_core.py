@@ -35,6 +35,7 @@ from lattice_oracles import (
     dual_integer_basis,
     dual_norm,
     independent,
+    integer_weights,
     integral_gso,
     inverse,
     minima_case_one_short,
@@ -79,7 +80,7 @@ positive_fractions = st.builds(
 def test_integer_lll_matches_rational_oracle(case):
     rows, weights = case
     assume(full_rank(rows))
-    assert _lll(rows, weights) == rational_lll(rows, weights)
+    assert _lll(rows, integer_weights(weights)) == rational_lll(rows, weights)
 
 
 @given(
@@ -95,7 +96,7 @@ def test_integer_lll_rounds_half_to_even(d, odd, tail, weight):
     if d == 3:
         rows.append(tail[1:] + [tail[0] or 1])
     assume(full_rank(rows))
-    assert _lll(rows, [weight] * d) == rational_lll(rows, [weight] * d)
+    assert _lll(rows, integer_weights([weight] * d)) == rational_lll(rows, [weight] * d)
 
 
 def test_integer_lll_half_integer_example():
@@ -136,7 +137,7 @@ def test_swap_updates_match_full_gram_schmidt(d, q, c, widths):
         (dual_integer_basis(lat), [wi * wi for wi in w]),
     ):
         with mock.patch.object(lattice, "_swap", checked_swap):
-            reduced = _lll(rows, weights)
+            reduced = _lll(rows, integer_weights(weights))
         assert reduced == rational_lll(rows, weights)
 
 
@@ -322,7 +323,7 @@ def test_dual_basis_is_the_adjugate_transpose(d, q, c, widths):
     # adj(B)^T of the reduced primal basis B and the dual's own basis span one lattice
     coeffs = tuple(1 + (c * (i + 3)) % (q - 1) for i in range(d)) if q > 2 else (1,) * d
     lat = CongruenceLattice(coeffs, q)
-    reduced = _lll(lat.basis(), [1 / (width(*x) ** 2) for x in widths[:d]])
+    reduced = _lll(lat.basis(), integer_weights([1 / (width(*x) ** 2) for x in widths[:d]]))
     adj, det = lattice._adjugate(reduced)
     assert det == q
     product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in reduced]

@@ -6,9 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from modroots.errors import CapacityError, DegenerateError
 from modroots.modular import (
+    _DIVIDE_MIN,
     ROOT_TABLE_CAP,
     CharacterTable,
     PrimeModulus,
+    _mod,
     _power,
     character_table,
     gauss_sum,
@@ -172,6 +174,24 @@ def test_power_takes_scalars_constant_arrays_and_rows(xs, e, q, form):
     assert got.shape == x.shape and got.dtype == x.dtype
     assert got.tolist() == [pow(v % m, f, m) for v, f, m in zip(x.tolist(), es, qs)]
     assert _power(x[:, None], np.array([[e]], dtype=dtype), q).shape == (len(xs), 1)  # the broadcast shape
+
+
+@pytest.mark.parametrize("q", [2**21 - 9, 2**21 + 17, 2**26 - 5, ROOT_TABLE_CAP + 15, 2**31 - 1, 2**31 + 11])
+@pytest.mark.parametrize("size", [1, _DIVIDE_MIN - 1, _DIVIDE_MIN, 5000])
+def test_scalar_reduction_matches_remainder(q, size):
+    # a - a // q * q in place against %, on products of two residues up to (q - 1)^2:
+    # int64 below 2^31, object arrays (always %) from 2^31 up, as root_rows makes them
+    assert is_prime(q)
+    dtype = np.int64 if q < 2**31 else object
+    rng = np.random.default_rng(q + size)
+    x = np.concatenate([[q - 1, q - 2, 1, 0], rng.integers(0, q, size)])[:size].astype(dtype)
+    y = np.concatenate([[q - 1, 1, q - 1, 0], rng.integers(0, q, size)])[:size].astype(dtype)
+    want = (x * y) % q
+    got = _mod(x * y, q)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    for e in (2, 3, q - 2):
+        got = _power(x, e, q)
+        assert got.dtype == dtype and got.tolist() == [pow(int(v), e, q) for v in x.tolist()]
 
 
 def test_preimage_examples():
