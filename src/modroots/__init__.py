@@ -6,11 +6,6 @@ __version__ = "0.1.0"
 
 from .sets import IndicatorSet, RepFn
 from .modular import (
-    PrimeModulus,
-    CharacterTable,
-    IndexTable,
-    gauss_sum,
-    index_table,
     is_prime,
     kth_roots,
     preimage_set,
@@ -48,10 +43,13 @@ from .prodpoly import (
 )
 from .expsums import (
     BilinearQuery,
+    IndexTable,
     SmoothBump,
     bilinear_bound_ratio,
     bilinear_root_sum,
     char_inverse_moment,
+    gauss_sum,
+    index_table,
     smoothed_bound_ratio,
     smoothed_root_sum,
 )

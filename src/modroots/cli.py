@@ -30,13 +30,14 @@ from .expsums import (
     bilinear_root_sum,
     char_inverse_moment,
     dyadic_range,
+    gauss_sum,
     smoothed_bound_ratio,
     smoothed_root_sum,
 )
 from .gowers import character_lemma_report, gowers_norm, shift_intersection
 from .harness import SweepConfig, emit, render_csv, render_json, run_sweep
 from .lattice import BoxBody, CongruenceLattice, count_points, successive_minima, trichotomy_check, verify_geometry
-from .modular import gauss_sum, kth_roots, preimage_set, primes_in
+from .modular import kth_roots, preimage_set, primes_in
 from .prodpoly import count_box_zeros, product_poly, to_text
 from .rng import SplitMix64
 from .sets import IndicatorSet

@@ -1,11 +1,18 @@
-"""Bilinear exponential sums over modular square roots, smoothed variants,
-and the character/inverse moment with its diagonal-plus-square-root-cancellation
-envelope.
+"""The discrete-log table of F_q, the quadratic character and the Gauss sum;
+bilinear exponential sums over modular square roots, smoothed variants, and the
+character/inverse moment with its diagonal-plus-square-root-cancellation envelope.
+
+index_table(q) holds a primitive root g, pw[i] = g^i and ind[x] = log_g x as
+read-only int32 arrays, built in O(q) by block doubling and cached per q (the
+cache is bounded by the residues it holds, not by its entries; character_table
+and unit_roots are cached under the same bound).  Square roots, inverses and
+the quadratic character are exponent arithmetic on it: x^2 = g^i has the roots
+g^(i/2) and -g^(i/2) when i is even, x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
 
 Dyadic convention throughout: m ~ M means M/2 <= m < M.  Both root sums read
 f(v) = sum_{x^2 = a v} e_q(h x), evaluated only at the products m n mod q
-they use: the square roots of a v are two gathers from modular.index_table.
-W is alpha . f[m n mod q] . beta and V is alpha . f[m n mod q] . phi(n), one
+they use: the square roots of a v are two gathers from the table.  W is
+alpha . f[m n mod q] . beta and V is alpha . f[m n mod q] . phi(n), one
 einsum each (no BLAS call, so no BLAS thread pool wakes).  The moment reads
 c y^{-1} = pw[ind c - ind y] from the same table and takes every window of U0
 terms in O(q) from block prefix sums (van Herk 1992; Gil and Werman 1993),
@@ -17,12 +24,163 @@ tests/algebra_oracles.py.
 
 from __future__ import annotations
 
+import cmath
 import math
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
-from .modular import _as_q, character_table, index_table, unit_roots
+from .errors import CapacityError, DegenerateError
+from .modular import ROOT_TABLE_CAP, WORD_CAP, _as_q, _prime_factors
+
+COMPLEX_RTOL = 1e-9
+
+
+def _primitive_root(q: int) -> int:
+    """The least generator of F_q^* (trial division of q - 1, q <= ROOT_TABLE_CAP)."""
+    if q == 2:
+        return 1
+    g, factors = 2, _prime_factors(q - 1)
+    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
+        g += 1
+    return g
+
+
+@dataclass(frozen=True, eq=False)
+class IndexTable:
+    """Discrete logarithms to the primitive root g of F_q as read-only int32 arrays.
+
+    pw[i] = g^i mod q for i = 0..q-2, and ind[x] = log_g x for x = 1..q-1
+    (ind[0] = 0 is a placeholder: every query treats x = 0 itself).
+    """
+
+    q: int
+    g: int
+    pw: np.ndarray
+    ind: np.ndarray
+
+
+# residues each per-q cache holds at once, but always the latest table: 32 MiB of
+# index tables (two int32 a residue), 32 MiB of characters, 64 MiB of unit roots
+INDEX_CACHE_RESIDUES = 1 << 22
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _cache_by_residues(cap: int):
+    """An lru cache of one table per prime q, bounded by the sum of the q it holds.
+
+    A sweep that walks more primes than a count-bounded cache holds, cyclically,
+    would miss on every lookup; a bound in residues keeps all the small tables.
+    """
+
+    def decorate(build):
+        tables = OrderedDict()
+        stats = {"hits": 0, "misses": 0}
+
+        @wraps(build)
+        def cached(q):
+            q = _as_q(q)
+            if q in tables:
+                stats["hits"] += 1
+                tables.move_to_end(q)
+                return tables[q]
+            stats["misses"] += 1
+            table = tables[q] = build(q)
+            while len(tables) > 1 and sum(tables) > cap:
+                tables.popitem(last=False)
+            return table
+
+        cached.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"], cap, sum(tables))
+
+        def cache_clear():
+            tables.clear()
+            stats.update(hits=0, misses=0)
+
+        cached.cache_clear = cache_clear
+        return cached
+
+    return decorate
+
+
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
+def index_table(q: int) -> IndexTable:
+    """The IndexTable of F_q, built in O(q) by block doubling; q <= ROOT_TABLE_CAP."""
+    if q > ROOT_TABLE_CAP:
+        raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
+    g = _primitive_root(q)
+    n = q - 1
+    pw = np.empty(n, dtype=np.int32)
+    pw[0] = 1
+    b = 1
+    while b < n:  # pw[b:2b] = pw[:b] * g^b, products below q^2 <= 2^52
+        m = min(b, n - b)
+        block = np.multiply(pw[:m], pow(g, b, q), dtype=np.int64)
+        block %= q
+        pw[b : b + m] = block
+        b += m
+    ind = np.zeros(q, dtype=np.int32)
+    ind[pw] = np.arange(n, dtype=np.int32)
+    pw.flags.writeable = False
+    ind.flags.writeable = False
+    return IndexTable(q, g, pw, ind)
+
+
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
+def character_table(q) -> np.ndarray:
+    """The quadratic character mod an odd prime q as a read-only int64 array: chi[0] = 0
+    and chi[x] = (-1)^(log_g x), the parity of index_table(q).ind (so CapacityError
+    above ROOT_TABLE_CAP, before anything is allocated)."""
+    if q == 2:
+        raise DegenerateError("quadratic character table requires odd q")
+    chi = 1 - 2 * (index_table(q).ind & 1).astype(np.int64)  # (-1)^(log_g x)
+    chi[0] = 0
+    chi.flags.writeable = False
+    return chi
+
+
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
+def unit_roots(q: int) -> np.ndarray:
+    """exp(2*pi*i*x/q) for x = 0..q-1."""
+    return np.exp(2j * np.pi * np.arange(q) / q)
+
+
+def gauss_sum(b: int, h: int, q):
+    """sum_x e_q(b*x^2 + h*x) by its closed form eps_q * chi(b) * sqrt(q) *
+    e_q(-h^2 * (4b)^{-1}), eps_q = 1 or i as q = 1 or 3 (mod 4), cross-checked
+    against direct summation: ArithmeticError unless they agree to relative
+    tolerance COMPLEX_RTOL.
+    """
+    q = _as_q(q)
+    b %= q
+    h %= q
+    if b == 0:
+        raise DegenerateError("quadratic coefficient must be nonzero mod q")
+    if q == 2:
+        raise DegenerateError("closed form needs (4b)^{-1}, which does not exist mod 2")
+    if (q - 1) ** 2 >= WORD_CAP:
+        raise CapacityError(f"direct Gauss sum needs (q-1)^2 < 2^63, got q={q}")
+    chi = character_table(q)
+    roots = unit_roots(q)
+    xs = np.arange(q, dtype=np.int64)
+    # reduce after every product: both factors are below q, so none exceeds (q-1)^2
+    phase = (xs * xs) % q
+    phase *= b
+    phase %= q
+    phase += (h * xs) % q
+    phase %= q
+    direct = complex(np.sum(roots[phase]))
+    inv4b = pow(4 * b, q - 2, q)
+    eps = 1.0 + 0.0j if q % 4 == 1 else 1.0j
+    closed = eps * int(chi[b]) * math.sqrt(q) * cmath.exp(2j * math.pi * (-h * h * inv4b % q) / q)
+    if abs(direct - closed) > COMPLEX_RTOL * math.sqrt(q):
+        raise ArithmeticError(
+            f"gauss sum cross-check failed at (b={b}, h={h}, q={q}): "
+            f"direct={direct}, closed={closed}"
+        )
+    return closed
 
 
 def dyadic_range(X: int) -> range:
@@ -53,7 +211,11 @@ class BilinearQuery:
 
 
 def _root_sums(a: int, h: int, q: int, vs: np.ndarray) -> np.ndarray:
-    """f(v) = sum_{x^2 = a v} e_q(h x) at every residue v of the int64 array vs."""
+    """f(v) = sum_{x^2 = a v} e_q(h x) at every residue v of the int64 array vs.
+
+    With g_2 = gcd(2, q - 1) and i = ind(a v), x^2 = a v is solvable iff g_2 | i, and
+    its roots are pw[i/g_2 + j (q-1)/g_2] for j < g_2 (one root at q = 2).
+    """
     table = index_table(q)  # CapacityError above the cap, before any q-sized allocation
     roots = unit_roots(q)
     a %= q
@@ -62,7 +224,10 @@ def _root_sums(a: int, h: int, q: int, vs: np.ndarray) -> np.ndarray:
     f = np.zeros(t.shape, dtype=np.complex128)
     f[t == 0] = roots[0]  # the root x = 0
     nonzero = np.flatnonzero(t)
-    solvable, xs = table.roots(t[nonzero], 2)
+    g2 = math.gcd(2, q - 1)
+    iv = table.ind[t[nonzero]].astype(np.int64)
+    solvable = iv % g2 == 0
+    xs = table.pw[iv[solvable, None] // g2 + (q - 1) // g2 * np.arange(g2)].astype(np.int64)
     f[nonzero[solvable]] = roots[(h * xs) % q].sum(axis=1)
     return f.reshape(vs.shape)
 
@@ -147,7 +312,7 @@ def _window_sums(c: int, U0: int, q: int) -> np.ndarray:
     flat = z.reshape(-1)
     # c y^{-1} = g^(ind c - ind y) for y = 1..q-1, in int32; z[q - 1] = w(0) stays 0
     np.take(roots, table.pw[(table.ind[c] - table.ind[1:]) % (q - 1)], out=flat[: q - 1])
-    flat[: q - 1] *= character_table(q).chi[1:]
+    flat[: q - 1] *= character_table(q)[1:]
     flat[q : q + U0 - 1] = flat[: U0 - 1]
     np.cumsum(z, axis=1, out=z)
     windows = np.empty((nb - 1) * U0 + 1, dtype=np.complex128)

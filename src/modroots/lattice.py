@@ -262,7 +262,11 @@ def _swap(basis: list, d: list, lam: list, k: int) -> None:
     d[k] = b
 
 
-def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
+# the Lovasz parameter delta = 3/4 as the two integers of the swap test
+_DELTA_NUM, _DELTA_DEN = 3, 4
+
+
+def _lll(rows: list, weights: list) -> list:
     """LLL-reduce integer rows under <x,y> = sum w_i x_i y_i (w_i > 0 integers).
 
     Integral LLL (Cohen, GTM 138, §2.6): the Gram-Schmidt data are kept as the
@@ -272,7 +276,6 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
     rational algorithm; rational weights scaled to integers by a common factor
     reduce the same way.
     """
-    dn, dd = delta.numerator, delta.denominator
     basis = [list(r) for r in rows]
     n = len(basis)
 
@@ -301,8 +304,8 @@ def _lll(rows: list, weights: list, delta=Fraction(3, 4)) -> list:
                 lam[k][j] -= r * d[j + 1]
                 for h in range(j):
                     lam[k][h] -= r * lam[j][h]
-        # Lovasz: |b*_k|^2 >= (delta - mu^2) |b*_{k-1}|^2, times d[k] * d[k-1] * dd
-        if dd * d[k + 1] * d[k - 1] >= dn * d[k] ** 2 - dd * lam[k][k - 1] ** 2:
+        # Lovasz: |b*_k|^2 >= (delta - mu^2) |b*_{k-1}|^2, times d[k] * d[k-1] * _DELTA_DEN
+        if _DELTA_DEN * d[k + 1] * d[k - 1] >= _DELTA_NUM * d[k] ** 2 - _DELTA_DEN * lam[k][k - 1] ** 2:
             k += 1
         else:
             _swap(basis, d, lam, k)

@@ -1,32 +1,24 @@
-"""Prime-field arithmetic: primality, prime enumeration, k-th roots, characters, Gauss sums.
+"""Prime-field arithmetic: primality, prime enumeration, powers and k-th roots, with no
+q-sized table.
 
 Dense root queries below ROOT_TABLE_CAP, preimage_set and kth_root_set, are one
 power scan: x^k mod q for every x in Z_q, in chunks of at most _SCAN_CHUNK
-residues, kept by a mask; the members come out ascending, and no table is
-built.  The exponential sums (expsums) and the quadratic character
-(CharacterTable) read one discrete-log table per prime, index_table(q): a
-primitive root g, pw[i] = g^i and ind[x] = log_g x as read-only int32 arrays,
-built in O(q) by block doubling and cached per q (the cache is bounded by the
-residues it holds, not by its entries; character_table and unit_roots are
-cached under the same bound).  Powers, inverses and the quadratic character
-are exponent arithmetic on it: x^k = pw[k ind x mod (q-1)], x^-1 = pw[-ind x]
-and chi(x) = (-1)^(ind x).  Sparse root queries (kth_roots, the roots of
-primes, the coset energies of the prime average) read root_rows at any prime
-q, or at an array of primes, one a row: Adleman-Manders-Miller by
-square-and-multiply over an array, with no q-sized table.
+residues, kept by a mask; the members come out ascending.  Sparse root queries
+(kth_roots, the roots of primes, the coset energies of the prime average) read
+root_rows at any prime q, or at an array of primes, one a row:
+Adleman-Manders-Miller by square-and-multiply over an array.  The discrete-log
+table, the quadratic character and the Gauss sum live in expsums, their one
+reader.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateError
+from .errors import CapacityError
 from .sets import IndicatorSet
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -48,8 +40,6 @@ WORD_CAP = 1 << 63
 SIEVE_CAP = 1 << 40
 PRIME_SWEEP_CAP = 1 << 24  # largest Q of the prime average, and P of the prime-roots discrepancy
 ROOT_TABLE_CAP = 1 << 26
-
-COMPLEX_RTOL = 1e-9
 
 
 def is_prime(n: int) -> bool:
@@ -124,21 +114,8 @@ def prime_array(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(out)
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A certified prime modulus."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 2 or not is_prime(self.q):
-            raise ValueError(f"{self.q} is not prime")
-
-
 @lru_cache(maxsize=4096)
 def _as_q(q) -> int:
-    if isinstance(q, PrimeModulus):
-        return q.q
     q = int(q)
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
@@ -156,113 +133,6 @@ def _prime_factors(n: int) -> dict:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
-
-
-def _primitive_root(q: int) -> int:
-    """The least generator of F_q^* (trial division of q - 1, q <= ROOT_TABLE_CAP)."""
-    if q == 2:
-        return 1
-    g, factors = 2, _prime_factors(q - 1)
-    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
-        g += 1
-    return g
-
-
-@dataclass(frozen=True, eq=False)
-class IndexTable:
-    """Discrete logarithms to the primitive root g of F_q as read-only int32 arrays.
-
-    pw[i] = g^i mod q for i = 0..q-2, and ind[x] = log_g x for x = 1..q-1
-    (ind[0] = 0 is a placeholder: every query treats x = 0 itself).
-    """
-
-    q: int
-    g: int
-    pw: np.ndarray
-    ind: np.ndarray
-
-    def roots(self, vs, k: int):
-        """(solvable, roots) for nonzero residues vs: x^k = vs[i] is solvable iff
-        solvable[i], and roots[r] holds the g_k = gcd(k, q - 1) roots of the r-th
-        solvable value (int64, shape (solvable.sum(), g_k))."""
-        gk = math.gcd(k, self.q - 1)
-        iv = self.ind[np.asarray(vs, dtype=np.int64)].astype(np.int64)
-        solvable = iv % gk == 0
-        return solvable, self.power_roots(iv[solvable] // gk, k)
-
-    def power_roots(self, t: np.ndarray, k: int) -> np.ndarray:
-        """Row r holds the g_k distinct roots of x^k = g^(g_k t[r]), for int64 0 <= t < (q-1)/g_k."""
-        gk = math.gcd(k, self.q - 1)
-        h = (self.q - 1) // gk
-        # roots of x^k = g^(gk t): g^(t (k/gk)^-1 mod h + i h) for i < gk; both factors below 2^26
-        base = t * pow(k // gk, -1, h) % h
-        return self.pw[base[:, None] + h * np.arange(gk)].astype(np.int64)
-
-
-# residues each per-q cache holds at once, but always the latest table: 32 MiB of
-# index tables (two int32 a residue), 32 MiB of characters, 64 MiB of unit roots
-INDEX_CACHE_RESIDUES = 1 << 22
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _cache_by_residues(cap: int):
-    """An lru cache of one table per prime q, bounded by the sum of the q it holds.
-
-    A sweep that walks more primes than a count-bounded cache holds, cyclically,
-    would miss on every lookup; a bound in residues keeps all the small tables.
-    """
-
-    def decorate(build):
-        tables = OrderedDict()
-        stats = {"hits": 0, "misses": 0}
-
-        @wraps(build)
-        def cached(q):
-            q = _as_q(q)
-            if q in tables:
-                stats["hits"] += 1
-                tables.move_to_end(q)
-                return tables[q]
-            stats["misses"] += 1
-            table = tables[q] = build(q)
-            while len(tables) > 1 and sum(tables) > cap:
-                tables.popitem(last=False)
-            return table
-
-        cached.cache_info = lambda: _CacheInfo(stats["hits"], stats["misses"], cap, sum(tables))
-
-        def cache_clear():
-            tables.clear()
-            stats.update(hits=0, misses=0)
-
-        cached.cache_clear = cache_clear
-        return cached
-
-    return decorate
-
-
-@_cache_by_residues(INDEX_CACHE_RESIDUES)
-def index_table(q: int) -> IndexTable:
-    """The IndexTable of F_q, built in O(q) by block doubling; q <= ROOT_TABLE_CAP."""
-    if q > ROOT_TABLE_CAP:
-        raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
-    g = _primitive_root(q)
-    n = q - 1
-    pw = np.empty(n, dtype=np.int32)
-    pw[0] = 1
-    b = 1
-    while b < n:  # pw[b:2b] = pw[:b] * g^b, products below q^2 <= 2^52
-        m = min(b, n - b)
-        block = np.multiply(pw[:m], pow(g, b, q), dtype=np.int64)
-        block %= q
-        pw[b : b + m] = block
-        b += m
-    ind = np.zeros(q, dtype=np.int32)
-    ind[pw] = np.arange(n, dtype=np.int32)
-    pw.flags.writeable = False
-    ind.flags.writeable = False
-    return IndexTable(q, g, pw, ind)
 
 
 def _one_value(a):
@@ -358,7 +228,8 @@ def _sylow_root(a: np.ndarray, l: int, e: int, ps: np.ndarray, at):
 
 
 def root_rows(vs, k: int, q):
-    """(solvable, rows) for nonzero residues vs, as IndexTable.roots with no q-sized table.
+    """(solvable, rows) for nonzero residues vs, with no q-sized table: x^k = vs[i] is
+    solvable iff solvable[i], and the r-th row holds the g_k roots of the r-th solvable value.
 
     q is one prime, or an int64 array of primes aligned with vs, one a row, that share
     g_k = gcd(k, q - 1).  Each row of rows is ascending, int64 when every q < 2^31 (products
@@ -451,76 +322,3 @@ def preimage_set(j: int, k: int, N: int, q) -> IndicatorSet:
         raise CapacityError(f"power scan capped at q <= {ROOT_TABLE_CAP}")
     vs = pow(j, -1, q) * np.arange(1, min(N, q - 1) + 1, dtype=np.int64) % q  # < q^2 <= 2^52
     return IndicatorSet(q, kth_root_set(vs, k, q))
-
-
-@dataclass(frozen=True, eq=False)
-class CharacterTable:
-    """Quadratic character chi mod q, the unit eps_q, and the additive character e_q.
-
-    chi is a read-only int64 array: chi[0] = 0 and chi[x] = (-1)^(log_g x),
-    the parity of index_table(q).ind (so above ROOT_TABLE_CAP, build raises
-    CapacityError).
-    """
-
-    q: int
-    chi: np.ndarray
-    eps_q: complex
-
-    @classmethod
-    def build(cls, q) -> "CharacterTable":
-        q = _as_q(q)
-        if q == 2:
-            raise DegenerateError("quadratic character table requires odd q")
-        chi = 1 - 2 * (index_table(q).ind & 1).astype(np.int64)  # (-1)^(log_g x)
-        chi[0] = 0
-        chi.flags.writeable = False
-        eps = 1.0 + 0.0j if q % 4 == 1 else 1.0j
-        return cls(q, chi, eps)
-
-    def e(self, x: int) -> complex:
-        return cmath.exp(2j * math.pi * (x % self.q) / self.q)
-
-
-@_cache_by_residues(INDEX_CACHE_RESIDUES)
-def character_table(q) -> CharacterTable:
-    return CharacterTable.build(q)
-
-
-@_cache_by_residues(INDEX_CACHE_RESIDUES)
-def unit_roots(q: int) -> np.ndarray:
-    """exp(2*pi*i*x/q) for x = 0..q-1."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
-
-
-def gauss_sum(b: int, h: int, q):
-    """sum_x e_q(b*x^2 + h*x) by its closed form eps_q * chi(b) * sqrt(q) *
-    e_q(-h^2 * (4b)^{-1}), cross-checked against direct summation: ArithmeticError
-    unless they agree to relative tolerance COMPLEX_RTOL.
-    """
-    q = _as_q(q)
-    b %= q
-    h %= q
-    if b == 0:
-        raise DegenerateError("quadratic coefficient must be nonzero mod q")
-    if q == 2:
-        raise DegenerateError("closed form needs (4b)^{-1}, which does not exist mod 2")
-    if (q - 1) ** 2 >= WORD_CAP:
-        raise CapacityError(f"direct Gauss sum needs (q-1)^2 < 2^63, got q={q}")
-    tab = character_table(q)
-    roots = unit_roots(q)
-    xs = np.arange(q, dtype=np.int64)
-    # reduce after every product: both factors are below q, so none exceeds (q-1)^2
-    phase = (xs * xs) % q
-    phase *= b
-    phase %= q
-    phase += (h * xs) % q
-    phase %= q
-    direct = complex(np.sum(roots[phase]))
-    inv4b = pow(4 * b, q - 2, q)
-    closed = tab.eps_q * int(tab.chi[b]) * math.sqrt(q) * tab.e(-h * h * inv4b)
-    if abs(direct - closed) > COMPLEX_RTOL * math.sqrt(q):
-        raise ArithmeticError(
-            f"gauss sum cross-check failed at (b={b}, h={h}, q={q}): "
-            f"direct={direct}, closed={closed}"
-        )
-    return closed

@@ -27,6 +27,7 @@ IntPoly that builds the classic quartic identity, the parser of to_text's
 format, and the DFT identity of the root sums f against the Gauss sum.
 """
 
+import cmath
 import math
 from functools import lru_cache
 from itertools import product
@@ -35,9 +36,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from modroots.convolve import cyclic_convolve
-from modroots.expsums import _root_sums
+from modroots.expsums import _root_sums, character_table, index_table, unit_roots
 from modroots.gowers import _shifted, _stack_energy
-from modroots.modular import character_table, index_table, unit_roots
 from modroots.prodpoly import IntPoly, _prime_pool, product_poly
 from modroots.sets import IndicatorSet, RepFn
 
@@ -513,9 +513,9 @@ def slice_windows(c: int, U0: int, q: int) -> np.ndarray:
     """inner[lambda] = sum_{u=1..U0} chi(lambda+u) e_q(c (lambda+u)^{-1}), added in the
     order u = 1..U0 as the two slices w[u:] and w[:u]: O(U0 q)."""
     table = index_table(q)
-    tab = character_table(q)
     roots = unit_roots(q)
-    w = np.asarray(tab.chi, dtype=np.float64) * roots[table.pw[(table.ind[c % q] - table.ind) % (q - 1)]]
+    chi = np.asarray(character_table(q), dtype=np.float64)
+    w = chi * roots[table.pw[(table.ind[c % q] - table.ind) % (q - 1)]]
     w[0] = 0.0
     inner = np.empty(q, dtype=np.complex128)
     inner[: q - 1], inner[q - 1] = w[1:], w[0]
@@ -554,11 +554,13 @@ def fourier_vs_gauss_residual(a: int, h: int, m: int, n: int, q: int) -> float:
     """
     if n % q == 0 or (a * m * n) % q == 0:
         raise ValueError("requires n and a*m*n nonzero mod q")
-    tab = character_table(q)
+    chi = character_table(q)
     roots = unit_roots(q)
     lam = np.arange(q, dtype=np.int64)
     f = _root_sums(a * m % q, h, q, lam)
     direct = np.sum(f * roots[(lam * n) % q]) / math.sqrt(q)
     inv4n = pow(4 * n % q, q - 2, q)
-    closed = tab.eps_q * int(tab.chi[(a * m * n) % q]) * tab.e((-a * m * inv4n * h * h) % q)
+    eps_q = 1.0 + 0.0j if q % 4 == 1 else 1.0j
+    e_q = cmath.exp(2j * math.pi * ((-a * m * inv4n * h * h) % q) / q)
+    closed = eps_q * int(chi[(a * m * n) % q]) * e_q
     return abs(direct - closed)

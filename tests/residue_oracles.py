@@ -1,15 +1,17 @@
 """Oracles for the residue core.
 
-table_root_set and table_preimage are the routes the power scan of
-modular.kth_root_set and modular.preimage_set replaced: the g_k roots of each
-value gathered from the discrete-log table.  The others are the routes the
-table replaced, and the routes before them: a bucket table holding, for each
-v in Z_q, the tuple of x with j*x^k = v (mod q), rebuilt for every dilate j;
-a coset scan that materialises the k-th power subgroup as a set; the power
-map by square-and-multiply over the whole residue vector and its stable
-argsort by value (the sorted residue map); the root-sum table scattered by
-np.add.at; the moment window summed by np.roll; and the scalar
-Tonelli-Shanks square root.  Those are slow but independent of modular.index_table and
+table_roots is the k-th root route of the discrete-log table,
+expsums.index_table, that modular.root_rows replaced: the g_k roots of each
+value gathered from the table.  table_root_set and table_preimage are the
+routes the power scan of modular.kth_root_set and modular.preimage_set
+replaced, by table_roots.  The others are the routes the table replaced, and
+the routes before them: a bucket table holding, for each v in Z_q, the tuple
+of x with j*x^k = v (mod q), rebuilt for every dilate j; a coset scan that
+materialises the k-th power subgroup as a set; the power map by
+square-and-multiply over the whole residue vector and its stable argsort by
+value (the sorted residue map); the root-sum table scattered by np.add.at;
+the moment window summed by np.roll; and the scalar Tonelli-Shanks square
+root.  Those are slow but independent of expsums.index_table and
 modular.root_rows, so the property tests compare every consumer of either
 against them.  all_j_max_energy is the oracle for the coset reduction
 of max_energy_over_j: it scans every dilate j with the production energy.
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from modroots.energy import EnergyQuery, tuple_energy
-from modroots.modular import index_table
+from modroots.expsums import index_table
 
 
 @lru_cache(maxsize=64)
@@ -56,13 +58,26 @@ def bucket_preimage(j: int, k: int, N: int, q: int) -> set:
     return members
 
 
+def table_roots(vs, k: int, q: int):
+    """(solvable, roots) for nonzero residues vs, from index_table(q): x^k = vs[i] is
+    solvable iff g_k = gcd(k, q - 1) divides ind vs[i], and roots[r] holds the g_k roots of
+    the r-th solvable value (int64, shape (solvable.sum(), g_k)).  With h = (q - 1)/g_k, the
+    roots of x^k = g^(g_k t) are g^(t (k/g_k)^-1 mod h + i h) for i < g_k."""
+    table = index_table(q)
+    gk = math.gcd(k, q - 1)
+    h = (q - 1) // gk
+    iv = table.ind[np.asarray(vs, dtype=np.int64)].astype(np.int64)
+    solvable = iv % gk == 0
+    base = iv[solvable] // gk * pow(k // gk, -1, h) % h  # both factors below 2^26
+    return solvable, table.pw[base[:, None] + h * np.arange(gk)].astype(np.int64)
+
+
 def table_root_set(vs, k: int, q: int) -> np.ndarray:
     """Ascending int64 array of the x in Z_q with x^k in vs, for distinct residues vs: the
-    g_k = gcd(k, q - 1) roots of each nonzero v gathered from index_table(q), and 0 when
-    vs holds 0."""
+    g_k = gcd(k, q - 1) roots of each nonzero v from table_roots, and 0 when vs holds 0."""
     vs = np.asarray(vs, dtype=np.int64)
     nonzero = vs[vs != 0]
-    roots = index_table(q).roots(nonzero, k)[1].ravel()
+    roots = table_roots(nonzero, k, q)[1].ravel()
     if len(nonzero) < len(vs):  # 0^k = 0
         roots = np.append(roots, 0)
     return np.sort(roots)
@@ -119,12 +134,13 @@ def table_coset_energies(k: int, N: int, q: int) -> list:
     """E_k(N; g^c, q) for every class c < g_k = gcd(k, q - 1), g the table's primitive root.
 
     j^-1 n is a k-th power iff ind n = ind j (mod g_k); the set of j = g^c is the
-    g_k roots of x^k = g^(ind n - c) over the n = 1..min(N, q - 1) of class c.
+    table_roots of g^(ind n - c) over the n = 1..min(N, q - 1) of class c.
     """
     table = index_table(q)
     gk = math.gcd(k, q - 1)
     iv = table.ind[1 : min(N, q - 1) + 1].astype(np.int64)
-    return [pair_energy(table.power_roots(iv[iv % gk == c] // gk, k).ravel().tolist(), q) for c in range(gk)]
+    roots = (table_roots(table.pw[iv[iv % gk == c] - c], k, q)[1] for c in range(gk))
+    return [pair_energy(r.ravel().tolist(), q) for r in roots]
 
 
 def table_max_energy(k: int, N: int, q: int):

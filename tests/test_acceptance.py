@@ -16,10 +16,11 @@ import pytest
 from modroots.convolve import cyclic_convolve
 from modroots.energy import EnergyQuery, energy_of, max_energy_over_j, tuple_energy
 from modroots.equidist import PointMultiset, discrepancy, prime_roots_discrepancy
+from modroots.expsums import character_table, unit_roots
 from modroots.gowers import character_lemma_report, gowers_norm, shift_counts
 from modroots.harness import SweepConfig, render_csv, render_json, run_sweep
 from modroots.lattice import BoxBody, CongruenceLattice, trichotomy_check, verify_geometry
-from modroots.modular import character_table, preimage_set, primes_in, unit_roots
+from modroots.modular import preimage_set, primes_in
 from modroots.prodpoly import _prime_pool, count_box_zeros_upto, product_poly
 from modroots.rng import SplitMix64
 from modroots.sets import IndicatorSet
@@ -223,7 +224,6 @@ def test_criterion_06_geometry_of_numbers():
 def test_criterion_07_gauss_sums():
     worst = 0.0
     for q in primes_in(3, 500):
-        tab = character_table(q)
         roots = unit_roots(q)
         xs = np.arange(q, dtype=np.int64)
         sq = (xs * xs) % q
@@ -234,8 +234,9 @@ def test_criterion_07_gauss_sums():
         inv4b = np.array([pow(int(4 * b) % q, q - 2, q) for b in bs], dtype=np.int64)
         hh = (xs * xs) % q
         phase = (-hh[None, :] * inv4b[:, None]) % q
-        chi = np.asarray(tab.chi, dtype=np.float64)[bs % q]
-        closed = tab.eps_q * chi[:, None] * math.sqrt(q) * roots[phase]
+        chi = np.asarray(character_table(q), dtype=np.float64)[bs % q]
+        eps_q = 1.0 + 0.0j if q % 4 == 1 else 1.0j
+        closed = eps_q * chi[:, None] * math.sqrt(q) * roots[phase]
         err = np.abs(direct - closed).max() / math.sqrt(q)
         mod_err = np.abs(np.abs(direct) - math.sqrt(q)).max() / math.sqrt(q)
         worst = max(worst, err, mod_err)

@@ -230,6 +230,20 @@ def test_pair_route_choice_follows_q():
     assert energy._by_pairs(70, 307) and not energy._by_pairs(71, 307)
 
 
+@pytest.mark.parametrize("q, n, by_pairs", [
+    (101, 40, True), (101, 41, False),  # n^2 against _PAIRS_PER_RESIDUE q = 1616
+    (1000003, 2048, True), (1000003, 2049, False),  # against _BINCOUNT_PAIR_LIMIT = 2048^2
+])
+def test_pair_route_is_the_same_for_every_form_of_q(q, n, by_pairs):
+    # one int q takes Python's min and an array q np.minimum, on either side of both limits
+    assert energy._PAIRS_PER_RESIDUE * 101 == 1616 and energy._BINCOUNT_PAIR_LIMIT == 2048**2
+    assert type(energy._pair_limit(q)) is int
+    assert energy._by_pairs(n, q) is by_pairs
+    for modulus in (np.int64(q), np.array([q, q])):
+        assert (energy._by_pairs(n, modulus) == by_pairs).all()
+    assert (energy._by_pairs(np.array([n, n]), q) == by_pairs).all()
+
+
 @st.composite
 def _ragged_stacks(draw):
     """(moduli, rows): rows of members, each mod its own modulus from a pool of one or two,

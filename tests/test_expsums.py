@@ -15,12 +15,14 @@ from modroots.expsums import (
     bilinear_envelope,
     bilinear_root_sum,
     char_inverse_moment,
+    character_table,
     dyadic_range,
     smoothed_bound_ratio,
     smoothed_root_sum,
+    unit_roots,
 )
 from modroots.harness import SweepConfig, run_sweep
-from modroots.modular import ROOT_TABLE_CAP, character_table, is_prime, kth_roots, unit_roots
+from modroots.modular import ROOT_TABLE_CAP, is_prime, kth_roots
 from modroots.rng import SplitMix64
 
 from algebra_oracles import fourier_vs_gauss_residual, moment_tolerance, slice_windows, window_bound
@@ -56,16 +58,36 @@ def v_pair_loop(a, h, M, q, alpha, bump) -> complex:
 
 
 def moment_pow_loop(c, U0, r, q) -> float:
-    tab = character_table(q)
+    chi = character_table(q)
     roots = unit_roots(q)
     inv = np.zeros(q, dtype=np.int64)
     inv[1:] = [pow(y, q - 2, q) for y in range(1, q)]
-    w = np.asarray(tab.chi, dtype=np.float64) * roots[(c * inv) % q]
+    w = np.asarray(chi, dtype=np.float64) * roots[(c * inv) % q]
     w[0] = 0.0
     inner = np.zeros(q, dtype=np.complex128)
     for u in range(1, U0 + 1):
         inner += np.roll(w, -u)
     return float(np.sum(np.abs(inner) ** (2 * r)))
+
+
+@given(st.sampled_from([2, 3, 5, 13, 17, 65537, 2097169]), st.integers(1, 2**40), st.integers(0, 2**40),
+       st.lists(st.integers(0, 2**40), max_size=30))
+@example(2, 1, 1, [0, 1])
+@example(17, 3, 5, [0, 1, 2, 3])  # q = 1 (mod 8): 2 is a square
+@example(65537, 1, 1, [0, 3])  # q - 1 = 2^16, 3 a generator
+@settings(max_examples=60, deadline=None)
+def test_root_sums_match_kth_roots_exactly(q, a, h, raw):
+    # at most two roots a value, so the float sum does not depend on their order; every
+    # list holds v = 0 and, for odd q, a v with a v the least non-residue
+    a = a if a % q else a + 1
+    vs = {v % q for v in raw} | {0}
+    if q > 2:
+        n = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) == q - 1)
+        vs.add(n * pow(a, -1, q) % q)
+    vs = np.array(sorted(vs), dtype=np.int64)
+    roots = unit_roots(q)
+    want = [sum((roots[h * x % q] for x in kth_roots(a * v % q, 2, q)), 0j) for v in vs.tolist()]
+    assert _root_sums(a, h, q, vs).tolist() == want
 
 
 def _close(got, want, scale):
@@ -98,7 +120,7 @@ def test_w_character_identity_h_zero():
     # with h = 0 and unit weights: count of roots = 1 + chi(amn) off zero, 1 at zero
     rng = SplitMix64(3)
     for q in (11, 23):
-        tab = character_table(q)
+        chi = character_table(q)
         for a in (1, rng.randint(1, q - 1)):
             M = N = 8
             w = bilinear_root_sum(
@@ -108,7 +130,7 @@ def test_w_character_identity_h_zero():
             for m in dyadic_range(M):
                 for n in dyadic_range(N):
                     v = a * m * n % q
-                    expect += 1 if v == 0 else 1 + tab.chi[v]
+                    expect += 1 if v == 0 else 1 + chi[v]
             assert abs(w - expect) < TOL
 
 
@@ -154,12 +176,12 @@ def test_v_empty_root_sets():
     # all amn values land on non-residues: scan small q for an instance
     found = False
     for q in (11, 13, 19, 23):
-        tab = character_table(q)
+        chi = character_table(q)
         M = 4
         bump = SmoothBump(4)
         for a in range(1, q):
             vals = [a * m * n % q for m in dyadic_range(M) for n in bump.support()]
-            if all(v != 0 and tab.chi[v] == -1 for v in vals):
+            if all(v != 0 and chi[v] == -1 for v in vals):
                 v = smoothed_root_sum(a, 1, M, q, (1.0, 1.0), bump)
                 assert v == 0
                 found = True
@@ -183,16 +205,16 @@ def test_moment_anchors():
     # r=1, U0=q: inner sum is the same complete sum for every lambda
     q = 61
     rep2 = char_inverse_moment(2, q, 1, q)
-    tab = character_table(q)
+    chi = character_table(q)
     roots = unit_roots(q)
-    complete = sum(tab.chi[y] * roots[(2 * pow(y, q - 2, q)) % q] for y in range(1, q))
+    complete = sum(chi[y] * roots[(2 * pow(y, q - 2, q)) % q] for y in range(1, q))
     assert rep2.moment == pytest.approx(q * abs(complete) ** 2, rel=1e-9)
 
 
 def test_moment_direct_small_case():
     # brute-force the definition for a tiny field
     q, c, U0, r = 13, 3, 4, 2
-    tab = character_table(q)
+    chi = character_table(q)
     total = 0.0
     for lam in range(q):
         inner = 0j
@@ -200,7 +222,7 @@ def test_moment_direct_small_case():
             y = (lam + u) % q
             if y == 0:
                 continue
-            inner += tab.chi[y] * cmath.exp(2j * math.pi * ((c * pow(y, q - 2, q)) % q) / q)
+            inner += chi[y] * cmath.exp(2j * math.pi * ((c * pow(y, q - 2, q)) % q) / q)
         total += abs(inner) ** (2 * r)
     rep = char_inverse_moment(c, U0, r, q)
     assert rep.moment == pytest.approx(total, rel=1e-9)

@@ -27,7 +27,8 @@ from modroots.harness import (
 )
 from modroots.convolve import _float_convolve
 from modroots.energy import sum_rep
-from modroots.modular import index_table, preimage_set
+from modroots.expsums import index_table
+from modroots.modular import preimage_set
 from modroots.rng import SplitMix64, cell_seeds
 
 

@@ -2,7 +2,7 @@
 the power scan of kth_root_set and preimage_set against the table route it replaced;
 and the table-free root kernel root_rows against the table and Tonelli-Shanks.
 
-The oracles in residue_oracles.py share no arithmetic with modular.index_table
+The oracles in residue_oracles.py share no arithmetic with expsums.index_table
 or modular.root_rows: Python pow, square-and-multiply tables, the sorted
 residue map, Tonelli-Shanks, the np.add.at root-sum table and the np.roll
 moment window.  The moduli cover q = 2 (where x = -x), q = 3, q = 65537
@@ -23,21 +23,24 @@ import modroots.expsums as expsums
 import modroots.modular as modular
 from modroots.energy import max_energy_over_j, prime_averaged_energy, set_energy
 from modroots.errors import CapacityError
-from modroots.expsums import BilinearQuery, bilinear_root_sum, char_inverse_moment
-from modroots.modular import (
+from modroots.expsums import (
     INDEX_CACHE_RESIDUES,
-    ROOT_TABLE_CAP,
-    CharacterTable,
+    BilinearQuery,
     _cache_by_residues,
+    bilinear_root_sum,
+    char_inverse_moment,
     character_table,
     index_table,
+    unit_roots,
+)
+from modroots.modular import (
+    ROOT_TABLE_CAP,
     is_prime,
     kth_root_set,
     kth_roots,
     preimage_set,
     primes_in,
     root_rows,
-    unit_roots,
 )
 from modroots.sets import IndicatorSet
 
@@ -51,6 +54,7 @@ from residue_oracles import (
     square_multiply_table,
     table_preimage,
     table_root_set,
+    table_roots,
     tonelli_shanks,
 )
 
@@ -210,7 +214,7 @@ def test_capacity_error_before_anything_is_allocated():
         lambda: kth_root_set([1], 2, q),
         lambda: preimage_set(1, 2, q, q),
         lambda: set_energy(one, 3, q),
-        lambda: CharacterTable.build(q),
+        lambda: character_table(q),
         lambda: expsums._root_sums(1, 1, q, np.arange(4)),  # the table is refused before f is allocated
         lambda: bilinear_root_sum(BilinearQuery(1, 1, 4, 4, q, (1.0, 1.0), (1.0, 1.0))),
         lambda: char_inverse_moment(1, 4, 2, q),
@@ -269,7 +273,7 @@ def test_root_rows_match_the_table(qk, raw):
     units = [v % (q - 1) + 1 for v in raw]
     vs = np.array(units + [pow(x, k, q) for x in units], dtype=np.int64)  # the k-th powers have roots
     solvable, rows = root_rows(vs, k, q)
-    want_solvable, want_rows = index_table(q).roots(vs, k)
+    want_solvable, want_rows = table_roots(vs, k, q)
     assert np.array_equal(solvable, want_solvable)
     assert rows.dtype == np.int64 and np.array_equal(rows, np.sort(want_rows, axis=1))
 
@@ -330,7 +334,7 @@ def test_root_rows_with_a_modulus_a_row(case, raw):
     assert rows.dtype == np.int64 and rows.shape == (int(solvable.sum()), math.gcd(k, primes[0] - 1))
     got = iter(rows.tolist())
     for v, q, ok in zip(vs.tolist(), qs.tolist(), solvable.tolist()):
-        want_solvable, want_rows = index_table(q).roots([v], k)
+        want_solvable, want_rows = table_roots([v], k, q)
         assert ok == bool(want_solvable[0])
         if ok:
             assert next(got) == sorted(want_rows[0].tolist())

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from modroots import energy
 from modroots.convolve import _padded_length
 from modroots.energy import max_energy_over_j, power_coset_reps, prime_averaged_energy, set_energy
-from modroots.modular import index_table, kth_roots, preimage_set, primes_in
+from modroots.expsums import index_table
+from modroots.modular import kth_roots, preimage_set, primes_in
 from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sums
 
 from residue_oracles import (
