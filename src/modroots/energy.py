@@ -55,10 +55,7 @@ _PAIR_BATCH = 1 << 16
 
 
 def _pair_limit(q):
-    """The most pairs a set mod q takes through the pair count (elementwise for an array q;
-    a Python int for one int q, with no numpy call)."""
-    if isinstance(q, int):
-        return min(_PAIRS_PER_RESIDUE * q, _BINCOUNT_PAIR_LIMIT)
+    """The most pairs a set mod q takes through the pair count (elementwise for an array q)."""
     return np.minimum(_PAIRS_PER_RESIDUE * q, _BINCOUNT_PAIR_LIMIT)
 
 

@@ -235,10 +235,9 @@ def test_pair_route_choice_follows_q():
     (1000003, 2048, True), (1000003, 2049, False),  # against _BINCOUNT_PAIR_LIMIT = 2048^2
 ])
 def test_pair_route_is_the_same_for_every_form_of_q(q, n, by_pairs):
-    # one int q takes Python's min and an array q np.minimum, on either side of both limits
+    # one int q, a numpy integer and an array q take the same route, on either side of both limits
     assert energy._PAIRS_PER_RESIDUE * 101 == 1616 and energy._BINCOUNT_PAIR_LIMIT == 2048**2
-    assert type(energy._pair_limit(q)) is int
-    assert energy._by_pairs(n, q) is by_pairs
+    assert energy._by_pairs(n, q) == by_pairs
     for modulus in (np.int64(q), np.array([q, q])):
         assert (energy._by_pairs(n, modulus) == by_pairs).all()
     assert (energy._by_pairs(np.array([n, n]), q) == by_pairs).all()
