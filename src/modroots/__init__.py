@@ -43,13 +43,11 @@ from .prodpoly import (
 )
 from .expsums import (
     BilinearQuery,
-    IndexTable,
     SmoothBump,
     bilinear_bound_ratio,
     bilinear_root_sum,
     char_inverse_moment,
     gauss_sum,
-    index_table,
     smoothed_bound_ratio,
     smoothed_root_sum,
 )

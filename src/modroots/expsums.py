@@ -1,24 +1,24 @@
-"""The discrete-log table of F_q, the quadratic character and the Gauss sum;
+"""Square roots, inverses and the quadratic character of F_q, and the Gauss sum;
 bilinear exponential sums over modular square roots, smoothed variants, and the
 character/inverse moment with its diagonal-plus-square-root-cancellation envelope.
 
-index_table(q) holds a primitive root g, pw[i] = g^i and ind[x] = log_g x as
-read-only int32 arrays, built in O(q) by block doubling and cached per q (the
-cache is bounded by the residues it holds, not by its entries; character_table
-and unit_roots are cached under the same bound).  Square roots, inverses and
-the quadratic character are exponent arithmetic on it: x^2 = g^i has the roots
-g^(i/2) and -g^(i/2) when i is even, x^-1 = pw[-ind x] and chi(x) = (-1)^(ind x).
+square_roots(q) is one squaring scan, r[x^2 mod q] = x for 1 <= x <= q/2: s != 0
+is a square, chi(s) = 1, iff r[s] != 0, and then its roots are r[s] and q - r[s].
+inverses(q) holds every y^-1 mod q from one batch inversion (Montgomery 1987).
+Both are read-only int32 arrays cached per q; the cache is bounded by the
+residues it holds, not by its entries, and character_table and unit_roots are
+cached under the same bound.
 
 Dyadic convention throughout: m ~ M means M/2 <= m < M.  Both root sums read
 f(v) = sum_{x^2 = a v} e_q(h x), evaluated only at the products m n mod q
-they use: the square roots of a v are two gathers from the table.  W is
+they use: the square roots of a v are one gather from square_roots(q).  W is
 alpha . f[m n mod q] . beta and V is alpha . f[m n mod q] . phi(n), one
 einsum each (no BLAS call, so no BLAS thread pool wakes).  The moment reads
-c y^{-1} = pw[ind c - ind y] from the same table and takes every window of U0
-terms in O(q) from block prefix sums (van Herk 1992; Gil and Werman 1993),
-within an a-priori bound of the slice-by-slice sum (_window_sums).  Oracle
-comparisons of W and V are at relative tolerance 1e-9; f is never tabulated
-over all of Z_q, and its DFT identity against the Gauss sum is checked in
+c y^{-1} = c inverses(q)[y] mod q and takes every window of U0 terms in O(q)
+from block prefix sums (van Herk 1992; Gil and Werman 1993), within an
+a-priori bound of the slice-by-slice sum (_window_sums).  Oracle comparisons
+of W and V are at relative tolerance 1e-9; f is never tabulated over all of
+Z_q, and its DFT identity against the Gauss sum is checked in
 tests/algebra_oracles.py.
 """
 
@@ -33,37 +33,13 @@ from functools import wraps
 import numpy as np
 
 from .errors import CapacityError, DegenerateError
-from .modular import ROOT_TABLE_CAP, WORD_CAP, _as_q, _prime_factors
+from .modular import ROOT_TABLE_CAP, WORD_CAP, _as_q, _mod, _power
 
 COMPLEX_RTOL = 1e-9
 
 
-def _primitive_root(q: int) -> int:
-    """The least generator of F_q^* (trial division of q - 1, q <= ROOT_TABLE_CAP)."""
-    if q == 2:
-        return 1
-    g, factors = 2, _prime_factors(q - 1)
-    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
-        g += 1
-    return g
-
-
-@dataclass(frozen=True, eq=False)
-class IndexTable:
-    """Discrete logarithms to the primitive root g of F_q as read-only int32 arrays.
-
-    pw[i] = g^i mod q for i = 0..q-2, and ind[x] = log_g x for x = 1..q-1
-    (ind[0] = 0 is a placeholder: every query treats x = 0 itself).
-    """
-
-    q: int
-    g: int
-    pw: np.ndarray
-    ind: np.ndarray
-
-
-# residues each per-q cache holds at once, but always the latest table: 32 MiB of
-# index tables (two int32 a residue), 32 MiB of characters, 64 MiB of unit roots
+# residues each per-q cache holds at once, but always the latest table: 16 MiB of
+# square roots and 16 MiB of inverses (int32), 32 MiB of characters, 64 MiB of unit roots
 INDEX_CACHE_RESIDUES = 1 << 22
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -106,36 +82,58 @@ def _cache_by_residues(cap: int):
 
 
 @_cache_by_residues(INDEX_CACHE_RESIDUES)
-def index_table(q: int) -> IndexTable:
-    """The IndexTable of F_q, built in O(q) by block doubling; q <= ROOT_TABLE_CAP."""
+def square_roots(q) -> np.ndarray:
+    """r[x^2 mod q] = x for 1 <= x <= q/2, and 0 elsewhere, as a read-only int32 array: s != 0
+    is a square iff r[s] != 0, and then its roots are r[s] and q - r[s] (one root at q = 2).
+    CapacityError above ROOT_TABLE_CAP, before anything is allocated."""
     if q > ROOT_TABLE_CAP:
         raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
-    g = _primitive_root(q)
-    n = q - 1
-    pw = np.empty(n, dtype=np.int32)
-    pw[0] = 1
-    b = 1
-    while b < n:  # pw[b:2b] = pw[:b] * g^b, products below q^2 <= 2^52
-        m = min(b, n - b)
-        block = np.multiply(pw[:m], pow(g, b, q), dtype=np.int64)
-        block %= q
-        pw[b : b + m] = block
-        b += m
-    ind = np.zeros(q, dtype=np.int32)
-    ind[pw] = np.arange(n, dtype=np.int32)
-    pw.flags.writeable = False
-    ind.flags.writeable = False
-    return IndexTable(q, g, pw, ind)
+    r = np.zeros(q, dtype=np.int32)
+    xs = np.arange(1, q // 2 + 1, dtype=np.int64)
+    r[_mod(xs * xs, q)] = xs  # squares below q^2 / 4 <= 2^50
+    r.flags.writeable = False
+    return r
+
+
+_INVERSE_ROWS = 16
+
+
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
+def inverses(q) -> np.ndarray:
+    """inv[y] = y^-1 mod q for y = 1..q-1, and inv[0] = 0, as a read-only int32 array.
+
+    Montgomery's simultaneous inversion (Math. Comp. 48, 1987): the units y, padded with 1,
+    lie in _INVERSE_ROWS rows; the running products p_i = y_0 ... y_i go down the rows, one
+    _power call raises the last to q - 2, and the sweep back up reads y_i^-1 = p_i^-1 p_(i-1)
+    and p_(i-1)^-1 = p_i^-1 y_i.  CapacityError above ROOT_TABLE_CAP, before any allocation.
+    """
+    if q > ROOT_TABLE_CAP:
+        raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
+    ys = np.arange(1, _INVERSE_ROWS * -(-(q - 1) // _INVERSE_ROWS) + 1, dtype=np.int64)
+    ys[q - 1 :] = 1  # the last row's pad
+    ys = ys.reshape(_INVERSE_ROWS, -1)
+    p = ys.copy()
+    for i in range(1, _INVERSE_ROWS):  # products of two residues stay below q^2 <= 2^52
+        p[i] = _mod(p[i - 1] * ys[i], q)
+    back = _power(p[-1], q - 2, q)  # p_15^-1, column by column
+    for i in range(_INVERSE_ROWS - 1, 0, -1):  # p_i is spent: its row takes y_i^-1
+        p[i] = _mod(back * p[i - 1], q)
+        back = _mod(back * ys[i], q)
+    p[0] = back
+    inv = np.zeros(q, dtype=np.int32)
+    inv[1:] = p.reshape(-1)[: q - 1]
+    inv.flags.writeable = False
+    return inv
 
 
 @_cache_by_residues(INDEX_CACHE_RESIDUES)
 def character_table(q) -> np.ndarray:
-    """The quadratic character mod an odd prime q as a read-only int64 array: chi[0] = 0
-    and chi[x] = (-1)^(log_g x), the parity of index_table(q).ind (so CapacityError
-    above ROOT_TABLE_CAP, before anything is allocated)."""
+    """The quadratic character mod an odd prime q as a read-only int64 array: chi[0] = 0,
+    and chi[x] = 1 or -1 as square_roots(q)[x] is a root or 0 (so CapacityError above
+    ROOT_TABLE_CAP, before anything is allocated)."""
     if q == 2:
         raise DegenerateError("quadratic character table requires odd q")
-    chi = 1 - 2 * (index_table(q).ind & 1).astype(np.int64)  # (-1)^(log_g x)
+    chi = np.where(square_roots(q) != 0, np.int64(1), np.int64(-1))
     chi[0] = 0
     chi.flags.writeable = False
     return chi
@@ -213,22 +211,22 @@ class BilinearQuery:
 def _root_sums(a: int, h: int, q: int, vs: np.ndarray) -> np.ndarray:
     """f(v) = sum_{x^2 = a v} e_q(h x) at every residue v of the int64 array vs.
 
-    With g_2 = gcd(2, q - 1) and i = ind(a v), x^2 = a v is solvable iff g_2 | i, and
-    its roots are pw[i/g_2 + j (q-1)/g_2] for j < g_2 (one root at q = 2).
+    x^2 = a v != 0 is solvable iff x = square_roots(q)[a v] != 0, and its roots are x
+    and q - x (x alone at q = 2, where they coincide).
     """
-    table = index_table(q)  # CapacityError above the cap, before any q-sized allocation
+    r = square_roots(q)  # CapacityError above the cap, before any q-sized allocation
     roots = unit_roots(q)
     a %= q
     h %= q  # a, h, v and every root are below q <= 2^26: products stay under 2^52
     t = (a * vs.ravel()) % q
     f = np.zeros(t.shape, dtype=np.complex128)
     f[t == 0] = roots[0]  # the root x = 0
-    nonzero = np.flatnonzero(t)
-    g2 = math.gcd(2, q - 1)
-    iv = table.ind[t[nonzero]].astype(np.int64)
-    solvable = iv % g2 == 0
-    xs = table.pw[iv[solvable, None] // g2 + (q - 1) // g2 * np.arange(g2)].astype(np.int64)
-    f[nonzero[solvable]] = roots[(h * xs) % q].sum(axis=1)
+    x = r[t]
+    solvable = np.flatnonzero(x)
+    xs = x[solvable].astype(np.int64)
+    f[solvable] = roots[(h * xs) % q]
+    if q > 2:
+        f[solvable] += roots[(h * (q - xs)) % q]
     return f.reshape(vs.shape)
 
 
@@ -305,13 +303,13 @@ def _window_sums(c: int, U0: int, q: int) -> np.ndarray:
     U0 rounded terms.  The slice-by-slice sum in the order u = 1..U0 is within
     U0^2 u of it, so the two routes differ by at most 4 U0^2 u in every window.
     """
-    table = index_table(q)  # CapacityError above the cap
+    inv = inverses(q)  # CapacityError above the cap
     roots = unit_roots(q)
     nb = -(-(q + U0 - 1) // U0)
     z = np.zeros((nb, U0), dtype=np.complex128)
     flat = z.reshape(-1)
-    # c y^{-1} = g^(ind c - ind y) for y = 1..q-1, in int32; z[q - 1] = w(0) stays 0
-    np.take(roots, table.pw[(table.ind[c] - table.ind[1:]) % (q - 1)], out=flat[: q - 1])
+    # c y^{-1} for y = 1..q-1, in int64 (int32 times an int stays int32); z[q - 1] = w(0) = 0
+    np.take(roots, _mod(np.multiply(inv[1:], c, dtype=np.int64), q), out=flat[: q - 1])
     flat[: q - 1] *= character_table(q)[1:]
     flat[q : q + U0 - 1] = flat[: U0 - 1]
     np.cumsum(z, axis=1, out=z)

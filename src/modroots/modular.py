@@ -6,9 +6,9 @@ power scan: x^k mod q for every x in Z_q, in chunks of at most _SCAN_CHUNK
 residues, kept by a mask; the members come out ascending.  Sparse root queries
 (kth_roots, the roots of primes, the coset energies of the prime average) read
 root_rows at any prime q, or at an array of primes, one a row:
-Adleman-Manders-Miller by square-and-multiply over an array.  The discrete-log
-table, the quadratic character and the Gauss sum live in expsums, their one
-reader.
+Adleman-Manders-Miller by square-and-multiply over an array.  The square-root
+scan, the batch inverses, the quadratic character and the Gauss sum live in
+expsums, their one reader.
 """
 
 from __future__ import annotations

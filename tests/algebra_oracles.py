@@ -19,7 +19,8 @@ the route of a dense row before energy._pair_counts took dense blocks.
 
 The character/inverse moment's oracle is the slice loop that
 expsums._window_sums replaced: each window summed slice by slice in the order
-u = 1..U0, in O(U0 q).  Its terms come from the same tables, so the two routes
+u = 1..U0, in O(U0 q).  It reads c y^{-1} from the discrete-log table of
+residue_oracles.py, the same integers expsums.inverses holds, so the two routes
 differ only by rounding, which window_bound and moment_tolerance bound.
 
 Three checks with no production reader live here too: the ring arithmetic of
@@ -36,10 +37,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from modroots.convolve import cyclic_convolve
-from modroots.expsums import _root_sums, character_table, index_table, unit_roots
+from modroots.expsums import _root_sums, character_table, unit_roots
 from modroots.gowers import _shifted, _stack_energy
 from modroots.prodpoly import IntPoly, _prime_pool, product_poly
 from modroots.sets import IndicatorSet, RepFn
+
+from residue_oracles import index_table
 
 
 # ---------------------------------------------------------------------------

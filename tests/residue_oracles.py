@@ -1,35 +1,42 @@
 """Oracles for the residue core.
 
-table_roots is the k-th root route of the discrete-log table,
-expsums.index_table, that modular.root_rows replaced: the g_k roots of each
-value gathered from the table.  table_root_set and table_preimage are the
-routes the power scan of modular.kth_root_set and modular.preimage_set
-replaced, by table_roots.  The others are the routes the table replaced, and
-the routes before them: a bucket table holding, for each v in Z_q, the tuple
-of x with j*x^k = v (mod q), rebuilt for every dilate j; a coset scan that
-materialises the k-th power subgroup as a set; the power map by
-square-and-multiply over the whole residue vector and its stable argsort by
-value (the sorted residue map); the root-sum table scattered by np.add.at;
-the moment window summed by np.roll; and the scalar Tonelli-Shanks square
-root.  Those are slow but independent of expsums.index_table and
-modular.root_rows, so the property tests compare every consumer of either
-against them.  all_j_max_energy is the oracle for the coset reduction
-of max_energy_over_j: it scans every dilate j with the production energy.
-table_max_energy is the route max_energy_over_j and prime_averaged_energy
-took before the power-residue symbol: one index_table per prime, the class of
-n its index mod g_k, and each class's pair sums counted in Python.
-twelve_witness_is_prime is modular.is_prime as it was before the witness
-prefixes: Miller-Rabin with all 12 prime witnesses for every n.
+index_table is the discrete-log table of F_q that expsums.square_roots and
+expsums.inverses replaced: a primitive root g, pw[i] = g^i and ind[x] = log_g x,
+built by block doubling.  Its parity is the quadratic character, pw[ind s / 2]
+and its negative are the square roots of s, and pw[-ind y] is y^-1, so it is the
+oracle of both scans.  table_roots is the k-th root route of the table that
+modular.root_rows replaced: the g_k roots of each value gathered from the
+table.  table_root_set and table_preimage are the routes the power scan of
+modular.kth_root_set and modular.preimage_set replaced, by table_roots.  The
+others are the routes the table replaced, and the routes before them: a
+bucket table holding, for each v in Z_q, the tuple of x with j*x^k = v
+(mod q), rebuilt for every dilate j; a coset scan that materialises the k-th
+power subgroup as a set; the power map by square-and-multiply over the whole
+residue vector and its stable argsort by value (the sorted residue map); the
+root-sum table scattered by np.add.at; the moment window summed by np.roll;
+and the scalar Tonelli-Shanks square root.  Those are slow but independent of
+the table and of modular.root_rows, so the property tests compare every
+consumer of either against them.  all_j_max_energy is the oracle for the coset
+reduction of max_energy_over_j: it scans every dilate j with the production
+energy.  table_max_energy is the route max_energy_over_j and
+prime_averaged_energy took before the power-residue symbol: one index_table
+per prime, the class of n its index mod g_k, and each class's pair sums
+counted in Python.  twelve_witness_is_prime is modular.is_prime as it was
+before the witness prefixes: Miller-Rabin with all 12 prime witnesses for
+every n.
 """
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from modroots.energy import EnergyQuery, tuple_energy
-from modroots.expsums import index_table
+from modroots.errors import CapacityError
+from modroots.expsums import INDEX_CACHE_RESIDUES, _cache_by_residues
+from modroots.modular import ROOT_TABLE_CAP, _prime_factors
 
 
 @lru_cache(maxsize=64)
@@ -56,6 +63,53 @@ def bucket_preimage(j: int, k: int, N: int, q: int) -> set:
         members.update(table[v % q])
     members.discard(0)
     return members
+
+
+def _primitive_root(q: int) -> int:
+    """The least generator of F_q^* (trial division of q - 1, q <= ROOT_TABLE_CAP)."""
+    if q == 2:
+        return 1
+    g, factors = 2, _prime_factors(q - 1)
+    while any(pow(g, (q - 1) // p, q) == 1 for p in factors):
+        g += 1
+    return g
+
+
+@dataclass(frozen=True, eq=False)
+class IndexTable:
+    """Discrete logarithms to the primitive root g of F_q as read-only int32 arrays.
+
+    pw[i] = g^i mod q for i = 0..q-2, and ind[x] = log_g x for x = 1..q-1
+    (ind[0] = 0 is a placeholder: every query treats x = 0 itself).
+    """
+
+    q: int
+    g: int
+    pw: np.ndarray
+    ind: np.ndarray
+
+
+@_cache_by_residues(INDEX_CACHE_RESIDUES)
+def index_table(q: int) -> IndexTable:
+    """The IndexTable of F_q, built in O(q) by block doubling; q <= ROOT_TABLE_CAP."""
+    if q > ROOT_TABLE_CAP:
+        raise CapacityError(f"residue table capped at q <= {ROOT_TABLE_CAP}")
+    g = _primitive_root(q)
+    n = q - 1
+    pw = np.empty(n, dtype=np.int32)
+    pw[0] = 1
+    b = 1
+    while b < n:  # pw[b:2b] = pw[:b] * g^b, products below q^2 <= 2^52
+        m = min(b, n - b)
+        block = np.multiply(pw[:m], pow(g, b, q), dtype=np.int64)
+        block %= q
+        pw[b : b + m] = block
+        b += m
+    ind = np.zeros(q, dtype=np.int32)
+    ind[pw] = np.arange(n, dtype=np.int32)
+    pw.flags.writeable = False
+    ind.flags.writeable = False
+    return IndexTable(q, g, pw, ind)
 
 
 def table_roots(vs, k: int, q: int):

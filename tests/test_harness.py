@@ -27,7 +27,6 @@ from modroots.harness import (
 )
 from modroots.convolve import _float_convolve
 from modroots.energy import sum_rep
-from modroots.expsums import index_table
 from modroots.modular import preimage_set
 from modroots.rng import SplitMix64, cell_seeds
 
@@ -379,17 +378,11 @@ def test_random_set_doubling_exact():
     assert 2 * 10 - 1 <= len(sums) <= min(q, 10 * 11 // 2 + 10)
 
 
-@pytest.fixture
-def drop_residue_tables():
-    yield
-    index_table.cache_clear()  # a q = 4194301 table holds 32 MiB
-
-
 @pytest.mark.parametrize(
     "check, q, N",
     [("t42-bound", 1000003, 40), ("t42-bound", 4194301, 40), ("t22-bound", 1000003, 200000)],
 )
-def test_large_modulus_cells_give_rows(drop_residue_tables, check, q, N):
+def test_large_modulus_cells_give_rows(check, q, N):
     # convolutions of length q > 2^19, past the NTT cap, that the float path certifies
     res = run_sweep(SweepConfig(check, {"q": [q], "N": [N]}, seed=1))
     (row,) = res.rows
@@ -398,7 +391,7 @@ def test_large_modulus_cells_give_rows(drop_residue_tables, check, q, N):
     assert res.manifest["skips"] == 0
 
 
-def test_past_float_guard_is_a_split_row(drop_residue_tables):
+def test_past_float_guard_is_a_split_row():
     # |A| ~ 10^5 at q = 1000003: the pair counts r2 pass Percival's bound, r4 = r2 * r2 does
     # not, so r4 comes from the bit split.  Checked against |A ∩ (d - A)| for sampled r2
     # entries, exact object dot products for sampled r4 entries, and sum(r4) = |A|^4.

@@ -1,14 +1,17 @@
-"""The discrete-log table and every query that reads it, against the routes it replaced;
-the power scan of kth_root_set and preimage_set against the table route it replaced;
-and the table-free root kernel root_rows against the table and Tonelli-Shanks.
+"""The square-root scan and the batch inverses of expsums against the discrete-log
+table they replaced, and every query that reads them against the routes the table
+replaced; the power scan of kth_root_set and preimage_set against the table route
+it replaced; and the table-free root kernel root_rows against the table and
+Tonelli-Shanks.
 
-The oracles in residue_oracles.py share no arithmetic with expsums.index_table
-or modular.root_rows: Python pow, square-and-multiply tables, the sorted
-residue map, Tonelli-Shanks, the np.add.at root-sum table and the np.roll
-moment window.  The moduli cover q = 2 (where x = -x), q = 3, q = 65537
-(q - 1 = 2^16), primes on both sides of 2^21 and every g_k = gcd(k, q - 1) in
-{1, 2, 3, 4, 6}; root_rows also meets q = 2^31 - 1, the first q past it,
-2^61 - 1 and a 62-bit q whose 2- and 3-Sylow subgroups are deep.
+The oracles in residue_oracles.py share no arithmetic with expsums.square_roots,
+expsums.inverses or modular.root_rows: the discrete-log table index_table,
+Python pow, square-and-multiply tables, the sorted residue map, Tonelli-Shanks,
+the np.add.at root-sum table and the np.roll moment window.  The moduli cover
+q = 2 (where x = -x), q = 3, q = 65537 (q - 1 = 2^16), primes on both sides of
+2^21 and every g_k = gcd(k, q - 1) in {1, 2, 3, 4, 6}; root_rows also meets
+q = 2^31 - 1, the first q past it, 2^61 - 1 and a 62-bit q whose 2- and 3-Sylow
+subgroups are deep.
 """
 
 import math
@@ -30,7 +33,8 @@ from modroots.expsums import (
     bilinear_root_sum,
     char_inverse_moment,
     character_table,
-    index_table,
+    inverses,
+    square_roots,
     unit_roots,
 )
 from modroots.modular import (
@@ -47,6 +51,7 @@ from modroots.sets import IndicatorSet
 from algebra_oracles import moment_tolerance
 from residue_oracles import (
     add_at_weight_table,
+    index_table,
     mask_preimage,
     roll_moment,
     sorted_kth_roots,
@@ -72,6 +77,43 @@ def test_table_is_a_permutation_of_the_units(q):
     assert sorted(table.pw.tolist()) == list(range(1, q))
     assert np.array_equal(table.ind[table.pw], np.arange(q - 1))
     assert all(table.pw[i] == pow(table.g, i, q) for i in {0, (q - 1) // 2, q - 2})
+
+
+@given(PRIMES, st.lists(st.integers(1, 2**40), min_size=1, max_size=40), st.integers(0, 2**40))
+@example(2, [1], 1)
+@example(3, [1, 2], 1)
+@example(5, [1, 2, 3, 4], 2)
+@example(65537, [3, 65536], 5)  # q - 1 = 2^16: no pad in the inverse rows
+@example(2097143, [2, 2097142], 7)  # q - 1 = 6 (mod 16): the last row is padded
+@example(2097169, [5, 2097168], 11)
+@settings(max_examples=20, deadline=None)
+def test_square_roots_and_inverses_match_the_table(q, raw, h):
+    table = index_table(q)
+    r, inv = square_roots(q), inverses(q)
+    for arr in (r, inv):
+        assert arr.dtype == np.int32 and arr.shape == (q,) and not arr.flags.writeable
+    # s is a square iff g_2 = gcd(2, q - 1) divides ind s, and pw[ind s / g_2] is a root
+    g2 = math.gcd(2, q - 1)
+    ind = table.ind[1:].astype(np.int64)
+    square = ind % g2 == 0
+    assert r[0] == 0 and np.array_equal(r[1:] != 0, square)
+    half = table.pw[ind[square] // g2].astype(np.int64)
+    got = r[1:][square].astype(np.int64)
+    assert np.all((got == half) | (got == q - half)) and np.all(2 * got <= q)
+    if q > 2:  # chi is the parity of ind
+        assert np.array_equal(character_table(q), np.concatenate(([0], 1 - 2 * (ind & 1))))
+    # the pow loop of test_expsums.moment_pow_loop, and y inv[y] = 1 for every unit
+    ys = sorted({y % (q - 1) + 1 for y in raw})
+    assert inv[ys].tolist() == [pow(y, q - 2, q) for y in ys]
+    assert inv[0] == 0 and np.all(np.arange(1, q) * inv[1:].astype(np.int64) % q == 1)
+    # _root_sums against the table's g_2 roots of a v (one at q = 2), bit for bit
+    a, vs = ys[0], np.array([0, *ys], dtype=np.int64)
+    roots = unit_roots(q)
+    solvable, rows = table_roots(a * vs[1:] % q, 2, q)
+    want = [roots[0]] + [0j] * len(ys)
+    for i, row in zip(np.flatnonzero(solvable), rows.tolist()):
+        want[i + 1] = sum((roots[h * x % q] for x in row), 0j)
+    assert expsums._root_sums(a, h, q, vs).tolist() == want
 
 
 def gather_power(q, xs, e):
@@ -211,6 +253,8 @@ def test_capacity_error_before_anything_is_allocated():
     one = IndicatorSet(q, np.array([1], dtype=np.int64))
     calls = [
         lambda: index_table(q),
+        lambda: square_roots(q),
+        lambda: inverses(q),
         lambda: kth_root_set([1], 2, q),
         lambda: preimage_set(1, 2, q, q),
         lambda: set_energy(one, 3, q),
@@ -389,14 +433,15 @@ def test_cache_is_bounded_by_residues_not_by_count():
 
 
 def test_character_caches_are_bounded_by_residues():
-    # a count-bounded lru kept all three: about 294 MiB of roots and characters
-    caches = (unit_roots, character_table, index_table)
+    # a count-bounded lru kept all three moduli: about 220 MiB of unit roots, characters,
+    # square roots and inverses
+    caches = (unit_roots, character_table, square_roots, inverses)
     try:
         for q in (1000003, 2000003, 4194301):
             char_inverse_moment(3, 16, 2, q)
             for cache in caches:
                 assert cache.cache_info().currsize <= INDEX_CACHE_RESIDUES + q
-        assert unit_roots.cache_info().currsize == character_table.cache_info().currsize == 4194301
+        assert [cache.cache_info().currsize for cache in caches] == [4194301] * 4
     finally:
         for cache in caches:
             cache.cache_clear()
@@ -405,9 +450,10 @@ def test_character_caches_are_bounded_by_residues():
 def test_second_prime_average_builds_no_table():
     # 135 primes in [1000, 2000): their classes come from root_rows and the power-residue
     # symbol, so neither call, nor max_energy_over_j, builds a table
-    index_table.cache_clear()
+    square_roots.cache_clear()
+    inverses.cache_clear()
     first = prime_averaged_energy(3, 8, 2000)
     assert len(first.primes) == 135
     assert prime_averaged_energy(3, 8, 2000) == first
     assert max_energy_over_j(3, 8, 1009) == max_energy_over_j(3, 8, 1009)
-    assert index_table.cache_info().misses == 0
+    assert square_roots.cache_info().misses == inverses.cache_info().misses == 0

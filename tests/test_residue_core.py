@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from modroots import energy
 from modroots.convolve import _padded_length
 from modroots.energy import max_energy_over_j, power_coset_reps, prime_averaged_energy, set_energy
-from modroots.expsums import index_table
 from modroots.modular import kth_roots, preimage_set, primes_in
 from modroots.sets import _LIMB_CHUNK, IndicatorSet, RepFn, _exact_dot, _exact_sums
 
@@ -21,6 +20,7 @@ from residue_oracles import (
     bucket_preimage,
     bucket_set_energy,
     bucket_table,
+    index_table,
     subgroup_coset_reps,
     table_max_energy,
 )
